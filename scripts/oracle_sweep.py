@@ -35,11 +35,12 @@ INSTANCES = [
 def remainder_slope(P, prof, radii, pin_radius=1e4):
     A, b, d, L = prof.A.m, prof.b, prof.d, prof.L.m
 
-    def resid(x):
-        return P.value(x) - 0.5 * x @ A @ x - b @ x - 0.5 * d * math.log(x @ L @ x)
+    def resid(X):
+        return (P.values(X) - 0.5 * np.einsum("ni,ij,nj->n", X, A, X) - X @ b
+                - 0.5 * d * np.log(np.einsum("ni,ij,nj->n", X, L, X)))
 
-    c = float(np.mean([resid(x) for x in shell_points(pin_radius, 64, 2)]))
-    samples = [(r, max(abs(resid(x) - c) for x in shell_points(r, 64, 2)))
+    c = float(np.mean(resid(shell_points(pin_radius, 64, 2))))
+    samples = [(r, float(np.max(np.abs(resid(shell_points(r, 64, 2)) - c))))
                for r in radii]
     return decay_exponent(samples)
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AsymptoticProfile, EquationSpec, PotentialFn, SymMat
+from .core import AsymptoticProfile, EquationSpec, PotentialFn, SymMat, matvecs, rowdot
 from .errors import (BadParams, IllConditioned, NoDecay, NonPositiveValue,
                      WrongDimension)
 
@@ -35,6 +35,12 @@ class ShellSpec:
             raise BadParams("radii must be strictly increasing, >= 2 of them")
         if self.points_per_shell < 32:
             raise BadParams("points_per_shell must be >= 32")
+
+    def points(self, dim: int, seed: int | None = None) -> np.ndarray:
+        """Every shell's sample points, shell by shell, as one batch of shape
+        (len(radii) * points_per_shell, dim)."""
+        return np.concatenate([shell_points(r, self.points_per_shell, dim, seed=seed)
+                               for r in self.radii])
 
 
 def shell_points(radius: float, n: int, dim: int, seed: int | None = None) -> np.ndarray:
@@ -64,13 +70,11 @@ def hessian_limit(P: PotentialFn, shells: ShellSpec) -> tuple[SymMat, float]:
     Raises NoDecay when the outermost residual exceeds the innermost one:
     the Hessian is not settling (e.g. critical-phase counterexamples).
     """
-    hessians = []
-    for r in shells.radii:
-        pts = shell_points(r, shells.points_per_shell, P.dim)
-        hessians.append(np.array([P.hess(x).m for x in pts]))
+    hessians = P.hessians(shells.points(P.dim)).reshape(
+        len(shells.radii), shells.points_per_shell, P.dim, P.dim)
     A = hessians[-1].mean(axis=0)
     A = 0.5 * (A + A.T)
-    res = np.array([np.max(np.linalg.norm(h - A, axis=(1, 2))) for h in hessians])
+    res = np.linalg.norm(hessians - A, axis=(2, 3)).max(axis=1)
     scale = 1.0 + np.abs(A).max()
     if res[-1] <= EXACT_FLOOR * scale:
         return SymMat(A), EXACT_SLOPE
@@ -122,17 +126,12 @@ def fit_profile(P: PotentialFn, spec: EquationSpec, shells: ShellSpec,
     with_log = P.dim == 2
     L = log_kernel(spec, A) if with_log else SymMat.identity(P.dim)
 
-    rows, rhs, radii_of = [], [], []
-    for r in shells.radii:
-        for x in shell_points(r, shells.points_per_shell, P.dim, seed=seed):
-            basis = list(x) + [1.0]
-            if with_log:
-                basis.append(0.5 * math.log(x @ L.m @ x))
-            rows.append(basis)
-            rhs.append(P.value(x) - 0.5 * x @ A.m @ x)
-            radii_of.append(r)
-    D = np.array(rows)
-    y = np.array(rhs)
+    X = shells.points(P.dim, seed=seed)
+    columns = [X, np.ones((len(X), 1))]
+    if with_log:
+        columns.append(0.5 * np.log(rowdot(matvecs(L.m, X), X))[:, None])
+    D = np.hstack(columns)
+    y = P.values(X) - 0.5 * rowdot(matvecs(A.m, X), X)
     if np.linalg.cond(D) > 1e12:
         raise IllConditioned("normal equations condition number exceeds 1e12")
     coef, *_ = np.linalg.lstsq(D, y, rcond=None)
@@ -141,8 +140,7 @@ def fit_profile(P: PotentialFn, spec: EquationSpec, shells: ShellSpec,
     d = float(coef[P.dim + 1]) if with_log else 0.0
 
     resid = np.abs(D @ coef - y)
-    radii_of = np.array(radii_of)
-    per_shell = np.array([resid[radii_of == r].max() for r in shells.radii])
+    per_shell = resid.reshape(len(shells.radii), shells.points_per_shell).max(axis=1)
     scale = 1.0 + np.abs(y).max()
     if per_shell[-1] <= EXACT_FLOOR * scale:
         slope = EXACT_SLOPE
@@ -157,18 +155,21 @@ def fit_profile(P: PotentialFn, spec: EquationSpec, shells: ShellSpec,
 
 @dataclass(frozen=True)
 class BoundaryCurve:
-    """Smooth, simple, positively oriented closed curve t in [0, 2pi)."""
+    """Smooth, simple, positively oriented closed curve t in [0, 2pi).
 
-    gamma: Callable[[float], np.ndarray]
-    dgamma: Callable[[float], np.ndarray]
+    `gamma` and `dgamma` take parameters t of shape (K,) and return the
+    points and tangents, each of shape (K, 2)."""
+
+    gamma: Callable[[np.ndarray], np.ndarray]
+    dgamma: Callable[[np.ndarray], np.ndarray]
     order: int = DEFAULT_QUAD_ORDER
 
     @staticmethod
     def circle(radius: float, center=(0.0, 0.0), order: int = DEFAULT_QUAD_ORDER):
         cx, cy = center
         return BoundaryCurve(
-            lambda t: np.array([cx + radius * math.cos(t), cy + radius * math.sin(t)]),
-            lambda t: np.array([-radius * math.sin(t), radius * math.cos(t)]),
+            lambda t: np.stack([cx + radius * np.cos(t), cy + radius * np.sin(t)], axis=1),
+            lambda t: np.stack([-radius * np.sin(t), radius * np.cos(t)], axis=1),
             order)
 
     @staticmethod
@@ -179,8 +180,8 @@ class BoundaryCurve:
             raise BadParams("kernel must be positive definite")
         S = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
         return BoundaryCurve(
-            lambda t: R * (S @ np.array([math.cos(t), math.sin(t)])),
-            lambda t: R * (S @ np.array([-math.sin(t), math.cos(t)])),
+            lambda t: R * matvecs(S, np.stack([np.cos(t), np.sin(t)], axis=1)),
+            lambda t: R * matvecs(S, np.stack([-np.sin(t), np.cos(t)], axis=1)),
             order)
 
     def quad_nodes(self):
@@ -189,24 +190,19 @@ class BoundaryCurve:
 
     def enclosed_area(self) -> float:
         t, h = self.quad_nodes()
-        acc = 0.0
-        for ti in t:
-            g, dg = self.gamma(ti), self.dgamma(ti)
-            acc += 0.5 * (g[0] * dg[1] - g[1] * dg[0])
-        return acc * h
+        g, dg = self.gamma(t), self.dgamma(t)
+        return float(np.sum(0.5 * (g[:, 0] * dg[:, 1] - g[:, 1] * dg[:, 0]))) * h
 
 
 def _curve_integral(curve: BoundaryCurve, integrand) -> float:
-    """Composite trapezoid of integrand(x, nu) * |gamma'| over the closed
-    curve; spectrally accurate for smooth periodic data."""
+    """Composite trapezoid of integrand(X, nu) * |gamma'| over the closed
+    curve, with the integrand taking all nodes X and unit normals nu as
+    (K, 2) batches; spectrally accurate for smooth periodic data."""
     t, h = curve.quad_nodes()
-    acc = 0.0
-    for ti in t:
-        g, dg = curve.gamma(ti), curve.dgamma(ti)
-        speed = math.hypot(dg[0], dg[1])
-        nu = np.array([dg[1], -dg[0]]) / speed
-        acc += integrand(g, nu) * speed
-    return acc * h
+    g, dg = curve.gamma(t), curve.dgamma(t)
+    speed = np.hypot(dg[:, 0], dg[:, 1])
+    nu = np.stack([dg[:, 1], -dg[:, 0]], axis=1) / speed[:, None]
+    return float(np.sum(integrand(g, nu) * speed)) * h
 
 
 def _div_form(spec: EquationSpec):
@@ -229,12 +225,11 @@ def boundary_d(spec: EquationSpec, P: PotentialFn, curve: BoundaryCurve) -> floa
         raise WrongDimension("boundary_d is 2D only")
     lw, cw, aw = _div_form(spec)
 
-    def integrand(x, nu):
-        g = P.grad(x)
-        H = P.hess(x).m
-        flux = lw * (g @ nu)
-        flux += cw * g[0] * (H[1, 1] * nu[0] - H[0, 1] * nu[1])
-        return flux
+    def integrand(X, nu):
+        g = P.grads(X)
+        H = P.hessians(X)
+        return (lw * rowdot(g, nu)
+                + cw * g[:, 0] * (H[:, 1, 1] * nu[:, 0] - H[:, 0, 1] * nu[:, 1]))
 
     total = _curve_integral(curve, integrand)
     return (total - aw * curve.enclosed_area()) / (2 * math.pi)
@@ -258,15 +253,15 @@ def flux_identity(spec: EquationSpec, A: SymMat, d: float, R: float,
     Lm = L.m
     curve = BoundaryCurve.ellipse_of_kernel(L, R, order)
 
-    def integrand(x, nu):
-        q = x @ Lm @ x
-        Lx = Lm @ x
-        dGamma = d * Lx / q
-        HGamma = d * (Lm / q - 2.0 * np.outer(Lx, Lx) / q ** 2)
-        Q1 = Am[0] @ x + b[0]
-        flux = lw * (dGamma @ nu)
-        flux += cw * (Q1 * (HGamma[1, 1] * nu[0] - HGamma[0, 1] * nu[1])
-                      + dGamma[0] * (Am[1, 1] * nu[0] - Am[0, 1] * nu[1]))
-        return flux
+    def integrand(X, nu):
+        Lx = matvecs(Lm, X)
+        q = rowdot(Lx, X)
+        dGamma = d * Lx / q[:, None]
+        HGamma11 = d * (Lm[1, 1] / q - 2.0 * Lx[:, 1] ** 2 / q ** 2)
+        HGamma01 = d * (Lm[0, 1] / q - 2.0 * Lx[:, 0] * Lx[:, 1] / q ** 2)
+        Q1 = rowdot(X, Am[0]) + b[0]
+        return (lw * rowdot(dGamma, nu)
+                + cw * (Q1 * (HGamma11 * nu[:, 0] - HGamma01 * nu[:, 1])
+                        + dGamma[:, 0] * (Am[1, 1] * nu[:, 0] - Am[0, 1] * nu[:, 1])))
 
     return _curve_integral(curve, integrand)

@@ -105,8 +105,7 @@ def cmd_residual(args) -> int:
     P = parse_solution(args.solution, args.params)
     spec = parse_equation(args.equation, args.dim or P.dim, args.theta, args.delta)
     pts = _exterior_points(P, args.points, args.seed)
-    H = np.array([P.hess(x).m for x in pts])
-    res = residual_many(spec, H)
+    res = residual_many(spec, P.hessians(pts))
     worst = float(np.max(np.abs(res)))
     print(f"max |residual| = {worst:.6e} over {args.points} points")
     return EXIT_OK
@@ -123,22 +122,20 @@ def cmd_oracle(args) -> int:
 
 
 def _write_samples_csv(P: PotentialFn, shells, path: str, seed: int):
-    dim = P.dim
-    if dim == 2:
+    if P.dim == 2:
         header = "x1,x2,u,du1,du2,h11,h12,h22"
+        entries = [(0, 0), (0, 1), (1, 1)]
     else:
         header = "x1,x2,x3,u,du1,du2,du3,h11,h12,h22,h13,h23,h33"
+        entries = [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)]
+    X = shells.points(P.dim, seed=seed)
+    H = P.hessians(X)
+    table = np.column_stack([X, P.values(X), P.grads(X)]
+                            + [H[:, i, j] for i, j in entries])
     with open(path, "w") as f:
         f.write(header + "\n")
-        for r in shells.radii:
-            for x in asymptotics.shell_points(r, shells.points_per_shell, dim, seed=seed):
-                u, g, H = P.value(x), P.grad(x), P.hess(x).m
-                if dim == 2:
-                    row = [*x, u, *g, H[0, 0], H[0, 1], H[1, 1]]
-                else:
-                    row = [*x, u, *g, H[0, 0], H[0, 1], H[1, 1],
-                           H[0, 2], H[1, 2], H[2, 2]]
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in table:
+            f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def cmd_fit(args) -> int:

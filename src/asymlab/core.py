@@ -11,6 +11,29 @@ import numpy as np
 from .errors import BadParams, WrongDimension
 
 
+_LOWER = {n: np.tril_indices(n, -1) for n in (2, 3)}
+
+
+def sym_upper(H: np.ndarray) -> np.ndarray:
+    """Exactly symmetric copy of H (..., n, n), n = 2 or 3: the upper triangle
+    wins, and a zero entry is stored as +0.0."""
+    S = H + 0.0
+    i, j = _LOWER[S.shape[-1]]
+    S[..., i, j] = S[..., j, i]
+    return S
+
+
+def rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot product of each row of A with the matching row of B (or with B)."""
+    return (A * B).sum(axis=1)
+
+
+def matvecs(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ x for every row x of X, elementwise rather than through BLAS,
+    whose result for one row can depend on how many rows there are."""
+    return (X[:, None, :] * M).sum(axis=-1)
+
+
 @dataclass(frozen=True)
 class SymMat:
     """An n x n symmetric matrix (n = 2 or 3), stored via its upper triangle."""
@@ -21,8 +44,7 @@ class SymMat:
         a = np.asarray(self.m, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 3):
             raise WrongDimension(f"expected 2x2 or 3x3 matrix, got shape {a.shape}")
-        # store exactly-symmetric entries (upper triangle wins)
-        sym = np.triu(a) + np.triu(a, 1).T
+        sym = sym_upper(a)
         object.__setattr__(self, "m", sym)
         self.m.setflags(write=False)
 
@@ -100,26 +122,45 @@ class EquationSpec:
 
 @dataclass(frozen=True)
 class PotentialFn:
-    """An evaluable scalar potential u with gradient and Hessian on {|x| > rho}.
+    """A scalar potential u on {|x| > rho}, evaluated in batches.
 
-    The evaluators take a point x of shape (dim,) and return a float,
-    a (dim,) vector, and a SymMat respectively.
+    The callbacks map points X (N, dim) to values (N,), gradients (N, dim)
+    and exactly symmetric Hessians (N, dim, dim); row k of each result
+    depends on row k of X alone, bit for bit. `values/grads/hessians` check
+    X first; `value/grad/hess` evaluate one point (dim,) as a one-row batch.
     """
 
     dim: int
     rho: float
-    value_fn: Callable[[np.ndarray], float]
-    grad_fn: Callable[[np.ndarray], np.ndarray]
-    hess_fn: Callable[[np.ndarray], SymMat]
+    values_fn: Callable[[np.ndarray], np.ndarray]
+    grads_fn: Callable[[np.ndarray], np.ndarray]
+    hessians_fn: Callable[[np.ndarray], np.ndarray]
+
+    def _points(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise WrongDimension(f"expected points of shape (N, {self.dim}), got {X.shape}")
+        if not np.isfinite(X).all():
+            raise BadParams("evaluation points must be finite")
+        return X
+
+    def values(self, X) -> np.ndarray:
+        return self.values_fn(self._points(X))
+
+    def grads(self, X) -> np.ndarray:
+        return self.grads_fn(self._points(X))
+
+    def hessians(self, X) -> np.ndarray:
+        return self.hessians_fn(self._points(X))
 
     def value(self, x) -> float:
-        return float(self.value_fn(np.asarray(x, dtype=float)))
+        return float(self.values(np.reshape(x, (1, -1)))[0])
 
     def grad(self, x) -> np.ndarray:
-        return np.asarray(self.grad_fn(np.asarray(x, dtype=float)), dtype=float)
+        return self.grads(np.reshape(x, (1, -1)))[0]
 
     def hess(self, x) -> SymMat:
-        return self.hess_fn(np.asarray(x, dtype=float))
+        return SymMat(self.hessians(np.reshape(x, (1, -1)))[0])
 
 
 @dataclass(frozen=True)
@@ -225,30 +266,22 @@ class AnnulusField:
     @staticmethod
     def from_potential(grid: AnnulusGrid, P: PotentialFn) -> "AnnulusField":
         x, y = grid.nodes_xy()
-        vals = np.empty_like(x)
-        for i in range(grid.n_r):
-            for j in range(grid.n_theta):
-                vals[i, j] = P.value((x[i, j], y[i, j]))
-        return AnnulusField(grid, vals)
+        vals = P.values(np.stack([x.ravel(), y.ravel()], axis=1))
+        return AnnulusField(grid, vals.reshape(x.shape))
 
 
 def finite_difference_gradient(P: PotentialFn, x, h: float = 1e-5) -> np.ndarray:
-    """Centered difference of the value; consistency check for grad_fn."""
+    """Centered difference of the value; consistency check for grads_fn."""
     x = np.asarray(x, dtype=float)
-    g = np.empty(P.dim)
-    for i in range(P.dim):
-        e = np.zeros(P.dim)
-        e[i] = h
-        g[i] = (P.value(x + e) - P.value(x - e)) / (2 * h)
-    return g
+    E = h * np.eye(P.dim)
+    v = P.values(np.concatenate([x + E, x - E]))
+    return (v[:P.dim] - v[P.dim:]) / (2 * h)
 
 
 def finite_difference_hessian(P: PotentialFn, x, h: float = 1e-5) -> np.ndarray:
-    """Centered difference of the gradient; consistency check for hess_fn."""
+    """Centered difference of the gradient; consistency check for hessians_fn."""
     x = np.asarray(x, dtype=float)
-    H = np.empty((P.dim, P.dim))
-    for i in range(P.dim):
-        e = np.zeros(P.dim)
-        e[i] = h
-        H[:, i] = (P.grad(x + e) - P.grad(x - e)) / (2 * h)
+    E = h * np.eye(P.dim)
+    G = P.grads(np.concatenate([x + E, x - E]))
+    H = ((G[:P.dim] - G[P.dim:]) / (2 * h)).T
     return 0.5 * (H + H.T)

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AsymptoticProfile, PotentialFn, SymMat
+from .core import AsymptoticProfile, PotentialFn, SymMat, matvecs, rowdot, sym_upper
 from .errors import BadParams, InverseMapDiverged, StripViolation, UnknownName
-from .transforms import unrotate_potential
+from .transforms import _graph_preimage, _predictor, unrotate_potential
 
 TAIL_MAX_LEN = 7          # coefficients a_{-2} ... a_{-8}
 TAIL_MAX_ABS = 10.0
@@ -27,7 +27,8 @@ RHO_CANDIDATES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 @dataclass(frozen=True)
 class LaurentCoeffs:
     """Expansion data of h(z); a_{-1} must be real so that Re(a_{-1} log z)
-    is single-valued on an exterior domain."""
+    is single-valued on an exterior domain. `h`, `h_prime` and `primitive`
+    take a complex number or a complex array."""
 
     a1: complex = 0.0
     a0: complex = 0.0
@@ -48,16 +49,16 @@ class LaurentCoeffs:
         out = self.a1 * z + self.a0 + self.am1 / z
         zk = z
         for t in self.tail:
-            zk *= z
-            out += t / zk
+            zk = zk * z
+            out = out + t / zk
         return out
 
     def h_prime(self, z: complex) -> complex:
         out = self.a1 - self.am1 / z ** 2
         zk = z * z
         for k, t in enumerate(self.tail, start=2):
-            zk *= z
-            out -= k * t / zk
+            zk = zk * z
+            out = out - k * t / zk
         return out
 
     def primitive(self, z: complex) -> complex:
@@ -65,29 +66,35 @@ class LaurentCoeffs:
         out = 0.5 * self.a1 * z ** 2 + self.a0 * z + self.am1 * np.log(z)
         zk = 1.0 + 0j
         for k, t in enumerate(self.tail, start=2):
-            zk *= z
-            out += t / ((1 - k) * zk)
+            zk = zk * z
+            out = out + t / ((1 - k) * zk)
         return out
+
+
+def _complex(X: np.ndarray) -> np.ndarray:
+    """Rows (x1, x2) as the complex numbers x1 + i x2."""
+    return np.ascontiguousarray(X, dtype=float).view(np.complex128)[:, 0]
+
+
+def _hessians_2d(h11, h12, h22) -> np.ndarray:
+    return np.stack([h11, h12, h12, h22], axis=1).reshape(-1, 2, 2)
 
 
 def harmonic_potential(coeffs: LaurentCoeffs) -> PotentialFn:
     """Harmonic u with complexified gradient h: Du = (Re h, -Im h)."""
 
-    def value(x):
-        z = complex(x[0], x[1])
-        return coeffs.primitive(z).real
+    def values(X):
+        return coeffs.primitive(_complex(X)).real
 
-    def grad(x):
-        z = complex(x[0], x[1])
-        hz = coeffs.h(z)
-        return np.array([hz.real, -hz.imag])
+    def grads(X):
+        hz = coeffs.h(_complex(X))
+        return np.stack([hz.real, -hz.imag], axis=1)
 
-    def hess(x):
-        z = complex(x[0], x[1])
-        hp = coeffs.h_prime(z)
-        return SymMat(np.array([[hp.real, -hp.imag], [-hp.imag, -hp.real]]))
+    def hessians(X):
+        hp = coeffs.h_prime(_complex(X))
+        return _hessians_2d(hp.real, -hp.imag, -hp.real)
 
-    return PotentialFn(2, 1.0, value, grad, hess)
+    return PotentialFn(2, 1.0, values, grads, hessians)
 
 
 def harmonic_representation_value(coeffs: LaurentCoeffs, vartheta: float,
@@ -122,13 +129,14 @@ def expected_profile(coeffs: LaurentCoeffs, vartheta: float) -> AsymptoticProfil
                              SymMat(0.5 * (L + L.T)), math.nan)
 
 
-def _certify_rho(P: PotentialFn, probe, n_points: int = 256) -> float:
-    """Smallest radius in a geometric sweep whose full shell passes `probe`."""
+def _certify_rho(probe, n_points: int = 256) -> float:
+    """Smallest radius in a geometric sweep whose full shell passes `probe`,
+    which takes the shell's points as one (n_points, 2) batch."""
     th = np.arange(n_points) * (2 * math.pi / n_points)
+    ring = np.stack([np.cos(th), np.sin(th)], axis=1)
     for rho in RHO_CANDIDATES:
         try:
-            for t in th:
-                probe(np.array([rho * math.cos(t), rho * math.sin(t)]))
+            probe(rho * ring)
         except (StripViolation, InverseMapDiverged):
             continue
         return rho
@@ -152,27 +160,16 @@ def oracle_sle(coeffs: LaurentCoeffs, vartheta: float) -> PotentialFn:
     u = unrotate_potential(ht, vartheta, hessian_hint=At, check=False)
 
     strip_tol = cot - 1e-6
+    preimage = _graph_preimage(ht, c, -s, "oracle validation inversion",
+                               _predictor(c * np.eye(2) - s * At.m))
 
-    def probe(x):
-        Ht = _preimage_hessian(u, ht, x, vartheta, At)
-        if np.linalg.eigvalsh(Ht)[-1] >= strip_tol:
+    def probe(X):
+        Ht = ht.hessians_fn(preimage(X))
+        if (np.linalg.eigvalsh(Ht)[:, -1] >= strip_tol).any():
             raise StripViolation("validation shell hits the strip bound")
 
-    rho = _certify_rho(u, probe)
-    return PotentialFn(2, rho, u.value_fn, u.grad_fn, u.hess_fn)
-
-
-def _preimage_hessian(u, ht, x, vartheta, At):
-    """D^2 of the rotated potential at the preimage of x (runs the inversion)."""
-    from .transforms import _newton_invert
-    c, s = math.cos(vartheta), math.sin(vartheta)
-    pred = np.linalg.inv(c * np.eye(2) - s * At.m)
-    xt = _newton_invert(
-        np.asarray(x, float), pred @ np.asarray(x, float),
-        lambda p: c * p - s * ht.grad(p),
-        lambda p: c * np.eye(2) - s * ht.hess(p).m,
-        "oracle validation inversion")
-    return ht.hess(xt).m
+    rho = _certify_rho(probe)
+    return PotentialFn(2, rho, u.values_fn, u.grads_fn, u.hessians_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -182,57 +179,55 @@ def _preimage_hessian(u, ht, x, vartheta, At):
 def _sin_exp() -> PotentialFn:
     # harmonic, solves the 2D SLE at the critical phase Theta = 0, with
     # unbounded Hessian along x2: the negative control for quadratic fitting
-    def value(x):
-        return math.sin(x[0]) * math.exp(x[1])
+    def values(X):
+        return np.sin(X[:, 0]) * np.exp(X[:, 1])
 
-    def grad(x):
-        e = math.exp(x[1])
-        return np.array([math.cos(x[0]) * e, math.sin(x[0]) * e])
+    def grads(X):
+        e = np.exp(X[:, 1])
+        return np.stack([np.cos(X[:, 0]) * e, np.sin(X[:, 0]) * e], axis=1)
 
-    def hess(x):
-        e = math.exp(x[1])
-        si, co = math.sin(x[0]), math.cos(x[0])
-        return SymMat(np.array([[-si * e, co * e], [co * e, si * e]]))
+    def hessians(X):
+        e = np.exp(X[:, 1])
+        si, co = np.sin(X[:, 0]), np.cos(X[:, 0])
+        return _hessians_2d(-si * e, co * e, si * e)
 
-    return PotentialFn(2, 0.0, value, grad, hess)
+    return PotentialFn(2, 0.0, values, grads, hessians)
 
 
 def _warren3d() -> PotentialFn:
     # (x1^2 + x2^2) e^{x3} - e^{x3} + e^{-x3}/4, solves sigma_2 = 1
-    def value(x):
-        ep, em = math.exp(x[2]), math.exp(-x[2])
-        return (x[0] ** 2 + x[1] ** 2) * ep - ep + em / 4
+    def values(X):
+        ep, em = np.exp(X[:, 2]), np.exp(-X[:, 2])
+        return (X[:, 0] ** 2 + X[:, 1] ** 2) * ep - ep + em / 4
 
-    def grad(x):
-        ep, em = math.exp(x[2]), math.exp(-x[2])
-        r2 = x[0] ** 2 + x[1] ** 2
-        return np.array([2 * x[0] * ep, 2 * x[1] * ep, r2 * ep - ep - em / 4])
+    def grads(X):
+        ep, em = np.exp(X[:, 2]), np.exp(-X[:, 2])
+        r2 = X[:, 0] ** 2 + X[:, 1] ** 2
+        return np.stack([2 * X[:, 0] * ep, 2 * X[:, 1] * ep, r2 * ep - ep - em / 4], axis=1)
 
-    def hess(x):
-        ep, em = math.exp(x[2]), math.exp(-x[2])
-        r2 = x[0] ** 2 + x[1] ** 2
-        return SymMat(np.array([
-            [2 * ep, 0.0, 2 * x[0] * ep],
-            [0.0, 2 * ep, 2 * x[1] * ep],
-            [2 * x[0] * ep, 2 * x[1] * ep, r2 * ep - ep + em / 4],
-        ]))
+    def hessians(X):
+        ep, em = np.exp(X[:, 2]), np.exp(-X[:, 2])
+        r2 = X[:, 0] ** 2 + X[:, 1] ** 2
+        h13, h23, zero = 2 * X[:, 0] * ep, 2 * X[:, 1] * ep, np.zeros(len(X))
+        return np.stack([2 * ep, zero, h13, zero, 2 * ep, h23, h13, h23,
+                         r2 * ep - ep + em / 4], axis=1).reshape(-1, 3, 3)
 
-    return PotentialFn(3, 0.0, value, grad, hess)
+    return PotentialFn(3, 0.0, values, grads, hessians)
 
 
 def _log_radial(dim: int) -> PotentialFn:
     # v = log|x| solves (delta_ij + (n-2) x_i x_j |x|^-2) v_ij = 0
-    def value(x):
-        return math.log(np.linalg.norm(x))
+    def values(X):
+        return np.log(np.sqrt(rowdot(X, X)))
 
-    def grad(x):
-        return x / (x @ x)
+    def grads(X):
+        return X / rowdot(X, X)[:, None]
 
-    def hess(x):
-        r2 = x @ x
-        return SymMat(np.eye(dim) / r2 - 2.0 * np.outer(x, x) / r2 ** 2)
+    def hessians(X):
+        r2 = rowdot(X, X)[:, None, None]
+        return np.eye(dim) / r2 - 2.0 * (X[:, :, None] * X[:, None, :]) / r2 ** 2
 
-    return PotentialFn(dim, 1e-12, value, grad, hess)
+    return PotentialFn(dim, 1e-12, values, grads, hessians)
 
 
 def _ma_radial(c_param: float) -> PotentialFn:
@@ -240,26 +235,26 @@ def _ma_radial(c_param: float) -> PotentialFn:
     if c_param <= 0:
         raise BadParams("ma-radial needs c > 0")
 
-    def parts(x):
-        r = np.linalg.norm(x)
-        s = math.sqrt(r * r + c_param)
-        return r, s
+    def parts(X):
+        r = np.sqrt(rowdot(X, X))
+        return r, np.sqrt(r * r + c_param)
 
-    def value(x):
-        r, s = parts(x)
-        return 0.5 * (r * s + c_param * math.log(r + s))
+    def values(X):
+        r, s = parts(X)
+        return 0.5 * (r * s + c_param * np.log(r + s))
 
-    def grad(x):
-        r, s = parts(x)
-        return (s / r) * np.asarray(x)
+    def grads(X):
+        r, s = parts(X)
+        return (s / r)[:, None] * X
 
-    def hess(x):
-        r, s = parts(x)
-        xh = np.asarray(x) / r
-        proj = np.outer(xh, xh)
-        return SymMat((r / s) * proj + (s / r) * (np.eye(2) - proj))
+    def hessians(X):
+        r, s = parts(X)
+        xh = X / r[:, None]
+        proj = xh[:, :, None] * xh[:, None, :]
+        return ((r / s)[:, None, None] * proj
+                + (s / r)[:, None, None] * (np.eye(2) - proj))
 
-    return PotentialFn(2, 1e-12, value, grad, hess)
+    return PotentialFn(2, 1e-12, values, grads, hessians)
 
 
 def _quadratic(A, b, c) -> PotentialFn:
@@ -268,13 +263,13 @@ def _quadratic(A, b, c) -> PotentialFn:
     dim = A.shape[0]
     if A.shape != (dim, dim) or b.shape != (dim,):
         raise BadParams("quadratic needs square A and matching b")
-    M = SymMat(A)
+    M = SymMat(A).m
 
     return PotentialFn(
         dim, 0.0,
-        lambda x: 0.5 * x @ M.m @ x + b @ x + c,
-        lambda x: M.m @ x + b,
-        lambda x: M)
+        lambda X: 0.5 * rowdot(matvecs(M, X), X) + rowdot(X, b) + c,
+        lambda X: matvecs(M, X) + b,
+        lambda X: np.broadcast_to(M, (len(X), dim, dim)).copy())
 
 
 def _ihh_oracle(coeffs: LaurentCoeffs) -> PotentialFn:
@@ -285,43 +280,26 @@ def _ihh_oracle(coeffs: LaurentCoeffs) -> PotentialFn:
     inverse harmonic Hessian equation for u.  Its log coefficient a_{-1}
     surfaces in u with the opposite sign: d = -a_{-1}.
     """
-    from .transforms import _newton_invert
-
     harm = harmonic_potential(coeffs)
+    # x = D ubar(y) = y/2 + D harm(y)
+    invert = _graph_preimage(harm, 0.5, 1.0, "ihh-oracle inversion", lambda X: 2.0 * X)
 
-    def dual_grad(y):
-        return 0.5 * np.asarray(y) + harm.grad(y)
+    def dual_hessians(Y):
+        return 0.5 * np.eye(2) + harm.hessians_fn(Y)
 
-    def dual_hess(y):
-        return 0.5 * np.eye(2) + harm.hess(y).m
-
-    def dual_value(y):
-        return 0.25 * (y @ y) + harm.value(y)
-
-    def invert(x):
-        return _newton_invert(np.asarray(x, float), 2.0 * np.asarray(x, float),
-                              dual_grad, dual_hess, "ihh-oracle inversion")
-
-    def probe(x):
-        y = invert(x)
-        w = np.linalg.eigvalsh(dual_hess(y))
-        if w[0] <= 1e-9 or w[-1] >= 1.0 - 1e-9:
+    def probe(X):
+        w = np.linalg.eigvalsh(dual_hessians(invert(X)))
+        if (w[:, 0] <= 1e-9).any() or (w[:, -1] >= 1.0 - 1e-9).any():
             raise StripViolation("dual Hessian leaves (0, I) on validation shell")
 
-    def value(x):
-        y = invert(x)
-        return x @ y - dual_value(y)
+    def values(X):
+        Y = invert(X)
+        return rowdot(X, Y) - (0.25 * rowdot(Y, Y) + harm.values_fn(Y))
 
-    def grad(x):
-        return invert(x)
+    def hessians(X):
+        return sym_upper(np.linalg.inv(dual_hessians(invert(X))))
 
-    def hess(x):
-        y = invert(x)
-        return SymMat(np.linalg.inv(dual_hess(y)))
-
-    u = PotentialFn(2, 1.0, value, grad, hess)
-    rho = _certify_rho(u, probe)
-    return PotentialFn(2, rho, value, grad, hess)
+    return PotentialFn(2, _certify_rho(probe), values, invert, hessians)
 
 
 def ihh_expected_d(coeffs: LaurentCoeffs) -> float:

@@ -288,11 +288,9 @@ def solve_annulus(spec: EquationSpec, grid: AnnulusGrid, inner_bc, outer_bc,
 
 def boundary_data_from(P: PotentialFn, grid: AnnulusGrid):
     """Sample a potential on the two Dirichlet rows."""
-    th = grid.theta
-    inner = np.array([P.value((grid.r_inner * math.cos(t), grid.r_inner * math.sin(t)))
-                      for t in th])
-    outer = np.array([P.value((grid.r_outer * math.cos(t), grid.r_outer * math.sin(t)))
-                      for t in th])
+    x, y = grid.nodes_xy()
+    rings = np.stack([x[[0, -1]].ravel(), y[[0, -1]].ravel()], axis=1)
+    inner, outer = P.values(rings).reshape(2, grid.n_theta)
     return inner, outer
 
 
@@ -305,11 +303,7 @@ def convergence_study(spec: EquationSpec, oracle: PotentialFn,
     for grid in grids:
         inner, outer = boundary_data_from(oracle, grid)
         report = solve_annulus(spec, grid, inner, outer)
-        x, y = grid.nodes_xy()
-        exact = np.empty_like(x)
-        for i in range(grid.n_r):
-            for j in range(grid.n_theta):
-                exact[i, j] = oracle.value((x[i, j], y[i, j]))
+        exact = AnnulusField.from_potential(grid, oracle).values
         err = float(np.max(np.abs(report.field.values - exact)))
         h = grid.h_t
         ratio = (prev_err / err) if (prev_err is not None and err > 1e-13) else math.nan

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EquationSpec, PotentialFn, SymMat, eig_sym
+from .core import EquationSpec, PotentialFn, SymMat, matvecs, rowdot, sym_upper
 from .errors import (BadParams, InverseMapDiverged, NotAdmissible, NotConvex,
                      SingularRotation, StripViolation)
 
@@ -48,26 +48,40 @@ class RotationParams:
         return RotationParams((spec.theta - (spec.dim - 2) * math.pi / 2) / spec.dim)
 
 
+def _with_eigenvalues(V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """V diag(w) V^T for each stacked eigenbasis V and spectrum w."""
+    return sym_upper((V * w[:, None, :]) @ V.swapaxes(-1, -2))
+
+
+def _rotate_hessians(H: np.ndarray, vartheta: float) -> np.ndarray:
+    """Batched rotate_hessian on Hessians of shape (N, n, n)."""
+    c, s = math.cos(vartheta), math.sin(vartheta)
+    w, V = np.linalg.eigh(H)
+    if (np.abs(c + s * w) < 1e-12).any():
+        raise SingularRotation("cos I + sin M is numerically singular")
+    return _with_eigenvalues(V, np.tan(np.arctan(w) - vartheta))
+
+
+def _unrotate_hessians(Ht: np.ndarray, vartheta: float) -> np.ndarray:
+    """Batched unrotate_hessian on Hessians of shape (N, n, n)."""
+    c, s = math.cos(vartheta), math.sin(vartheta)
+    w, V = np.linalg.eigh(Ht)
+    bad = np.flatnonzero(w[:, -1] >= c / s - 1e-12)
+    if bad.size:
+        raise StripViolation(
+            f"lambda_max = {w[bad[0], -1]:.6g} >= cot(vartheta) = {c / s:.6g}")
+    return _with_eigenvalues(V, (s + c * w) / (c - s * w))
+
+
 def rotate_hessian(M: SymMat, vartheta: float) -> SymMat:
     """Eigenvalue map lambda_i -> tan(arctan(lambda_i) - vartheta),
     eigenvectors unchanged."""
-    c, s = math.cos(vartheta), math.sin(vartheta)
-    w, V = eig_sym(M)
-    if np.min(np.abs(c + s * w)) < 1e-12:
-        raise SingularRotation("cos I + sin M is numerically singular")
-    wt = np.tan(np.arctan(w) - vartheta)
-    return SymMat(V @ np.diag(wt) @ V.T)
+    return SymMat(_rotate_hessians(M.m[None], vartheta)[0])
 
 
 def unrotate_hessian(Mt: SymMat, vartheta: float) -> SymMat:
     """Inverse of rotate_hessian; requires lambda_max(Mt) < cot(vartheta)."""
-    c, s = math.cos(vartheta), math.sin(vartheta)
-    w, V = eig_sym(Mt)
-    if np.max(w) >= c / s - 1e-12:
-        raise StripViolation(
-            f"lambda_max = {np.max(w):.6g} >= cot(vartheta) = {c / s:.6g}")
-    wt = (s + c * w) / (c - s * w)
-    return SymMat(V @ np.diag(wt) @ V.T)
+    return SymMat(_unrotate_hessians(Mt.m[None], vartheta)[0])
 
 
 def forward_point(x, gradient, vartheta: float):
@@ -78,40 +92,102 @@ def forward_point(x, gradient, vartheta: float):
     return c * x + s * y, -s * x + c * y
 
 
+@np.errstate(all="ignore")
 def _newton_invert(target, guess, fun, jac, what: str):
-    """Damped Newton for fun(p) = target with step-halving on the residual."""
+    """Damped Newton for fun(p) = target, row by row, with step-halving on
+    the residual. Each row has its own convergence test and step length, so
+    its iterates do not depend on the other rows; any row that stalls or
+    runs out of iterations fails the call. Floating-point warnings are off:
+    the line search rejects non-finite trial residuals."""
     p = np.array(guess, dtype=float)
     g = fun(p) - target
+    nrm = np.sqrt(rowdot(g, g))
+    tol = NEWTON_TOL * (1.0 + np.sqrt(rowdot(target, target)))
+    rows = np.arange(len(p))
     for _ in range(NEWTON_MAX_ITER):
-        nrm = np.linalg.norm(g)
-        if nrm <= NEWTON_TOL * (1.0 + np.linalg.norm(target)):
+        rows = rows[~(nrm[rows] <= tol[rows])]
+        if not rows.size:
             return p
-        step = np.linalg.solve(jac(p), g)
+        try:
+            step = np.linalg.solve(jac(p[rows]), g[rows][..., None])[..., 0]
+        except np.linalg.LinAlgError as e:
+            raise InverseMapDiverged(f"{what}: singular Jacobian") from e
         t = 1.0
-        while t > 2.0 ** -30:
-            p_new = p - t * step
-            g_new = fun(p_new) - target
-            if np.linalg.norm(g_new) < nrm:
-                p, g = p_new, g_new
-                break
+        todo = np.arange(rows.size)  # positions in `rows` still searching
+        while todo.size:
+            if t <= 2.0 ** -30:
+                raise InverseMapDiverged(
+                    f"{what}: line search stalled at |g|={nrm[rows[todo[0]]]:.3g}")
+            k = rows[todo]
+            p_new = p[k] - t * step[todo]
+            g_new = fun(p_new) - target[k]
+            n_new = np.sqrt(rowdot(g_new, g_new))
+            ok = n_new < nrm[k]
+            p[k[ok]], g[k[ok]], nrm[k[ok]] = p_new[ok], g_new[ok], n_new[ok]
+            todo = todo[~ok]
             t *= 0.5
-        else:
-            raise InverseMapDiverged(f"{what}: line search stalled at |g|={nrm:.3g}")
     raise InverseMapDiverged(f"{what}: no convergence in {NEWTON_MAX_ITER} iterations")
 
 
-def _check_hessian_bound(P: PotentialFn, lower: float, n_samples: int = 64):
-    """Sample eigenvalue lower bound on a few shells of P's domain."""
-    rng = np.random.default_rng(7)
+def _sampled_spectra(P: PotentialFn, seed: int, n_samples: int = 64) -> np.ndarray:
+    """Hessian eigenvalues (ascending, one row per point) at random points
+    on three shells of P's domain."""
+    rng = np.random.default_rng(seed)
     radii = P.rho * np.array([1.05, 2.0, 8.0]) if P.rho > 0 else np.array([1.0, 4.0, 16.0])
-    for r in radii:
-        for _ in range(n_samples // len(radii)):
-            d = rng.normal(size=P.dim)
-            x = r * d / np.linalg.norm(d)
-            w = np.linalg.eigvalsh(P.hess(x).m)
-            if w[0] <= lower:
-                raise NotAdmissible(
-                    f"sampled Hessian eigenvalue {w[0]:.6g} <= required bound {lower:.6g}")
+    per_shell = n_samples // len(radii)
+    D = rng.normal(size=(len(radii) * per_shell, P.dim))
+    X = np.repeat(radii, per_shell)[:, None] * D / np.sqrt(rowdot(D, D))[:, None]
+    return np.linalg.eigvalsh(P.hessians(X))
+
+
+def _check_hessian_bound(P: PotentialFn, lower: float):
+    """Sampled eigenvalue lower bound on a few shells of P's domain."""
+    w = _sampled_spectra(P, 7)[:, 0]
+    bad = np.flatnonzero(w <= lower)
+    if bad.size:
+        raise NotAdmissible(
+            f"sampled Hessian eigenvalue {w[bad[0]]:.6g} <= required bound {lower:.6g}")
+
+
+def _graph_preimage(P: PotentialFn, c: float, s: float, what: str, guess=None):
+    """Inverse of x -> c x + s DP(x), row by row, by damped Newton started
+    at guess(xt), or at xt itself."""
+    def invert(Xt):
+        return _newton_invert(
+            Xt, Xt if guess is None else guess(Xt),
+            lambda p: c * p + s * P.grads_fn(p),
+            lambda p: c * np.eye(P.dim) + s * P.hessians_fn(p),
+            what)
+    return invert
+
+
+def _predictor(jac: np.ndarray):
+    """Starting guess J^-1 xt from a far-field Jacobian J of the graph map."""
+    inv = np.linalg.inv(jac)
+    return lambda Xt: matvecs(inv, Xt)
+
+
+def _rotated(P: PotentialFn, c: float, s: float, hessian_map, guess,
+             what: str) -> PotentialFn:
+    """Potential of P's gradient graph moved by (x, y) -> (c x + s y, -s x + c y)."""
+    invert = _graph_preimage(P, c, s, what, guess)
+
+    def values(Xt):
+        X = invert(Xt)
+        G = P.grads_fn(X)
+        return (0.5 * c * s * (rowdot(G, G) - rowdot(X, X)) - s * s * rowdot(G, X)
+                + P.values_fn(X))
+
+    def grads(Xt):
+        X = invert(Xt)
+        return -s * X + c * P.grads_fn(X)
+
+    def hessians(Xt):
+        return hessian_map(P.hessians_fn(invert(Xt)))
+
+    # distance-increase gives |xt1 - xt2| >= sin(vartheta) |x1 - x2|; the
+    # image of {|x| > rho} contains an exterior set of comparable radius.
+    return PotentialFn(P.dim, P.rho * abs(s), values, grads, hessians)
 
 
 def rotate_potential(P: PotentialFn, vartheta: float, *,
@@ -126,33 +202,11 @@ def rotate_potential(P: PotentialFn, vartheta: float, *,
     c, s = math.cos(vartheta), math.sin(vartheta)
     if check:
         _check_hessian_bound(P, 1.0 - c / s)
-
-    predictor = None
+    guess = None
     if hessian_hint is not None:
-        predictor = np.linalg.inv(c * np.eye(P.dim) + s * hessian_hint.m)
-
-    def invert(xt):
-        guess = predictor @ xt if predictor is not None else xt
-        return _newton_invert(
-            xt, guess,
-            lambda p: c * p + s * P.grad(p),
-            lambda p: c * np.eye(P.dim) + s * P.hess(p).m,
-            "rotate_potential point inversion")
-
-    def value(xt):
-        x = invert(xt)
-        g = P.grad(x)
-        return (0.5 * c * s * (g @ g - x @ x) - s * s * (g @ x) + P.value(x))
-
-    def grad(xt):
-        x = invert(xt)
-        return -s * x + c * P.grad(x)
-
-    def hess(xt):
-        x = invert(xt)
-        return rotate_hessian(P.hess(x), vartheta)
-
-    return PotentialFn(P.dim, _rotated_rho(P.rho, vartheta), value, grad, hess)
+        guess = _predictor(c * np.eye(P.dim) + s * hessian_hint.m)
+    return _rotated(P, c, s, lambda H: _rotate_hessians(H, vartheta), guess,
+                    "rotate_potential point inversion")
 
 
 def unrotate_potential(Pt: PotentialFn, vartheta: float, *,
@@ -165,57 +219,19 @@ def unrotate_potential(Pt: PotentialFn, vartheta: float, *,
     """
     c, s = math.cos(vartheta), math.sin(vartheta)
     if check:
-        _check_strip(Pt, vartheta)
-
-    predictor = None
+        lam = _sampled_spectra(Pt, 11)[:, -1]
+        bad = np.flatnonzero(lam >= c / s - 1e-12)
+        if bad.size:
+            raise StripViolation(
+                f"sampled lambda_max = {lam[bad[0]]:.6g} >= cot(vartheta) = {c / s:.6g}")
+    guess = None
     if hessian_hint is not None:
         jac = c * np.eye(Pt.dim) - s * hessian_hint.m
         if np.min(np.linalg.eigvalsh(0.5 * (jac + jac.T))) <= 0:
             raise StripViolation("far-field Hessian hint violates the strip bound")
-        predictor = np.linalg.inv(jac)
-
-    def invert(x):
-        guess = predictor @ x if predictor is not None else x
-        return _newton_invert(
-            x, guess,
-            lambda p: c * p - s * Pt.grad(p),
-            lambda p: c * np.eye(Pt.dim) - s * Pt.hess(p).m,
-            "unrotate_potential point inversion")
-
-    def value(x):
-        xt = invert(x)
-        g = Pt.grad(xt)
-        return (-0.5 * c * s * (g @ g - xt @ xt) - s * s * (g @ xt) + Pt.value(xt))
-
-    def grad(x):
-        xt = invert(x)
-        return s * xt + c * Pt.grad(xt)
-
-    def hess(x):
-        xt = invert(x)
-        return unrotate_hessian(Pt.hess(xt), vartheta)
-
-    return PotentialFn(Pt.dim, _rotated_rho(Pt.rho, vartheta), value, grad, hess)
-
-
-def _rotated_rho(rho: float, vartheta: float) -> float:
-    # distance-increase gives |xt1 - xt2| >= sin(vartheta) |x1 - x2|; the
-    # image of {|x| > rho} contains an exterior set of comparable radius.
-    return rho * math.sin(vartheta)
-
-
-def _check_strip(Pt: PotentialFn, vartheta: float, n_samples: int = 64):
-    cot = math.cos(vartheta) / math.sin(vartheta)
-    rng = np.random.default_rng(11)
-    radii = Pt.rho * np.array([1.05, 2.0, 8.0]) if Pt.rho > 0 else np.array([1.0, 4.0, 16.0])
-    for r in radii:
-        for _ in range(n_samples // len(radii)):
-            d = rng.normal(size=Pt.dim)
-            x = r * d / np.linalg.norm(d)
-            lam = np.linalg.eigvalsh(Pt.hess(x).m)[-1]
-            if lam >= cot - 1e-12:
-                raise StripViolation(
-                    f"sampled lambda_max = {lam:.6g} >= cot(vartheta) = {cot:.6g}")
+        guess = _predictor(jac)
+    return _rotated(Pt, c, -s, lambda H: _unrotate_hessians(H, vartheta), guess,
+                    "unrotate_potential point inversion")
 
 
 def legendre(P: PotentialFn, *, mu: float | None = None,
@@ -226,26 +242,16 @@ def legendre(P: PotentialFn, *, mu: float | None = None,
             _check_hessian_bound(P, mu if mu is not None else 0.0)
         except NotAdmissible as e:
             raise NotConvex(str(e)) from e
+    invert = _graph_preimage(P, 0.0, 1.0, "legendre point inversion")
 
-    def invert(y):
-        return _newton_invert(
-            y, y,
-            lambda p: P.grad(p),
-            lambda p: P.hess(p).m,
-            "legendre point inversion")
+    def values(Y):
+        X = invert(Y)
+        return rowdot(X, Y) - P.values_fn(X)
 
-    def value(y):
-        x = invert(y)
-        return x @ y - P.value(x)
+    def hessians(Y):
+        return sym_upper(np.linalg.inv(P.hessians_fn(invert(Y))))
 
-    def grad(y):
-        return invert(y)
-
-    def hess(y):
-        x = invert(y)
-        return SymMat(np.linalg.inv(P.hess(x).m))
-
-    return PotentialFn(P.dim, 0.0, value, grad, hess)
+    return PotentialFn(P.dim, 0.0, values, invert, hessians)
 
 
 def legendre_lewy(P: PotentialFn, spec: EquationSpec, *,
@@ -266,25 +272,18 @@ def legendre_lewy(P: PotentialFn, spec: EquationSpec, *,
         except NotAdmissible as e:
             raise NotAdmissible(
                 f"D^2 u > (delta - K) I fails on samples: {e}") from e
+    # y = Dw(x) = K x + Du(x), with D^2 w > delta I
+    invert = _graph_preimage(P, K, 1.0, "legendre_lewy point inversion",
+                             lambda Y: Y / (1.0 + K))
 
-    def invert(y):
-        # y = Dw(x) = Du(x) + K x, with D^2 w > delta I
-        return _newton_invert(
-            y, y / (1.0 + K),
-            lambda p: P.grad(p) + K * p,
-            lambda p: P.hess(p).m + K * np.eye(P.dim),
-            "legendre_lewy point inversion")
+    def values(Y):
+        X = invert(Y)
+        return P.values_fn(X) + 0.5 * K * rowdot(X, X) - rowdot(X, Y)
 
-    def value(y):
-        x = invert(y)
-        w = P.value(x) + 0.5 * K * (x @ x)
-        return w - x @ y
+    def grads(Y):
+        return -invert(Y)
 
-    def grad(y):
-        return -invert(y)
+    def hessians(Y):
+        return sym_upper(-np.linalg.inv(K * np.eye(P.dim) + P.hessians_fn(invert(Y))))
 
-    def hess(y):
-        x = invert(y)
-        return SymMat(-np.linalg.inv(P.hess(x).m + K * np.eye(P.dim)))
-
-    return PotentialFn(P.dim, 0.0, value, grad, hess)
+    return PotentialFn(P.dim, 0.0, values, grads, hessians)

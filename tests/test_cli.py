@@ -7,11 +7,14 @@ import sys
 import pytest
 
 LAB = [sys.executable, "-m", "asymlab.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(args, env_extra=None, cwd=None):
     env = os.environ.copy()
     env.pop("LAB_OUTPUT_DIR", None)
+    # the CLI runs from this checkout's src/, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(LAB + args, capture_output=True, text=True, env=env, cwd=cwd)
@@ -60,6 +63,12 @@ class TestBoundaryDCommand:
                  "--params", '{"c": 1.0}', "--equation", "ma", "--radius", "3"])
         assert r.returncode == 0
         assert abs(float(r.stdout.split("=")[1]) - 0.5) < 1e-9
+
+    def test_non_finite_points_are_config_error(self):
+        r = run(["boundary-d", "--solution", "builtin:ma-radial",
+                 "--equation", "ma", "--radius", "nan"])
+        assert r.returncode == 2
+        assert json.loads(r.stderr)["error"]["kind"] == "BadParams"
 
 
 class TestOracleSpecFile:

@@ -257,22 +257,23 @@ def perturbed_quadratic(eps=0.02):
     from asymlab import PotentialFn
 
     A = np.diag([1.5, 0.4, -0.25])
+    # A is diagonal, so A x is the elementwise product with its diagonal
+    a = np.diag(A)
 
-    def value(x):
-        return 0.5 * x @ A @ x + eps * math.cos(x[0]) * math.sin(x[1])
+    def values(X):
+        return 0.5 * np.sum(X * (a * X), axis=1) + eps * np.cos(X[:, 0]) * np.sin(X[:, 1])
 
-    def grad(x):
-        return A @ x + eps * np.array([
-            -math.sin(x[0]) * math.sin(x[1]),
-            math.cos(x[0]) * math.cos(x[1]),
-            0.0,
-        ])
+    def grads(X):
+        bump = np.zeros_like(X)
+        bump[:, 0] = -np.sin(X[:, 0]) * np.sin(X[:, 1])
+        bump[:, 1] = np.cos(X[:, 0]) * np.cos(X[:, 1])
+        return a * X + eps * bump
 
-    def hess(x):
-        H = A.copy()
-        H[0, 0] -= eps * math.cos(x[0]) * math.sin(x[1])
-        H[1, 1] -= eps * math.cos(x[0]) * math.sin(x[1])
-        H[0, 1] = H[1, 0] = -eps * math.sin(x[0]) * math.cos(x[1])
-        return SymMat(H)
+    def hessians(X):
+        H = np.broadcast_to(A, (len(X), 3, 3)).copy()
+        H[:, 0, 0] -= eps * np.cos(X[:, 0]) * np.sin(X[:, 1])
+        H[:, 1, 1] -= eps * np.cos(X[:, 0]) * np.sin(X[:, 1])
+        H[:, 0, 1] = H[:, 1, 0] = -eps * np.sin(X[:, 0]) * np.cos(X[:, 1])
+        return H
 
-    return PotentialFn(3, 0.0, value, grad, hess)
+    return PotentialFn(3, 0.0, values, grads, hessians)
