@@ -5,8 +5,8 @@ Hessian, inverse harmonic Hessian)."""
 from .errors import (BadParams, ConfigError, DidNotConverge, IllConditioned,
                      InadmissibleIterate, InverseMapDiverged, LabError,
                      NoDecay, NotAdmissible, NotConvex, SingularHessian,
-                     SingularRotation, StripViolation, UnknownName,
-                     WrongDimension)
+                     SingularJacobian, SingularRotation, StripViolation,
+                     UnknownName, WrongDimension)
 from .core import (AnnulusField, AnnulusGrid, AsymptoticProfile, EquationSpec,
                    PotentialFn, SymMat, eig_sym, phase)
 from .equations import (LinearizedCoeffs, admissible, forms_consistent,
@@ -23,8 +23,8 @@ from .solver import SolveReport, convergence_study, grid_hessian, solve_annulus
 __all__ = [
     "BadParams", "ConfigError", "DidNotConverge", "IllConditioned",
     "InadmissibleIterate", "InverseMapDiverged", "LabError", "NoDecay",
-    "NotAdmissible", "NotConvex", "SingularHessian", "SingularRotation",
-    "StripViolation", "UnknownName", "WrongDimension",
+    "NotAdmissible", "NotConvex", "SingularHessian", "SingularJacobian",
+    "SingularRotation", "StripViolation", "UnknownName", "WrongDimension",
     "AnnulusField", "AnnulusGrid", "AsymptoticProfile", "EquationSpec",
     "PotentialFn", "SymMat", "eig_sym", "phase",
     "LinearizedCoeffs", "admissible", "forms_consistent", "linearization",

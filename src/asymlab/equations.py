@@ -75,11 +75,15 @@ def forms_consistent(M: SymMat, theta: float, tol: float = FORMS_TOL) -> bool:
             and abs(residual_algebraic_2d(spec, M)) <= tol)
 
 
+def in_phase_window(spec: EquationSpec, ph):
+    """Elementwise: the phase lies in (Theta - pi/2, Theta + pi/2), the SLE
+    branch kept around Theta by `admissible` and by the solver."""
+    return (ph > spec.theta - math.pi / 2) & (ph < spec.theta + math.pi / 2)
+
+
 def admissible(spec: EquationSpec, M: SymMat) -> bool:
     if spec.kind == "SLE":
-        # pointwise branch selection is the solver's job; the supercritical
-        # flag on the spec carries admissibility
-        return spec.supercritical
+        return spec.supercritical and bool(in_phase_window(spec, phase(M)))
     w = np.linalg.eigvalsh(M.m)
     if spec.kind == "MA":
         return bool(w[0] > 0)
@@ -98,7 +102,10 @@ def linearization(spec: EquationSpec, M: SymMat) -> LinearizedCoeffs:
     orientation, consumers of IHH must negate when forming directional
     derivatives of `residual`).
     """
-    if not admissible(spec, M):
+    # (I + M^2)^-1 is positive definite for every M, so SLE needs only the
+    # supercritical branch, not the phase window
+    ok = spec.supercritical if spec.kind == "SLE" else admissible(spec, M)
+    if not ok:
         raise NotAdmissible(f"matrix not admissible for {spec.kind}")
     A = M.m
     n = M.dim

@@ -76,3 +76,10 @@ class DidNotConverge(LabError):
 
 class InadmissibleIterate(LabError):
     kind = "InadmissibleIterate"
+
+
+class SingularJacobian(LabError):
+    """The Newton Jacobian is singular to working precision: its sparse LU
+    factorization fails or the step it yields is not finite."""
+
+    kind = "SingularJacobian"

@@ -5,6 +5,8 @@ periodic, the two radial boundary rows carry Dirichlet data).  Cartesian
 Hessians are assembled from second-order centered differences in the
 (log-)radial and angular coordinates through the polar chain rule, the
 Jacobian from the equation's linearization contracted with the stencils.
+Each Jacobian is factored by SuperLU under the minimum-degree ordering of
+J^T + J, which suits the structurally symmetric 9-point stencil.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import AnnulusField, AnnulusGrid, EquationSpec, PotentialFn, SymMat
-from .equations import eigvals_2x2
+from .equations import eigvals_2x2, in_phase_window
 from .errors import (BadParams, DidNotConverge, InadmissibleIterate,
-                     NotAdmissible, WrongDimension)
+                     NotAdmissible, SingularJacobian, WrongDimension)
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
@@ -34,6 +36,9 @@ class SolveReport:
     field: AnnulusField
     residual_history: list = field(default_factory=list)
     converged: bool = True
+    # one entry per Newton iteration: accepted line-search step t, number of
+    # halvings before it, and nnz of the LU factors of that iteration's Jacobian
+    steps: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -42,6 +47,7 @@ class SolveReport:
             "dampingEvents": self.damping_events,
             "converged": self.converged,
             "residualHistory": self.residual_history,
+            "steps": self.steps,
         }
 
 
@@ -120,8 +126,7 @@ def _admissible_mask(spec: EquationSpec, H11, H12, H22):
     if spec.kind == "SLE":
         # keep the discrete phase on the supercritical branch around Theta
         lo, hi = eigvals_2x2(H11, H12, H22)
-        ph = np.arctan(lo) + np.arctan(hi)
-        return (ph > spec.theta - math.pi / 2) & (ph < spec.theta + math.pi / 2)
+        return in_phase_window(spec, np.arctan(lo) + np.arctan(hi))
     if spec.kind == "IHH":
         lo, _ = eigvals_2x2(H11, H12, H22)
         return lo > 1.0
@@ -207,7 +212,7 @@ def _assemble_jacobian(spec: EquationSpec, grid: AnnulusGrid, U: np.ndarray,
     J = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nI * nT, nI * nT))
-    return J.tocsr()
+    return J.tocsc()
 
 
 def _blend_initial(grid: AnnulusGrid, inner_bc, outer_bc) -> np.ndarray:
@@ -216,6 +221,44 @@ def _blend_initial(grid: AnnulusGrid, inner_bc, outer_bc) -> np.ndarray:
     w = ((grid.r ** 2 - grid.r_inner ** 2)
          / (grid.r_outer ** 2 - grid.r_inner ** 2))[:, None]
     return (1.0 - w) * inner_bc[None, :] + w * outer_bc[None, :]
+
+
+def _prolong(U: np.ndarray) -> np.ndarray:
+    """Cubic interpolation of a grid function onto `grid.refine()`.
+
+    Coarse nodes are kept; each midpoint gets the 4-point weights
+    (-1, 9, 9, -1)/16, periodically in theta and along the differenced radial
+    coordinate, and the one-sided weights (5, 15, -5, 1)/16 next to the two
+    Dirichlet rows, so the error is O(h^4) everywhere.
+    """
+    n_r, n_t = U.shape
+    V = np.empty((n_r, 2 * n_t))
+    V[:, ::2] = U
+    V[:, 1::2] = (9.0 * (U + np.roll(U, -1, axis=1))
+                  - np.roll(U, 1, axis=1) - np.roll(U, -2, axis=1)) / 16.0
+    W = np.empty((2 * n_r - 1, 2 * n_t))
+    W[::2] = V
+    mid = W[1::2]  # a view: row k lies between coarse rows k and k + 1
+    mid[1:-1] = (9.0 * (V[1:-2] + V[2:-1]) - V[:-3] - V[3:]) / 16.0
+    mid[0] = (5.0 * V[0] + 15.0 * V[1] - 5.0 * V[2] + V[3]) / 16.0
+    mid[-1] = (V[-4] - 5.0 * V[-3] + 15.0 * V[-2] + 5.0 * V[-1]) / 16.0
+    return W
+
+
+def _newton_step(J: sp.csc_matrix, rhs: np.ndarray, it: int):
+    """Solve J step = rhs by sparse LU; return the step and nnz(L + U).
+
+    The factors are dropped on return, so no two factorizations are alive
+    at once.
+    """
+    try:
+        lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as e:  # SuperLU: "Factor is exactly singular"
+        raise SingularJacobian(f"iteration {it}: {e}") from e
+    step = lu.solve(rhs)
+    if not np.isfinite(step).all():
+        raise SingularJacobian(f"iteration {it}: non-finite Newton step")
+    return step, int(lu.nnz)
 
 
 def solve_annulus(spec: EquationSpec, grid: AnnulusGrid, inner_bc, outer_bc,
@@ -232,6 +275,8 @@ def solve_annulus(spec: EquationSpec, grid: AnnulusGrid, inner_bc, outer_bc,
     outer_bc = np.asarray(outer_bc, dtype=float)
     if inner_bc.shape != (grid.n_theta,) or outer_bc.shape != (grid.n_theta,):
         raise BadParams("boundary arrays must have length n_theta")
+    if not (np.isfinite(inner_bc).all() and np.isfinite(outer_bc).all()):
+        raise BadParams("boundary data must be finite")
 
     if isinstance(init, AnnulusField):
         U = init.values.copy()
@@ -253,15 +298,18 @@ def solve_annulus(spec: EquationSpec, grid: AnnulusGrid, inner_bc, outer_bc,
         raise NotAdmissible("initial iterate is inadmissible at some node")
 
     history = [float(np.max(np.abs(res)))]
+    steps = []
     damping_events = 0
     for it in range(1, max_iter + 1):
         rinf = history[-1]
         if rinf <= tol:
             fld = AnnulusField(grid, U, inner_bc, outer_bc)
-            return SolveReport(it - 1, rinf, damping_events, fld, history)
+            return SolveReport(it - 1, rinf, damping_events, fld, history,
+                               steps=steps)
         J = _assemble_jacobian(spec, grid, U, coeffs)
-        step = spla.spsolve(J, res.ravel()).reshape(res.shape)
-        t = 1.0
+        step, nnz_lu = _newton_step(J, res.ravel(), it)
+        step = step.reshape(res.shape)
+        t, halvings = 1.0, 0
         while True:
             U_new = U.copy()
             U_new[1:-1] -= t * step
@@ -270,16 +318,18 @@ def solve_annulus(spec: EquationSpec, grid: AnnulusGrid, inner_bc, outer_bc,
             if new_inf < rinf and _admissible_mask(spec, *H_new).all():
                 break
             t *= 0.5
-            damping_events += 1
+            halvings += 1
             if t < DAMPING_FLOOR:
                 raise InadmissibleIterate(
                     f"damping floor reached at iteration {it}, |r|={rinf:.3g}")
         U, res = U_new, res_new
         history.append(new_inf)
+        damping_events += halvings
+        steps.append({"t": t, "halvings": halvings, "nnzLU": nnz_lu})
 
     fld = AnnulusField(grid, U, inner_bc, outer_bc)
     report = SolveReport(max_iter, history[-1], damping_events, fld, history,
-                         converged=history[-1] <= tol)
+                         converged=history[-1] <= tol, steps=steps)
     if not report.converged:
         raise DidNotConverge(
             f"|r|_inf = {history[-1]:.3g} after {max_iter} iterations", report)
@@ -297,12 +347,27 @@ def boundary_data_from(P: PotentialFn, grid: AnnulusGrid):
 def convergence_study(spec: EquationSpec, oracle: PotentialFn,
                       grids: list[AnnulusGrid]):
     """Solve with oracle boundary data on nested grids; report per-grid max
-    nodal error against the oracle and successive error ratios."""
+    nodal error against the oracle and successive error ratios.
+
+    A grid that is `refine()` of the previous one starts Newton from the
+    previous solution prolonged by `_prolong` (nested iteration); the first
+    grid, any other grid, and a prolonged start that is inadmissible at some
+    node start from the affine blend of the boundary data.
+    """
     rows = []
     prev_err = None
+    prev = None
     for grid in grids:
         inner, outer = boundary_data_from(oracle, grid)
-        report = solve_annulus(spec, grid, inner, outer)
+        report = None
+        if prev is not None and grid == prev.grid.refine():
+            start = AnnulusField(grid, _prolong(prev.values))
+            try:
+                report = solve_annulus(spec, grid, inner, outer, init=start)
+            except NotAdmissible:
+                pass
+        if report is None:
+            report = solve_annulus(spec, grid, inner, outer)
         exact = AnnulusField.from_potential(grid, oracle).values
         err = float(np.max(np.abs(report.field.values - exact)))
         h = grid.h_t
@@ -310,4 +375,5 @@ def convergence_study(spec: EquationSpec, oracle: PotentialFn,
         rows.append({"h": h, "maxError": err, "ratio": ratio,
                      "iterations": report.iterations})
         prev_err = err
+        prev = report.field
     return rows

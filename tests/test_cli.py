@@ -150,3 +150,11 @@ class TestSolveCommand:
         assert report["converged"] is True
         header = (tmp_path / "field.csv").read_text().splitlines()[0]
         assert header == "i,j,r,theta,x1,x2,u"
+
+    def test_non_finite_boundary_data_is_config_error(self, tmp_path):
+        r = run(["solve", "--solution", "builtin:quadratic", "--params",
+                 '{"A": [[1, 0], [0, 1]], "b": [0, 0], "c": NaN}',
+                 "--equation", "ma", "--grid", "1,8,17,32", "--spacing", "uniform",
+                 "--outputs", str(tmp_path)])
+        assert r.returncode == 2
+        assert json.loads(r.stderr)["error"]["kind"] == "BadParams"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from asymlab import EquationSpec, SymMat, phase
 from asymlab.equations import (
@@ -16,6 +16,7 @@ from asymlab.equations import (
     sigma2_margin,
 )
 from asymlab.errors import SingularHessian
+from asymlab.solver import _admissible_mask
 
 from conftest import random_admissible, random_symmetric
 
@@ -99,6 +100,14 @@ class TestAdmissibility:
         sub = EquationSpec("SLE", 3, theta=0.3)
         assert not admissible(sub, SymMat.diag(1.0, 1.0, -1.5))
 
+    def test_sle_phase_window(self):
+        """Supercritical SLE admits M only with phase(M) in
+        (Theta - pi/2, Theta + pi/2), the solver's branch window."""
+        spec = EquationSpec("SLE", 2, theta=math.pi / 2)
+        assert admissible(spec, SymMat.diag(0.5, 2.0))
+        assert not admissible(spec, SymMat.diag(-5.0, -5.0))
+        assert not admissible(spec, SymMat.diag(-3.0, 3.0))  # phase 0, on the edge
+
     def test_ma_positive_definite(self):
         spec = EquationSpec("MA", 2)
         assert admissible(spec, SymMat.diag(0.5, 2.0))
@@ -152,3 +161,13 @@ def test_eigvals_2x2_matches_lapack(a, b, c):
     lo, hi = eigvals_2x2(np.array([a]), np.array([b]), np.array([c]))
     ref = np.linalg.eigvalsh(np.array([[a, b], [b, c]]))
     assert abs(lo[0] - ref[0]) < 1e-10 and abs(hi[0] - ref[1]) < 1e-10
+
+
+@given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5), st.floats(0.1, 3.0))
+@settings(max_examples=200, deadline=None)
+def test_sle_admissible_matches_solver_window(a, b, c, theta):
+    spec = EquationSpec("SLE", 2, theta=theta)
+    M = SymMat(np.array([[a, b], [b, c]]))
+    assume(abs(abs(phase(M) - theta) - math.pi / 2) > 1e-9)
+    mask = _admissible_mask(spec, np.array([a]), np.array([b]), np.array([c]))
+    assert admissible(spec, M) == bool(mask[0])

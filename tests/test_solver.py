@@ -1,7 +1,11 @@
+import cmath
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from asymlab import (
     AnnulusField,
@@ -12,10 +16,12 @@ from asymlab import (
     oracle_sle,
     solve_annulus,
 )
+from asymlab import solver
 from asymlab.equations import residual_many
-from asymlab.errors import NotAdmissible
+from asymlab.errors import BadParams, NotAdmissible, SingularJacobian
 from asymlab.oracle2d import builtin
-from asymlab.solver import _admissible_mask, boundary_data_from, convergence_study
+from asymlab.solver import (_admissible_mask, _prolong, boundary_data_from,
+                            convergence_study)
 
 MA2 = EquationSpec("MA", 2)
 SLE2 = EquationSpec("SLE", 2, theta=math.pi / 2)
@@ -138,3 +144,153 @@ class TestConvergenceStudy:
         for row in rows[1:]:
             assert 3.0 <= row["ratio"] <= 5.0
         assert [r["h"] for r in rows] == sorted((r["h"] for r in rows), reverse=True)
+
+
+class TestNewtonRecord:
+    def test_one_deterministic_entry_per_iteration(self):
+        grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
+        P = builtin("ma-radial", {"c": 1.0})
+        reps = [solve_annulus(MA2, grid, *boundary_data_from(P, grid)) for _ in range(2)]
+        steps = reps[0].steps
+        assert len(steps) == reps[0].iterations
+        assert sum(s["halvings"] for s in steps) == reps[0].damping_events
+        for s in steps:
+            assert s["t"] == 2.0 ** -s["halvings"]
+            assert s["nnzLU"] > 0
+        assert reps[0].to_dict()["steps"] == steps
+        assert json.dumps(reps[0].to_dict()) == json.dumps(reps[1].to_dict())
+
+    def test_fill_below_default_ordering(self):
+        """The recorded LU fill comes from the minimum-degree ordering of
+        J^T + J, which fills less than SuperLU's default COLAMD."""
+        grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
+        P = builtin("ma-radial", {"c": 1.0})
+        inner, outer = boundary_data_from(P, grid)
+        rep = solve_annulus(MA2, grid, inner, outer)
+        J = solver._assemble_jacobian(MA2, grid, solver._blend_initial(grid, inner, outer),
+                                      solver._hessian_coefficients(grid))
+        assert rep.steps[0]["nnzLU"] < solver.spla.splu(J).nnz
+
+
+class TestFailureNames:
+    @pytest.mark.parametrize("ring", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_boundary_data_is_bad_params(self, ring, bad):
+        grid = AnnulusGrid(1.0, 8.0, 9, 16, "uniform")
+        rings = boundary_data_from(builtin("ma-radial", {"c": 1.0}), grid)
+        rings[ring][3] = bad
+        with pytest.raises(BadParams):
+            solve_annulus(MA2, grid, *rings)
+
+    def test_singular_jacobian(self, monkeypatch):
+        grid = AnnulusGrid(1.0, 8.0, 9, 16, "uniform")
+        n = (grid.n_r - 2) * grid.n_theta
+        monkeypatch.setattr(solver, "_assemble_jacobian",
+                            lambda *a: sp.csc_matrix((n, n)))
+        with pytest.raises(SingularJacobian):
+            solve_annulus(MA2, grid, *boundary_data_from(builtin("ma-radial", {"c": 1.0}), grid))
+
+    def test_non_finite_step(self, monkeypatch):
+        class NanLU:
+            nnz = 1
+
+            def solve(self, b):
+                return np.full_like(b, math.nan)
+
+        monkeypatch.setattr(solver.spla, "splu", lambda *a, **k: NanLU())
+        grid = AnnulusGrid(1.0, 8.0, 9, 16, "uniform")
+        with pytest.raises(SingularJacobian):
+            solve_annulus(MA2, grid, *boundary_data_from(builtin("ma-radial", {"c": 1.0}), grid))
+
+
+def _on_nodes(grid, f):
+    return f(*np.meshgrid(grid.r, grid.theta, indexing="ij"))
+
+
+class TestProlong:
+    @pytest.mark.parametrize("spacing", ["uniform", "logarithmic"])
+    @pytest.mark.parametrize("f", [lambda r, th: np.exp(np.sin(th)) + 0 * r,
+                                   lambda r, th: np.sin(r) + 0 * th],
+                             ids=["theta", "r"])
+    def test_fourth_order(self, f, spacing):
+        """Error on the refined grid falls about 16x per halving, the
+        Dirichlet-adjacent one-sided rows included; coarse nodes are kept."""
+        errs = []
+        for n_r in (17, 33, 65):
+            grid = AnnulusGrid(1.0, 4.0, n_r, 2 * (n_r - 1), spacing)
+            U = _on_nodes(grid, f)
+            fine = _prolong(U)
+            assert np.array_equal(fine[::2, ::2], U)
+            errs.append(np.abs(fine - _on_nodes(grid.refine(), f)).max())
+        for a, b in zip(errs, errs[1:]):
+            assert 13.0 <= a / b <= 20.0
+
+
+def _spy_solves(mp):
+    """Record (init, report or None) of every `solve_annulus` call."""
+    calls = []
+    inner_solve = solver.solve_annulus
+
+    def spy(spec, grid, inner, outer, init="affine-blend", **kw):
+        call = [init, None]
+        calls.append(call)
+        call[1] = inner_solve(spec, grid, inner, outer, init=init, **kw)
+        return call[1]
+
+    mp.setattr(solver, "solve_annulus", spy)
+    return calls
+
+
+class TestWarmStart:
+    @given(kind=st.sampled_from(["MA", "SLE"]), s=st.floats(-1.0, 1.0))
+    @settings(max_examples=10, deadline=None)
+    def test_warm_and_cold_solves_agree(self, kind, s):
+        coarse = AnnulusGrid(1.0, 8.0, 9, 16, "uniform")
+        fine = coarse.refine()
+        if kind == "MA":
+            spec, P = MA2, builtin("ma-radial", {"c": 1.0 + 0.05 * s})
+        else:
+            spec = SLE2
+            P = oracle_sle(LaurentCoeffs(a1=0.1 * cmath.exp(1j * math.pi * s),
+                                         am1=0.5 + 0.05 * s), math.pi / 4)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_solves(mp)
+            convergence_study(spec, P, [coarse, fine])
+        (init0, _), (init1, warm) = calls
+        assert init0 == "affine-blend" and isinstance(init1, AnnulusField)
+        cold = solve_annulus(spec, fine, *boundary_data_from(P, fine))
+        assert warm.final_residual_inf <= 1e-10
+        assert cold.final_residual_inf <= 1e-10
+        assert np.abs(warm.field.values - cold.field.values).max() <= 1e-9
+
+    def test_non_nested_sequence_starts_cold(self, monkeypatch):
+        g0 = AnnulusGrid(1.0, 8.0, 9, 16, "uniform")
+        g1 = AnnulusGrid(1.0, 8.0, 17, 32, "logarithmic")  # not g0.refine()
+        calls = _spy_solves(monkeypatch)
+        convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), [g0, g1, g1.refine()])
+        inits = [init for init, _ in calls]
+        assert inits[:2] == ["affine-blend", "affine-blend"]
+        assert isinstance(inits[2], AnnulusField)
+
+    def test_inadmissible_prolonged_start_falls_back(self, monkeypatch):
+        """A prolonged start outside the MA cone is dropped for the affine
+        blend, which gives the row a cold solve gives."""
+        grids = [AnnulusGrid(1.0, 8.0, 9, 16, "uniform")]
+        grids.append(grids[0].refine())
+        P = builtin("ma-radial", {"c": 1.0})
+        cold = convergence_study(MA2, P, grids[1:])
+        monkeypatch.setattr(solver, "_prolong", lambda U: -_prolong(U))
+        calls = _spy_solves(monkeypatch)
+        rows = convergence_study(MA2, P, grids)
+        (_, _), (warm_init, warm), (cold_init, _) = calls
+        assert isinstance(warm_init, AnnulusField) and warm is None  # NotAdmissible
+        assert cold_init == "affine-blend"
+        assert rows[1]["maxError"] == cold[0]["maxError"]
+        assert rows[1]["iterations"] == cold[0]["iterations"]
+
+    def test_few_fine_iterations_on_criterion_8_ma_grids(self):
+        grids = [AnnulusGrid(1.0, 8.0, 33, 64, "uniform")]
+        for _ in range(2):
+            grids.append(grids[-1].refine())
+        rows = convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), grids)
+        assert all(row["iterations"] <= 3 for row in rows[1:])
