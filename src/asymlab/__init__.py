@@ -8,17 +8,16 @@ from .errors import (BadParams, ConfigError, DidNotConverge, IllConditioned,
                      SingularJacobian, SingularRotation, StripViolation,
                      UnknownName, WrongDimension)
 from .core import (AnnulusField, AnnulusGrid, AsymptoticProfile, EquationSpec,
-                   PotentialFn, SymMat, eig_sym, phase)
-from .equations import (LinearizedCoeffs, admissible, forms_consistent,
-                        linearization, residual, residual_algebraic_2d)
-from .transforms import (RotationParams, forward_point, legendre,
-                         legendre_lewy, rotate_hessian, rotate_potential,
-                         unrotate_hessian, unrotate_potential)
+                   PotentialFn, SymMat, phase)
+from .equations import (admissible, forms_consistent, linearization, residual,
+                        residual_algebraic_2d)
+from .transforms import (legendre, legendre_lewy, rotate_hessian,
+                         rotate_potential, unrotate_hessian, unrotate_potential)
 from .oracle2d import (LaurentCoeffs, builtin, expected_profile,
                        harmonic_potential, oracle_sle)
 from .asymptotics import (BoundaryCurve, ShellSpec, boundary_d, decay_exponent,
                           fit_profile, flux_identity, hessian_limit)
-from .solver import SolveReport, convergence_study, grid_hessian, solve_annulus
+from .solver import SolveReport, convergence_study, solve_annulus
 
 __all__ = [
     "BadParams", "ConfigError", "DidNotConverge", "IllConditioned",
@@ -26,17 +25,16 @@ __all__ = [
     "NotAdmissible", "NotConvex", "SingularHessian", "SingularJacobian",
     "SingularRotation", "StripViolation", "UnknownName", "WrongDimension",
     "AnnulusField", "AnnulusGrid", "AsymptoticProfile", "EquationSpec",
-    "PotentialFn", "SymMat", "eig_sym", "phase",
-    "LinearizedCoeffs", "admissible", "forms_consistent", "linearization",
-    "residual", "residual_algebraic_2d",
-    "RotationParams", "forward_point", "legendre", "legendre_lewy",
-    "rotate_hessian", "rotate_potential", "unrotate_hessian",
-    "unrotate_potential",
+    "PotentialFn", "SymMat", "phase",
+    "admissible", "forms_consistent", "linearization", "residual",
+    "residual_algebraic_2d",
+    "legendre", "legendre_lewy", "rotate_hessian", "rotate_potential",
+    "unrotate_hessian", "unrotate_potential",
     "LaurentCoeffs", "builtin", "expected_profile", "harmonic_potential",
     "oracle_sle",
     "BoundaryCurve", "ShellSpec", "boundary_d", "decay_exponent",
     "fit_profile", "flux_identity", "hessian_limit",
-    "SolveReport", "convergence_study", "grid_hessian", "solve_annulus",
+    "SolveReport", "convergence_study", "solve_annulus",
 ]
 
 __version__ = "0.1.0"

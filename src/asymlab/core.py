@@ -68,16 +68,6 @@ class SymMat:
         return np.asarray(self.m, dtype=dtype)
 
 
-def eig_sym(M: SymMat) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as columns), so that
-    M = V @ diag(w) @ V.T.
-    """
-    w, V = np.linalg.eigh(M.m)
-    return w, V
-
-
 def phase(M: SymMat) -> float:
     """Sum of arctan of the eigenvalues, the Lagrangian angle of M."""
     w = np.linalg.eigvalsh(M.m)
@@ -269,19 +259,3 @@ class AnnulusField:
         vals = P.values(np.stack([x.ravel(), y.ravel()], axis=1))
         return AnnulusField(grid, vals.reshape(x.shape))
 
-
-def finite_difference_gradient(P: PotentialFn, x, h: float = 1e-5) -> np.ndarray:
-    """Centered difference of the value; consistency check for grads_fn."""
-    x = np.asarray(x, dtype=float)
-    E = h * np.eye(P.dim)
-    v = P.values(np.concatenate([x + E, x - E]))
-    return (v[:P.dim] - v[P.dim:]) / (2 * h)
-
-
-def finite_difference_hessian(P: PotentialFn, x, h: float = 1e-5) -> np.ndarray:
-    """Centered difference of the gradient; consistency check for hessians_fn."""
-    x = np.asarray(x, dtype=float)
-    E = h * np.eye(P.dim)
-    G = P.grads(np.concatenate([x + E, x - E]))
-    H = ((G[:P.dim] - G[P.dim:]) / (2 * h)).T
-    return 0.5 * (H + H.T)

@@ -6,27 +6,25 @@ Operators, acting on the Hessian M = D^2 u:
     MA      det M = 1
     SIGMA2  sigma_2(lambda(M)) = 1
     IHH     sum_i 1/lambda_i(M) = 1
+
+`OPERATORS` gives, per kind, the residual F, its derivative dF/dM and the
+admissible set on stacked Hessians (..., n, n); on n = 2 batches they use
+closed-form invariants, which cost a small fraction of a LAPACK call per
+matrix. The public functions below are views of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import EquationSpec, SymMat, phase
+from .core import EquationSpec, SymMat
 from .errors import NotAdmissible, SingularHessian, WrongDimension
 
 FORMS_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class LinearizedCoeffs:
-    """Coefficient matrix of the linearized operator, positive definite on the
-    admissible set (IHH carries an internal sign flip, see `linearization`)."""
-
-    a: SymMat
 
 
 def sigma2_margin(dim: int) -> float:
@@ -34,20 +32,120 @@ def sigma2_margin(dim: int) -> float:
     return math.sqrt(2.0 / (dim * (dim - 1)))
 
 
-def residual(spec: EquationSpec, M: SymMat) -> float:
-    if spec.kind == "SLE":
-        return phase(M) - spec.theta
-    w = np.linalg.eigvalsh(M.m)
-    if spec.kind == "MA":
-        return float(np.prod(w)) - 1.0
-    if spec.kind == "SIGMA2":
-        # second elementary symmetric polynomial of the eigenvalues
-        s1 = np.sum(w)
-        return float((s1 * s1 - np.sum(w * w)) / 2.0) - 1.0
-    # IHH
+# ---------------------------------------------------------------------------
+# invariants of stacked symmetric matrices (..., n, n), n = 2 or 3
+# ---------------------------------------------------------------------------
+
+def eigvals_2x2(h11, h12, h22):
+    """Eigenvalues (ascending) of symmetric 2x2 matrices, elementwise."""
+    mean = 0.5 * (h11 + h22)
+    rad = np.sqrt((0.5 * (h11 - h22)) ** 2 + h12 ** 2)
+    return mean - rad, mean + rad
+
+
+def eigvals(H: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each stacked symmetric matrix."""
+    if H.shape[-1] == 3:
+        return np.linalg.eigvalsh(H)
+    return np.stack(eigvals_2x2(H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]), axis=-1)
+
+
+def _det(H: np.ndarray) -> np.ndarray:
+    if H.shape[-1] == 3:
+        return np.linalg.det(H)
+    return H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] ** 2
+
+
+def _adj(H: np.ndarray) -> np.ndarray:
+    """Adjugate det(H) H^-1; for n = 2, [[h22, -h12], [-h12, h11]]."""
+    if H.shape[-1] == 3:
+        return _det(H)[..., None, None] * np.linalg.inv(H)
+    return H[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _inv(H: np.ndarray) -> np.ndarray:
+    return _adj(H) / _det(H)[..., None, None]
+
+
+def _phase(H: np.ndarray) -> np.ndarray:
+    return np.sum(np.arctan(eigvals(H)), axis=-1)
+
+
+def _sigma2(w: np.ndarray) -> np.ndarray:
+    """Second elementary symmetric polynomial of the eigenvalues w."""
+    s1 = np.sum(w, axis=-1)
+    return (s1 * s1 - np.sum(w * w, axis=-1)) / 2.0
+
+
+def _ihh_residual(spec: EquationSpec, H: np.ndarray) -> np.ndarray:
+    w = eigvals(H)
     if np.min(np.abs(w)) < 1e-14:
         raise SingularHessian("IHH residual needs nonzero eigenvalues")
-    return float(np.sum(1.0 / w)) - 1.0
+    return np.sum(1.0 / w, axis=-1) - 1.0
+
+
+@dataclass(frozen=True)
+class Operator:
+    """F(M), dF/dM and the admissible set as fn(spec, H) on stacked
+    Hessians; orientation * dF/dM is positive definite where F is elliptic."""
+
+    residual: Callable
+    gradient: Callable
+    admissible: Callable
+    orientation: float = 1.0
+
+
+OPERATORS = {
+    # the branch kept is the supercritical one, phase in (Theta - pi/2, Theta + pi/2)
+    "SLE": Operator(lambda spec, H: _phase(H) - spec.theta,
+                    lambda spec, H: _inv(np.eye(H.shape[-1]) + H @ H),
+                    lambda spec, H: (spec.supercritical
+                                     & (np.abs(_phase(H) - spec.theta) < math.pi / 2))),
+    "MA": Operator(lambda spec, H: _det(H) - 1.0,
+                   lambda spec, H: _adj(H),
+                   lambda spec, H: eigvals(H)[..., 0] > 0.0),
+    "SIGMA2": Operator(lambda spec, H: _sigma2(eigvals(H)) - 1.0,
+                       lambda spec, H: (np.trace(H, axis1=-2, axis2=-1)[..., None, None]
+                                        * np.eye(H.shape[-1]) - H),
+                       lambda spec, H: (eigvals(H)[..., 0]
+                                        > spec.delta - sigma2_margin(spec.dim))),
+    # dF/dM = -M^-2 is negative definite
+    "IHH": Operator(_ihh_residual,
+                    lambda spec, H: -np.linalg.matrix_power(_inv(H), 2),
+                    lambda spec, H: eigvals(H)[..., 0] > 1.0,
+                    orientation=-1.0),
+}
+
+
+# ---------------------------------------------------------------------------
+# views
+# ---------------------------------------------------------------------------
+
+def residual(spec: EquationSpec, M: SymMat) -> float:
+    return float(OPERATORS[spec.kind].residual(spec, M.m))
+
+
+def residual_many(spec: EquationSpec, H: np.ndarray) -> np.ndarray:
+    """Residuals for a batch of Hessians, shape (N, dim, dim) -> (N,)."""
+    return OPERATORS[spec.kind].residual(spec, np.asarray(H, dtype=float))
+
+
+def admissible(spec: EquationSpec, M: SymMat) -> bool:
+    return bool(OPERATORS[spec.kind].admissible(spec, M.m))
+
+
+def linearization(spec: EquationSpec, M: SymMat) -> np.ndarray:
+    """orientation * dF/dM at M, positive definite on the admissible set:
+    (I + M^2)^-1, det(M) M^-1, tr(M) I - M, and M^-2 for IHH, whose
+    derivative -M^-2 is negated, so consumers of IHH must negate it when
+    forming directional derivatives of `residual`."""
+    # (I + M^2)^-1 is positive definite for every M, so SLE needs only the
+    # supercritical branch, not the phase window
+    ok = spec.supercritical if spec.kind == "SLE" else admissible(spec, M)
+    if not ok:
+        raise NotAdmissible(f"matrix not admissible for {spec.kind}")
+    op = OPERATORS[spec.kind]
+    return op.orientation * op.gradient(spec, M.m)
 
 
 def residual_algebraic_2d(spec: EquationSpec, M: SymMat) -> float:
@@ -73,76 +171,3 @@ def forms_consistent(M: SymMat, theta: float, tol: float = FORMS_TOL) -> bool:
     spec = EquationSpec("SLE", 2, theta=theta)
     return (abs(residual(spec, M)) <= tol
             and abs(residual_algebraic_2d(spec, M)) <= tol)
-
-
-def in_phase_window(spec: EquationSpec, ph):
-    """Elementwise: the phase lies in (Theta - pi/2, Theta + pi/2), the SLE
-    branch kept around Theta by `admissible` and by the solver."""
-    return (ph > spec.theta - math.pi / 2) & (ph < spec.theta + math.pi / 2)
-
-
-def admissible(spec: EquationSpec, M: SymMat) -> bool:
-    if spec.kind == "SLE":
-        return spec.supercritical and bool(in_phase_window(spec, phase(M)))
-    w = np.linalg.eigvalsh(M.m)
-    if spec.kind == "MA":
-        return bool(w[0] > 0)
-    if spec.kind == "SIGMA2":
-        return bool(w[0] > spec.delta - sigma2_margin(spec.dim))
-    # IHH
-    return bool(w[0] > 1)
-
-
-def linearization(spec: EquationSpec, M: SymMat) -> LinearizedCoeffs:
-    """F_M at M, returned positive definite on the admissible set.
-
-    SLE -> (I + M^2)^-1; MA -> cofactor matrix det(M) M^-1;
-    SIGMA2 -> tr(M) I - M; IHH -> M^-2 (derivative of the residual is -M^-2;
-    the sign is flipped so every linearization has the same elliptic
-    orientation, consumers of IHH must negate when forming directional
-    derivatives of `residual`).
-    """
-    # (I + M^2)^-1 is positive definite for every M, so SLE needs only the
-    # supercritical branch, not the phase window
-    ok = spec.supercritical if spec.kind == "SLE" else admissible(spec, M)
-    if not ok:
-        raise NotAdmissible(f"matrix not admissible for {spec.kind}")
-    A = M.m
-    n = M.dim
-    if spec.kind == "SLE":
-        a = np.linalg.inv(np.eye(n) + A @ A)
-    elif spec.kind == "MA":
-        a = float(np.linalg.det(A)) * np.linalg.inv(A)
-    elif spec.kind == "SIGMA2":
-        a = np.trace(A) * np.eye(n) - A
-    else:  # IHH
-        inv = np.linalg.inv(A)
-        a = inv @ inv
-    return LinearizedCoeffs(SymMat(0.5 * (a + a.T)))
-
-
-# ---------------------------------------------------------------------------
-# vectorized 2x2 helpers used by the solver and by bulk residual sweeps
-# ---------------------------------------------------------------------------
-
-def eigvals_2x2(h11, h12, h22):
-    """Eigenvalues (ascending) of symmetric 2x2 matrices, elementwise."""
-    mean = 0.5 * (h11 + h22)
-    rad = np.sqrt((0.5 * (h11 - h22)) ** 2 + h12 ** 2)
-    return mean - rad, mean + rad
-
-
-def residual_many(spec: EquationSpec, H: np.ndarray) -> np.ndarray:
-    """Residuals for a batch of Hessians, shape (N, dim, dim) -> (N,)."""
-    H = np.asarray(H, dtype=float)
-    w = np.linalg.eigvalsh(H)
-    if spec.kind == "SLE":
-        return np.sum(np.arctan(w), axis=-1) - spec.theta
-    if spec.kind == "MA":
-        return np.prod(w, axis=-1) - 1.0
-    if spec.kind == "SIGMA2":
-        s1 = np.sum(w, axis=-1)
-        return (s1 * s1 - np.sum(w * w, axis=-1)) / 2.0 - 1.0
-    if np.min(np.abs(w)) < 1e-14:
-        raise SingularHessian("IHH residual needs nonzero eigenvalues")
-    return np.sum(1.0 / w, axis=-1) - 1.0

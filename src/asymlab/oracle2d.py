@@ -9,14 +9,16 @@ operators and the critical-phase counterexamples.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AsymptoticProfile, PotentialFn, SymMat, matvecs, rowdot, sym_upper
+from .core import AsymptoticProfile, PotentialFn, SymMat, matvecs, rowdot
 from .errors import BadParams, InverseMapDiverged, StripViolation, UnknownName
-from .transforms import _graph_preimage, _predictor, unrotate_potential
+from .transforms import (_graph_map, _graph_preimage, _predictor, unrotate_hessian,
+                         unrotate_potential)
 
 TAIL_MAX_LEN = 7          # coefficients a_{-2} ... a_{-8}
 TAIL_MAX_ABS = 10.0
@@ -40,6 +42,8 @@ class LaurentCoeffs:
         object.__setattr__(self, "a0", complex(self.a0))
         object.__setattr__(self, "am1", float(self.am1))
         object.__setattr__(self, "tail", tuple(complex(t) for t in self.tail))
+        if not all(map(cmath.isfinite, (self.a1, self.a0, self.am1, *self.tail))):
+            raise BadParams("Laurent coefficients must be finite")
         if len(self.tail) > TAIL_MAX_LEN:
             raise BadParams(f"tail capped at {TAIL_MAX_LEN} coefficients")
         if any(abs(t) > TAIL_MAX_ABS for t in self.tail):
@@ -97,17 +101,6 @@ def harmonic_potential(coeffs: LaurentCoeffs) -> PotentialFn:
     return PotentialFn(2, 1.0, values, grads, hessians)
 
 
-def harmonic_representation_value(coeffs: LaurentCoeffs, vartheta: float,
-                                  z: complex) -> float:
-    """Closed-form value of the unrotated potential at the rotated point z:
-    (1/2) s c (|z|^2 - |h|^2) + Re(W - s^2 z h).  Alternate route to
-    unrotate_potential for cross-checks."""
-    c, s = math.cos(vartheta), math.sin(vartheta)
-    hz = coeffs.h(z)
-    W = coeffs.primitive(z)
-    return 0.5 * s * c * (abs(z) ** 2 - abs(hz) ** 2) + (W - s * s * z * hz).real
-
-
 def expected_profile(coeffs: LaurentCoeffs, vartheta: float) -> AsymptoticProfile:
     """Predicted expansion data of oracle_sle(coeffs, vartheta).
 
@@ -117,11 +110,8 @@ def expected_profile(coeffs: LaurentCoeffs, vartheta: float) -> AsymptoticProfil
     """
     c, s = math.cos(vartheta), math.sin(vartheta)
     a1, a0 = coeffs.a1, coeffs.a0
-    At = np.array([[a1.real, -a1.imag], [-a1.imag, -a1.real]])
-    if abs(a1) >= c / s - 1e-12:
-        raise StripViolation(f"|a1| = {abs(a1):.6g} >= cot(vartheta)")
-    A = (s * np.eye(2) + c * At) @ np.linalg.inv(c * np.eye(2) - s * At)
-    A = 0.5 * (A + A.T)
+    # the far-field Hessian of the harmonic potential, unrotated
+    A = unrotate_hessian(SymMat([[a1.real, -a1.imag], [-a1.imag, -a1.real]]), vartheta).m
     bt = np.array([a0.real, -a0.imag])
     b = (c * np.eye(2) + s * A) @ bt
     L = np.eye(2) + A @ A
@@ -149,6 +139,8 @@ def oracle_sle(coeffs: LaurentCoeffs, vartheta: float) -> PotentialFn:
     Built as unrotate_potential of the harmonic potential; the returned
     domain radius is the smallest certified one from a geometric sweep.
     """
+    if not 0 < vartheta < math.pi / 2:
+        raise BadParams(f"vartheta must be in (0, pi/2), got {vartheta}")
     c, s = math.cos(vartheta), math.sin(vartheta)
     cot = c / s
     if abs(coeffs.a1) >= cot - A1_MARGIN:
@@ -278,28 +270,19 @@ def _ihh_oracle(coeffs: LaurentCoeffs) -> PotentialFn:
     The dual ubar(y) = |y|^2/4 + (harmonic part from coeffs) satisfies
     Laplacian(ubar) = 1 with 0 < D^2 ubar < I, which is equivalent to the
     inverse harmonic Hessian equation for u.  Its log coefficient a_{-1}
-    surfaces in u with the opposite sign: d = -a_{-1}.
+    surfaces in u with the opposite sign: d = -a_{-1}.  In terms of the
+    harmonic part, u is its gradient graph moved by (y, Dh) -> (y/2 + Dh, y).
     """
     harm = harmonic_potential(coeffs)
-    # x = D ubar(y) = y/2 + D harm(y)
-    invert = _graph_preimage(harm, 0.5, 1.0, "ihh-oracle inversion", lambda X: 2.0 * X)
-
-    def dual_hessians(Y):
-        return 0.5 * np.eye(2) + harm.hessians_fn(Y)
+    what, guess = "ihh-oracle inversion", lambda X: 2.0 * X
+    invert = _graph_preimage(harm, 0.5, 1.0, what, guess)
 
     def probe(X):
-        w = np.linalg.eigvalsh(dual_hessians(invert(X)))
+        w = np.linalg.eigvalsh(0.5 * np.eye(2) + harm.hessians_fn(invert(X)))
         if (w[:, 0] <= 1e-9).any() or (w[:, -1] >= 1.0 - 1e-9).any():
             raise StripViolation("dual Hessian leaves (0, I) on validation shell")
 
-    def values(X):
-        Y = invert(X)
-        return rowdot(X, Y) - (0.25 * rowdot(Y, Y) + harm.values_fn(Y))
-
-    def hessians(X):
-        return sym_upper(np.linalg.inv(dual_hessians(invert(X))))
-
-    return PotentialFn(2, _certify_rho(probe), values, invert, hessians)
+    return _graph_map(harm, 0.5, 1.0, 1.0, 0.0, _certify_rho(probe), what, guess)
 
 
 def ihh_expected_d(coeffs: LaurentCoeffs) -> float:
@@ -314,6 +297,9 @@ def builtin(name: str, params: dict | None = None) -> PotentialFn:
     """
     params = dict(params or {})
     try:
+        bad = sorted(k for k, v in params.items() if not _finite(v))
+        if bad:
+            raise BadParams(f"non-finite parameters {bad} for {name!r}")
         if name == "sin-exp":
             _expect_keys(params, ())
             return _sin_exp()
@@ -342,6 +328,13 @@ def builtin(name: str, params: dict | None = None) -> PotentialFn:
     except (TypeError, ValueError) as e:
         raise BadParams(f"bad parameters for {name!r}: {e}") from e
     raise UnknownName(f"no builtin solution named {name!r}")
+
+
+def _finite(v) -> bool:
+    """Every number in v, a number or a nested list of them, is finite."""
+    if isinstance(v, (list, tuple)):
+        return all(map(_finite, v))
+    return cmath.isfinite(complex(v))
 
 
 def _expect_keys(params: dict, allowed):

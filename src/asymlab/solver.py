@@ -2,9 +2,9 @@
 
 The discrete unknown is the potential at interior radial rows (theta is
 periodic, the two radial boundary rows carry Dirichlet data).  Cartesian
-Hessians are assembled from second-order centered differences in the
-(log-)radial and angular coordinates through the polar chain rule, the
-Jacobian from the equation's linearization contracted with the stencils.
+Hessians are H = sum_k C_k S_k U: stencil sums of second-order centered
+differences in the (log-)radial and angular coordinates times the polar
+chain-rule coefficients; the Jacobian contracts the same C_k with dF/dM.
 Each Jacobian is factored by SuperLU under the minimum-degree ordering of
 J^T + J, which suits the structurally symmetric 9-point stencil.
 """
@@ -18,8 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import AnnulusField, AnnulusGrid, EquationSpec, PotentialFn, SymMat
-from .equations import eigvals_2x2, in_phase_window
+from .core import AnnulusField, AnnulusGrid, EquationSpec, PotentialFn
+from .equations import OPERATORS
 from .errors import (BadParams, DidNotConverge, InadmissibleIterate,
                      NotAdmissible, SingularJacobian, WrongDimension)
 
@@ -51,121 +51,10 @@ class SolveReport:
         }
 
 
-def _interior_hessians(grid: AnnulusGrid, U: np.ndarray):
-    """Cartesian Hessian components (H11, H12, H22) at interior rows,
-    each of shape (n_r - 2, n_theta)."""
-    ht, hth = grid.h_t, grid.h_theta
-    r = grid.r[1:-1][:, None]
-    th = grid.theta[None, :]
-
-    Ut = (U[2:] - U[:-2]) / (2 * ht)
-    Utt = (U[2:] - 2 * U[1:-1] + U[:-2]) / ht ** 2
-    Uth = (np.roll(U[1:-1], -1, axis=1) - np.roll(U[1:-1], 1, axis=1)) / (2 * hth)
-    Uthth = (np.roll(U[1:-1], -1, axis=1) - 2 * U[1:-1]
-             + np.roll(U[1:-1], 1, axis=1)) / hth ** 2
-    Utth = (np.roll(U[2:], -1, axis=1) - np.roll(U[2:], 1, axis=1)
-            - np.roll(U[:-2], -1, axis=1) + np.roll(U[:-2], 1, axis=1)) / (4 * ht * hth)
-
-    if grid.spacing == "logarithmic":
-        ur = Ut / r
-        urr = (Utt - Ut) / r ** 2
-        urth = Utth / r
-    else:
-        ur, urr, urth = Ut, Utt, Utth
-    uth, uthth = Uth, Uthth
-
-    c, s = np.cos(th), np.sin(th)
-    H11 = (c * c * urr - 2 * c * s * urth / r + s * s * uthth / r ** 2
-           + s * s * ur / r + 2 * c * s * uth / r ** 2)
-    H22 = (s * s * urr + 2 * c * s * urth / r + c * c * uthth / r ** 2
-           + c * c * ur / r - 2 * c * s * uth / r ** 2)
-    H12 = (c * s * urr + (c * c - s * s) * urth / r - c * s * uthth / r ** 2
-           - c * s * ur / r - (c * c - s * s) * uth / r ** 2)
-    return H11, H12, H22
-
-
-def grid_hessian(fld: AnnulusField, i: int, j: int) -> SymMat:
-    """Cartesian Hessian at interior node (i, j) from the FD stencils."""
-    grid = fld.grid
-    if not 1 <= i <= grid.n_r - 2:
-        raise BadParams(f"i must be an interior radial index, got {i}")
-    H11, H12, H22 = _interior_hessians(grid, fld.values)
-    k = i - 1
-    j = j % grid.n_theta
-    return SymMat(np.array([[H11[k, j], H12[k, j]], [H12[k, j], H22[k, j]]]))
-
-
-def _residual_and_gradient(spec: EquationSpec, H11, H12, H22):
-    """Nodewise residual and its partials (G11, G12eff, G22) with respect to
-    the scalar Hessian components; G12eff carries the symmetric double count."""
-    if spec.kind == "MA":
-        det = H11 * H22 - H12 ** 2
-        return det - 1.0, H22, -2.0 * H12, H11
-    if spec.kind == "SLE":
-        lo, hi = eigvals_2x2(H11, H12, H22)
-        res = np.arctan(lo) + np.arctan(hi) - spec.theta
-        p11 = 1.0 + H11 ** 2 + H12 ** 2
-        p22 = 1.0 + H12 ** 2 + H22 ** 2
-        p12 = H12 * (H11 + H22)
-        detp = p11 * p22 - p12 ** 2
-        return res, p22 / detp, -2.0 * p12 / detp, p11 / detp
-    if spec.kind == "IHH":
-        det = H11 * H22 - H12 ** 2
-        tr = H11 + H22
-        res = tr / det - 1.0
-        g11 = (det - tr * H22) / det ** 2
-        g22 = (det - tr * H11) / det ** 2
-        g12 = 2.0 * tr * H12 / det ** 2
-        return res, g11, g12, g22
-    raise BadParams(f"solver does not handle {spec.kind}")
-
-
-def _admissible_mask(spec: EquationSpec, H11, H12, H22):
-    if spec.kind == "MA":
-        return (H11 > 0) & (H11 * H22 - H12 ** 2 > 0)
-    if spec.kind == "SLE":
-        # keep the discrete phase on the supercritical branch around Theta
-        lo, hi = eigvals_2x2(H11, H12, H22)
-        return in_phase_window(spec, np.arctan(lo) + np.arctan(hi))
-    if spec.kind == "IHH":
-        lo, _ = eigvals_2x2(H11, H12, H22)
-        return lo > 1.0
-    raise BadParams(f"solver does not handle {spec.kind}")
-
-
-def _hessian_coefficients(grid: AnnulusGrid):
-    """Per-node coefficients of each Hessian component on the five discrete
-    derivatives (u_tt, u_tth, u_thth, u_t, u_th) in the differenced coords."""
-    r = grid.r[1:-1][:, None]
-    th = grid.theta[None, :]
-    c, s = np.cos(th), np.sin(th)
-    one = np.ones_like(r * c)
-
-    # coefficients on (u_rr, u_rth, u_thth, u_r, u_th)
-    polar = {
-        "H11": (c * c * one, -2 * c * s / r, s * s / r ** 2, s * s / r, 2 * c * s / r ** 2),
-        "H12": (c * s * one, (c * c - s * s) / r, -c * s / r ** 2, -c * s / r,
-                -(c * c - s * s) / r ** 2),
-        "H22": (s * s * one, 2 * c * s / r, c * c / r ** 2, c * c / r, -2 * c * s / r ** 2),
-    }
-    out = {}
-    for key, (arr, brth, cthth, dr, eth) in polar.items():
-        if grid.spacing == "logarithmic":
-            # u_r = u_t/r, u_rr = (u_tt - u_t)/r^2, u_rth = u_tth/r
-            ctt = arr / r ** 2
-            ctth = brth / r
-            cthth2 = cthth
-            ct = dr / r - arr / r ** 2
-            cth = eth
-        else:
-            ctt, ctth, cthth2, ct, cth = arr, brth, cthth, dr, eth
-        out[key] = (ctt, ctth, cthth2, ct, cth)
-    return out
-
-
+# offset (di, dj) of a neighbor: its weights in the five stencil sums S U, which
+# are the discrete derivatives (U_tt, U_tth, U_thth, U_t, U_th) in the
+# differenced coordinates times (ht^2, 4 ht hth, hth^2, 2 ht, 2 hth)
 _STENCILS = {
-    # offset (di, dj): weights of (u_tt, u_tth, u_thth, u_t, u_th), as
-    # multipliers of 1/ht^2, 1/(4 ht hth), 1/hth^2, 1/(2 ht), 1/(2 hth)
     (1, 0): (1.0, 0.0, 0.0, 1.0, 0.0),
     (-1, 0): (1.0, 0.0, 0.0, -1.0, 0.0),
     (0, 1): (0.0, 0.0, 1.0, 0.0, 1.0),
@@ -178,37 +67,58 @@ _STENCILS = {
 }
 
 
-def _assemble_jacobian(spec: EquationSpec, grid: AnnulusGrid, U: np.ndarray,
-                       coeffs) -> sp.csr_matrix:
-    nR, nT = grid.n_r, grid.n_theta
-    nI = nR - 2
+def _stencil_sums(grid: AnnulusGrid, U: np.ndarray) -> np.ndarray:
+    """S U at interior rows, shape (5, n_r - 2, n_theta), from _STENCILS."""
+    S = np.zeros((5, grid.n_r - 2, grid.n_theta))
+    for (di, dj), st in _STENCILS.items():
+        V = np.roll(U[1 + di:grid.n_r - 1 + di], -dj, axis=1)  # V[i, j] = U[i + di, j + dj]
+        for k in np.flatnonzero(st):
+            S[k] += st[k] * V
+    return S
+
+
+def _hessian_coefficients(grid: AnnulusGrid) -> np.ndarray:
+    """The polar chain rule as coefficients C (5, n_r - 2, n_theta, 2, 2):
+    the Cartesian Hessian at an interior node is H = sum_k C[k] S_k U."""
     ht, hth = grid.h_t, grid.h_theta
-    H11, H12, H22 = _interior_hessians(grid, U)
-    _, G11, G12, G22 = _residual_and_gradient(spec, H11, H12, H22)
+    r = grid.r[1:-1]
+    c, s = np.cos(grid.theta), np.sin(grid.theta)
+    cc, cs, ss = c * c, c * s, s * s
+    # (H11, H12, H22) on (u_rr, u_rth, u_thth, u_r, u_th): angular factors
+    # times the radial ones r^0, r^-1, r^-2, r^-1, r^-2
+    T = np.array([[cc, cs, ss], [-2 * cs, cc - ss, 2 * cs], [ss, -cs, cc],
+                  [ss, -cs, cc], [2 * cs, ss - cc, -2 * cs]])
+    R = np.array([r ** 0, 1 / r, 1 / r ** 2, 1 / r, 1 / r ** 2])
+    if grid.spacing == "logarithmic":
+        # u_r = u_t/r, u_rr = (u_tt - u_t)/r^2, u_rth = u_tth/r
+        T[3] -= T[0]
+        R[:] = 1 / r ** 2
+    R *= np.array([1 / ht ** 2, 1 / (4 * ht * hth), 1 / hth ** 2,
+                   1 / (2 * ht), 1 / (2 * hth)])[:, None]
+    # stored entry-major, so that each entry is contiguous over the nodes
+    C = T[:, [0, 1, 1, 2], None, :] * R[:, None, :, None]
+    return np.moveaxis(C, 1, -1).reshape(5, len(r), grid.n_theta, 2, 2)
 
-    # total weight per derivative: sum_ab G_ab * coeff_ab
-    W = [G11 * coeffs["H11"][k] + G12 * coeffs["H12"][k] + G22 * coeffs["H22"][k]
-         for k in range(5)]
-    scale = (1.0 / ht ** 2, 1.0 / (4 * ht * hth), 1.0 / hth ** 2,
-             1.0 / (2 * ht), 1.0 / (2 * hth))
 
-    rows_idx = np.arange(nI)[:, None]
-    cols_idx = np.arange(nT)[None, :]
-    node = (rows_idx * nT + cols_idx)
+def _hessians(grid: AnnulusGrid, U: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Cartesian Hessians (n_r - 2, n_theta, 2, 2) at interior nodes."""
+    return np.einsum("k...ab,k...->...ab", C, _stencil_sums(grid, U))
 
+
+def _assemble_jacobian(grid: AnnulusGrid, C: np.ndarray, G: np.ndarray) -> sp.csc_matrix:
+    """dF/dU from G = dF/dM (n_r - 2, n_theta, 2, 2): S_k U enters F with
+    weight sum_ab G_ab C[k]_ab, spread over the stencil offsets."""
+    nI, nT = grid.n_r - 2, grid.n_theta
+    W = np.einsum("k...ab,...ab->k...", C, G)
+    node = np.arange(nI)[:, None] * nT + np.arange(nT)[None, :]
     data, rows, cols = [], [], []
     for (di, dj), st in _STENCILS.items():
-        w = sum(W[k] * (st[k] * scale[k]) for k in range(5) if st[k])
-        if isinstance(w, int):
-            continue
-        ni = rows_idx + di
-        inside = (ni >= 0) & (ni <= nI - 1)  # neighbor is an unknown row
-        nj = (cols_idx + dj) % nT
-        neighbor = ni * nT + nj
-        mask = np.broadcast_to(inside, w.shape)
+        w = np.tensordot(st, W, axes=1)
+        ni = np.arange(nI)[:, None] + di
+        mask = np.broadcast_to((ni >= 0) & (ni <= nI - 1), w.shape)  # neighbor is unknown
         data.append(w[mask])
-        rows.append(np.broadcast_to(node, w.shape)[mask])
-        cols.append(neighbor[mask])
+        rows.append(node[mask])
+        cols.append((ni * nT + (np.arange(nT)[None, :] + dj) % nT)[mask])
     J = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nI * nT, nI * nT))
@@ -286,50 +196,41 @@ def solve_annulus(spec: EquationSpec, grid: AnnulusGrid, inner_bc, outer_bc,
     else:
         raise BadParams("init must be an AnnulusField or 'affine-blend'")
 
-    coeffs = _hessian_coefficients(grid)
-
-    def eval_state(U):
-        H = _interior_hessians(grid, U)
-        res, *_ = _residual_and_gradient(spec, *H)
-        return H, res
-
-    H, res = eval_state(U)
-    if not _admissible_mask(spec, *H).all():
+    op = OPERATORS[spec.kind]
+    C = _hessian_coefficients(grid)
+    H = _hessians(grid, U, C)
+    res = op.residual(spec, H)
+    if not op.admissible(spec, H).all():
         raise NotAdmissible("initial iterate is inadmissible at some node")
 
     history = [float(np.max(np.abs(res)))]
     steps = []
-    damping_events = 0
-    for it in range(1, max_iter + 1):
-        rinf = history[-1]
-        if rinf <= tol:
-            fld = AnnulusField(grid, U, inner_bc, outer_bc)
-            return SolveReport(it - 1, rinf, damping_events, fld, history,
-                               steps=steps)
-        J = _assemble_jacobian(spec, grid, U, coeffs)
+    while history[-1] > tol and len(steps) < max_iter:
+        it, rinf = len(steps) + 1, history[-1]
+        J = _assemble_jacobian(grid, C, op.gradient(spec, H))
         step, nnz_lu = _newton_step(J, res.ravel(), it)
         step = step.reshape(res.shape)
         t, halvings = 1.0, 0
         while True:
             U_new = U.copy()
             U_new[1:-1] -= t * step
-            H_new, res_new = eval_state(U_new)
+            H_new = _hessians(grid, U_new, C)
+            res_new = op.residual(spec, H_new)
             new_inf = float(np.max(np.abs(res_new)))
-            if new_inf < rinf and _admissible_mask(spec, *H_new).all():
+            if new_inf < rinf and op.admissible(spec, H_new).all():
                 break
             t *= 0.5
             halvings += 1
             if t < DAMPING_FLOOR:
                 raise InadmissibleIterate(
                     f"damping floor reached at iteration {it}, |r|={rinf:.3g}")
-        U, res = U_new, res_new
+        U, H, res = U_new, H_new, res_new
         history.append(new_inf)
-        damping_events += halvings
         steps.append({"t": t, "halvings": halvings, "nnzLU": nnz_lu})
 
     fld = AnnulusField(grid, U, inner_bc, outer_bc)
-    report = SolveReport(max_iter, history[-1], damping_events, fld, history,
-                         converged=history[-1] <= tol, steps=steps)
+    report = SolveReport(len(steps), history[-1], sum(s["halvings"] for s in steps), fld,
+                         history, converged=history[-1] <= tol, steps=steps)
     if not report.converged:
         raise DidNotConverge(
             f"|r|_inf = {history[-1]:.3g} after {max_iter} iterations", report)

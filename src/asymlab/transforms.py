@@ -1,15 +1,18 @@
-"""Changes of variables: U(n) rotation of the gradient graph, Legendre
+"""Changes of variables on the gradient graph: U(n) rotation, Legendre
 transform, and the shifted (Legendre-Lewy) transform for sigma_2 solutions.
 
-The rotation by angle vartheta sends (x, Du) to
-(c x + s Du, -s x + c Du) with (c, s) = (cos vartheta, sin vartheta);
+Each is one linear map of the gradient graph with scalar blocks,
+
+    (x, Du) -> (a x + b Du, c x + d Du),
+
+and `_graph_map` builds the potential of the image graph for any of them.
+The rotation by angle vartheta is (a, b, c, d) = (cos, sin, -sin, cos);
 every Hessian eigen-angle arctan(lambda_i) drops by vartheta.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,56 +24,42 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
-class RotationParams:
-    vartheta: float
-
-    def __post_init__(self):
-        if not 0 < self.vartheta < math.pi / 2:
-            raise BadParams(f"vartheta must be in (0, pi/2), got {self.vartheta}")
-
-    @property
-    def c(self) -> float:
-        return math.cos(self.vartheta)
-
-    @property
-    def s(self) -> float:
-        return math.sin(self.vartheta)
-
-    @staticmethod
-    def from_spec(spec: EquationSpec) -> "RotationParams":
-        """vartheta = (Theta - (n-2)pi/2)/n, so the rotated phase is critical."""
-        if spec.kind != "SLE" or not spec.supercritical:
-            raise BadParams("rotation parameters need a supercritical SLE spec")
-        if spec.theta <= (spec.dim - 2) * math.pi / 2:
-            raise BadParams("rotation device assumes Theta > (n-2)pi/2; "
-                            "apply the symmetry u -> -u first")
-        return RotationParams((spec.theta - (spec.dim - 2) * math.pi / 2) / spec.dim)
+def _graph_hessians(H: np.ndarray, a: float, b: float, c: float, d: float,
+                    check=None) -> np.ndarray:
+    """(cI + dH)(aI + bH)^-1 for each stacked symmetric H (N, n, n); the two
+    factors commute. `check(w)` sees H's ascending eigenvalues first."""
+    if check is not None:
+        check(np.linalg.eigvalsh(H))
+    eye = np.eye(H.shape[-1])
+    return sym_upper(np.linalg.solve(a * eye + b * H, c * eye + d * H))
 
 
-def _with_eigenvalues(V: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """V diag(w) V^T for each stacked eigenbasis V and spectrum w."""
-    return sym_upper((V * w[:, None, :]) @ V.swapaxes(-1, -2))
+def _rotation_check(c: float, s: float):
+    def check(w):
+        if (np.abs(c + s * w) < 1e-12).any():
+            raise SingularRotation("cos I + sin M is numerically singular")
+    return check
+
+
+def _strip_check(c: float, s: float, what: str = "lambda_max"):
+    def check(w):
+        bad = np.flatnonzero(w[:, -1] >= c / s - 1e-12)
+        if bad.size:
+            raise StripViolation(
+                f"{what} = {w[bad[0], -1]:.6g} >= cot(vartheta) = {c / s:.6g}")
+    return check
 
 
 def _rotate_hessians(H: np.ndarray, vartheta: float) -> np.ndarray:
-    """Batched rotate_hessian on Hessians of shape (N, n, n)."""
+    """Eigenvalue map lambda -> tan(arctan(lambda) - vartheta) on (N, n, n)."""
     c, s = math.cos(vartheta), math.sin(vartheta)
-    w, V = np.linalg.eigh(H)
-    if (np.abs(c + s * w) < 1e-12).any():
-        raise SingularRotation("cos I + sin M is numerically singular")
-    return _with_eigenvalues(V, np.tan(np.arctan(w) - vartheta))
+    return _graph_hessians(H, c, s, -s, c, _rotation_check(c, s))
 
 
 def _unrotate_hessians(Ht: np.ndarray, vartheta: float) -> np.ndarray:
-    """Batched unrotate_hessian on Hessians of shape (N, n, n)."""
+    """Inverse of `_rotate_hessians`; every row needs lambda_max < cot(vartheta)."""
     c, s = math.cos(vartheta), math.sin(vartheta)
-    w, V = np.linalg.eigh(Ht)
-    bad = np.flatnonzero(w[:, -1] >= c / s - 1e-12)
-    if bad.size:
-        raise StripViolation(
-            f"lambda_max = {w[bad[0], -1]:.6g} >= cot(vartheta) = {c / s:.6g}")
-    return _with_eigenvalues(V, (s + c * w) / (c - s * w))
+    return _graph_hessians(Ht, c, -s, s, c, _strip_check(c, s))
 
 
 def rotate_hessian(M: SymMat, vartheta: float) -> SymMat:
@@ -82,14 +71,6 @@ def rotate_hessian(M: SymMat, vartheta: float) -> SymMat:
 def unrotate_hessian(Mt: SymMat, vartheta: float) -> SymMat:
     """Inverse of rotate_hessian; requires lambda_max(Mt) < cot(vartheta)."""
     return SymMat(_unrotate_hessians(Mt.m[None], vartheta)[0])
-
-
-def forward_point(x, gradient, vartheta: float):
-    """(x, y) -> (c x + s y, -s x + c y) on one point of the gradient graph."""
-    c, s = math.cos(vartheta), math.sin(vartheta)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(gradient, dtype=float)
-    return c * x + s * y, -s * x + c * y
 
 
 @np.errstate(all="ignore")
@@ -149,14 +130,14 @@ def _check_hessian_bound(P: PotentialFn, lower: float):
             f"sampled Hessian eigenvalue {w[bad[0]]:.6g} <= required bound {lower:.6g}")
 
 
-def _graph_preimage(P: PotentialFn, c: float, s: float, what: str, guess=None):
-    """Inverse of x -> c x + s DP(x), row by row, by damped Newton started
+def _graph_preimage(P: PotentialFn, a: float, b: float, what: str, guess=None):
+    """Inverse of x -> a x + b DP(x), row by row, by damped Newton started
     at guess(xt), or at xt itself."""
     def invert(Xt):
         return _newton_invert(
             Xt, Xt if guess is None else guess(Xt),
-            lambda p: c * p + s * P.grads_fn(p),
-            lambda p: c * np.eye(P.dim) + s * P.hessians_fn(p),
+            lambda p: a * p + b * P.grads_fn(p),
+            lambda p: a * np.eye(P.dim) + b * P.hessians_fn(p),
             what)
     return invert
 
@@ -167,27 +148,35 @@ def _predictor(jac: np.ndarray):
     return lambda Xt: matvecs(inv, Xt)
 
 
-def _rotated(P: PotentialFn, c: float, s: float, hessian_map, guess,
-             what: str) -> PotentialFn:
-    """Potential of P's gradient graph moved by (x, y) -> (c x + s y, -s x + c y)."""
-    invert = _graph_preimage(P, c, s, what, guess)
+def _graph_map(P: PotentialFn, a: float, b: float, c: float, d: float,
+               rho: float, what: str, guess=None, check=None) -> PotentialFn:
+    """Potential of P's gradient graph moved by (x, Du) -> (a x + b Du, c x + d Du).
+
+    At xt = a x + b Du(x), with x found by `_graph_preimage`:
+        value     det u + (ac/2)|x|^2 + (bd/2)|Du|^2 + bc x.Du,  det = ad - bc
+        gradient  c x + d Du
+        Hessian   (cI + dH)(aI + bH)^-1, after `check` on H's eigenvalues.
+    With d = 0 (the Legendre family) the value takes Du = (xt - a x)/b from
+    the target, the conjugate form x.y - u that is stationary in x; the
+    rotations evaluate Du(x).
+    """
+    invert = _graph_preimage(P, a, b, what, guess)
+    det = a * d - b * c
 
     def values(Xt):
         X = invert(Xt)
-        G = P.grads_fn(X)
-        return (0.5 * c * s * (rowdot(G, G) - rowdot(X, X)) - s * s * rowdot(G, X)
-                + P.values_fn(X))
+        G = P.grads_fn(X) if d else (Xt - a * X) / b
+        return (det * P.values_fn(X) + 0.5 * a * c * rowdot(X, X)
+                + 0.5 * b * d * rowdot(G, G) + b * c * rowdot(X, G))
 
     def grads(Xt):
         X = invert(Xt)
-        return -s * X + c * P.grads_fn(X)
+        return c * X + d * P.grads_fn(X) if d else c * X
 
     def hessians(Xt):
-        return hessian_map(P.hessians_fn(invert(Xt)))
+        return _graph_hessians(P.hessians_fn(invert(Xt)), a, b, c, d, check)
 
-    # distance-increase gives |xt1 - xt2| >= sin(vartheta) |x1 - x2|; the
-    # image of {|x| > rho} contains an exterior set of comparable radius.
-    return PotentialFn(P.dim, P.rho * abs(s), values, grads, hessians)
+    return PotentialFn(P.dim, rho, values, grads, hessians)
 
 
 def rotate_potential(P: PotentialFn, vartheta: float, *,
@@ -205,8 +194,10 @@ def rotate_potential(P: PotentialFn, vartheta: float, *,
     guess = None
     if hessian_hint is not None:
         guess = _predictor(c * np.eye(P.dim) + s * hessian_hint.m)
-    return _rotated(P, c, s, lambda H: _rotate_hessians(H, vartheta), guess,
-                    "rotate_potential point inversion")
+    # distance-increase gives |xt1 - xt2| >= sin(vartheta) |x1 - x2|; the
+    # image of {|x| > rho} contains an exterior set of comparable radius.
+    return _graph_map(P, c, s, -s, c, P.rho * abs(s), "rotate_potential point inversion",
+                      guess, _rotation_check(c, s))
 
 
 def unrotate_potential(Pt: PotentialFn, vartheta: float, *,
@@ -219,19 +210,15 @@ def unrotate_potential(Pt: PotentialFn, vartheta: float, *,
     """
     c, s = math.cos(vartheta), math.sin(vartheta)
     if check:
-        lam = _sampled_spectra(Pt, 11)[:, -1]
-        bad = np.flatnonzero(lam >= c / s - 1e-12)
-        if bad.size:
-            raise StripViolation(
-                f"sampled lambda_max = {lam[bad[0]]:.6g} >= cot(vartheta) = {c / s:.6g}")
+        _strip_check(c, s, "sampled lambda_max")(_sampled_spectra(Pt, 11))
     guess = None
     if hessian_hint is not None:
         jac = c * np.eye(Pt.dim) - s * hessian_hint.m
         if np.min(np.linalg.eigvalsh(0.5 * (jac + jac.T))) <= 0:
             raise StripViolation("far-field Hessian hint violates the strip bound")
         guess = _predictor(jac)
-    return _rotated(Pt, c, -s, lambda H: _unrotate_hessians(H, vartheta), guess,
-                    "unrotate_potential point inversion")
+    return _graph_map(Pt, c, -s, s, c, Pt.rho * abs(s), "unrotate_potential point inversion",
+                      guess, _strip_check(c, s))
 
 
 def legendre(P: PotentialFn, *, mu: float | None = None,
@@ -242,16 +229,7 @@ def legendre(P: PotentialFn, *, mu: float | None = None,
             _check_hessian_bound(P, mu if mu is not None else 0.0)
         except NotAdmissible as e:
             raise NotConvex(str(e)) from e
-    invert = _graph_preimage(P, 0.0, 1.0, "legendre point inversion")
-
-    def values(Y):
-        X = invert(Y)
-        return rowdot(X, Y) - P.values_fn(X)
-
-    def hessians(Y):
-        return sym_upper(np.linalg.inv(P.hessians_fn(invert(Y))))
-
-    return PotentialFn(P.dim, 0.0, values, invert, hessians)
+    return _graph_map(P, 0.0, 1.0, 1.0, 0.0, 0.0, "legendre point inversion")
 
 
 def legendre_lewy(P: PotentialFn, spec: EquationSpec, *,
@@ -273,17 +251,5 @@ def legendre_lewy(P: PotentialFn, spec: EquationSpec, *,
             raise NotAdmissible(
                 f"D^2 u > (delta - K) I fails on samples: {e}") from e
     # y = Dw(x) = K x + Du(x), with D^2 w > delta I
-    invert = _graph_preimage(P, K, 1.0, "legendre_lewy point inversion",
-                             lambda Y: Y / (1.0 + K))
-
-    def values(Y):
-        X = invert(Y)
-        return P.values_fn(X) + 0.5 * K * rowdot(X, X) - rowdot(X, Y)
-
-    def grads(Y):
-        return -invert(Y)
-
-    def hessians(Y):
-        return sym_upper(-np.linalg.inv(K * np.eye(P.dim) + P.hessians_fn(invert(Y))))
-
-    return PotentialFn(P.dim, 0.0, values, grads, hessians)
+    return _graph_map(P, K, 1.0, -1.0, 0.0, 0.0, "legendre_lewy point inversion",
+                      lambda Y: Y / (1.0 + K))

@@ -42,6 +42,13 @@ class TestResidualCommand:
         assert json.loads(r.stderr)["error"]["kind"] == "BadParams"
 
 
+    def test_non_finite_params_are_config_error(self):
+        r = run(["residual", "--solution", "builtin:ma-radial",
+                 "--params", '{"c": NaN}', "--equation", "ma"])
+        assert r.returncode == 2
+        assert json.loads(r.stderr)["error"]["kind"] == "BadParams"
+
+
 class TestFitCommand:
     def test_profile_to_stdout(self):
         r = run(["fit", "--solution", "builtin:ma-radial", "--params", '{"c": 1.0}',
@@ -49,6 +56,12 @@ class TestFitCommand:
         assert r.returncode == 0
         prof = json.loads(r.stdout)
         assert abs(prof["d"] - 0.5) < 1e-3
+
+    def test_non_finite_params_are_config_error(self):
+        r = run(["fit", "--solution", "builtin:quadratic", "--params",
+                 '{"A": [[1.0, 0.0], [0.0, 1.0]], "c": NaN}', "--equation", "ma"])
+        assert r.returncode == 2
+        assert json.loads(r.stderr)["error"]["kind"] == "BadParams"
 
     def test_no_decay_is_numerical_error(self):
         r = run(["fit", "--solution", "builtin:sin-exp",

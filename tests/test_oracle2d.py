@@ -38,6 +38,12 @@ class TestLaurentCoeffs:
     def test_am1_coerced_real(self):
         assert isinstance(LaurentCoeffs(am1=2).am1, float)
 
+    @pytest.mark.parametrize("field,bad", [("a1", complex(0.1, math.nan)), ("a0", math.inf),
+                                           ("am1", math.nan), ("tail", (0.1, -math.inf))])
+    def test_non_finite_rejected(self, field, bad):
+        with pytest.raises(BadParams, match="finite"):
+            LaurentCoeffs(**{field: bad})
+
     def test_tail_caps(self):
         with pytest.raises(BadParams):
             LaurentCoeffs(tail=(1.0,) * 8)
@@ -109,6 +115,17 @@ class TestOracleSLE:
 
 
 class TestBuiltins:
+    @pytest.mark.parametrize("name,params", [
+        ("quadratic", {"A": [[1.0, 0.0], [0.0, 1.0]], "c": math.inf}),
+        ("quadratic", {"A": [[1.0, math.nan], [0.0, 1.0]]}),
+        ("ma-radial", {"c": math.nan}),
+        ("log-radial", {"dim": math.inf}),
+        ("ihh-oracle", {"tail": [[0.1, math.nan]]}),
+    ])
+    def test_non_finite_params_rejected(self, name, params):
+        with pytest.raises(BadParams, match="non-finite"):
+            builtin(name, params)
+
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
             builtin("does-not-exist")

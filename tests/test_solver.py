@@ -12,19 +12,22 @@ from asymlab import (
     AnnulusGrid,
     EquationSpec,
     LaurentCoeffs,
-    grid_hessian,
     oracle_sle,
     solve_annulus,
 )
 from asymlab import solver
-from asymlab.equations import residual_many
+from asymlab.equations import OPERATORS
 from asymlab.errors import BadParams, NotAdmissible, SingularJacobian
 from asymlab.oracle2d import builtin
-from asymlab.solver import (_admissible_mask, _prolong, boundary_data_from,
-                            convergence_study)
+from asymlab.solver import _prolong, boundary_data_from, convergence_study
 
 MA2 = EquationSpec("MA", 2)
 SLE2 = EquationSpec("SLE", 2, theta=math.pi / 2)
+
+
+def _grid_hessians(fld):
+    """Cartesian Hessians at the interior nodes, (n_r - 2, n_theta, 2, 2)."""
+    return solver._hessians(fld.grid, fld.values, solver._hessian_coefficients(fld.grid))
 
 
 def _exact_error(rep, grid, P):
@@ -39,10 +42,10 @@ class TestGridHessian:
         P = builtin("ma-radial", {"c": 1.0})
         fld = AnnulusField.from_potential(grid, P)
         x, y = grid.nodes_xy()
+        H = _grid_hessians(fld)
         for i, j in ((10, 7), (32, 50), (60, 100)):
-            H = grid_hessian(fld, i, j)
             exact = P.hess((x[i, j], y[i, j])).m
-            assert np.abs(H.m - exact).max() < 5e-3
+            assert np.abs(H[i - 1, j] - exact).max() < 5e-3
 
 
 class TestBoundaryData:
@@ -76,9 +79,10 @@ class TestSolveMA:
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
         P = builtin("ma-radial", {"c": 1.0})
         rep = solve_annulus(MA2, grid, *boundary_data_from(P, grid))
+        H = _grid_hessians(rep.field)
         for i in range(1, grid.n_r - 1):
             for j in range(0, grid.n_theta, 7):
-                assert np.linalg.eigvalsh(grid_hessian(rep.field, i, j).m).min() > 0
+                assert np.linalg.eigvalsh(H[i - 1, j]).min() > 0
 
     def test_rejects_concave_data(self):
         grid = AnnulusGrid(1.0, 8.0, 17, 32, "uniform")
@@ -107,9 +111,9 @@ class TestSolveSLE:
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
         P = oracle_sle(LaurentCoeffs(a1=0.1, am1=0.5), math.pi / 4)
         rep = solve_annulus(SLE2, grid, *boundary_data_from(P, grid))
+        H = _grid_hessians(rep.field)
         for i in range(1, grid.n_r - 1):
-            H = grid_hessian(rep.field, i, 11)
-            ph = np.sum(np.arctan(np.linalg.eigvalsh(H.m)))
+            ph = np.sum(np.arctan(np.linalg.eigvalsh(H[i - 1, 11])))
             assert abs(ph - math.pi / 2) < math.pi / 2
 
 
@@ -167,8 +171,9 @@ class TestNewtonRecord:
         P = builtin("ma-radial", {"c": 1.0})
         inner, outer = boundary_data_from(P, grid)
         rep = solve_annulus(MA2, grid, inner, outer)
-        J = solver._assemble_jacobian(MA2, grid, solver._blend_initial(grid, inner, outer),
-                                      solver._hessian_coefficients(grid))
+        C = solver._hessian_coefficients(grid)
+        H = solver._hessians(grid, solver._blend_initial(grid, inner, outer), C)
+        J = solver._assemble_jacobian(grid, C, OPERATORS["MA"].gradient(MA2, H))
         assert rep.steps[0]["nnzLU"] < solver.spla.splu(J).nnz
 
 
@@ -294,3 +299,63 @@ class TestWarmStart:
             grids.append(grids[-1].refine())
         rows = convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), grids)
         assert all(row["iterations"] <= 3 for row in rows[1:])
+
+
+class TestEvaluations:
+    def test_each_trial_iterate_evaluated_once(self, monkeypatch):
+        """Hessians (and with them the residual) are evaluated once for the
+        start and once per line-search trial; assembly reuses the accepted one."""
+        calls = []
+        hessians = solver._hessians
+
+        def counted(*args):
+            calls.append(1)
+            return hessians(*args)
+
+        monkeypatch.setattr(solver, "_hessians", counted)
+        grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
+        rep = solve_annulus(MA2, grid, *boundary_data_from(builtin("ma-radial", {"c": 1.0}), grid))
+        assert rep.damping_events > 0
+        assert len(calls) == 1 + sum(s["halvings"] + 1 for s in rep.steps)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _discrete_system(monkeypatch, spec, fld):
+    """(F(U), J(U)) of the discrete system at fld, as `solve_annulus` hands
+    them to the sparse LU step."""
+    out = []
+
+    def capture(J, rhs, it):
+        out.append((rhs.copy(), J))
+        raise _Captured
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_newton_step", capture)
+        with pytest.raises(_Captured):
+            solve_annulus(spec, fld.grid, fld.values[0], fld.values[-1], init=fld, tol=0.0)
+    return out[0]
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "logarithmic"])
+@pytest.mark.parametrize("kind", ["MA", "SLE", "IHH"])
+def test_jacobian_matches_residual_difference(monkeypatch, kind, spacing):
+    """J v equals the centered difference (F(U + eps v) - F(U - eps v))/(2 eps)
+    of the discrete residual, for a random interior direction v."""
+    spec, P, r_in = {
+        "MA": (MA2, builtin("ma-radial", {"c": 1.0}), 1.0),
+        "SLE": (SLE2, oracle_sle(LaurentCoeffs(a1=0.1, am1=0.5), math.pi / 4), 1.0),
+        "IHH": (EquationSpec("IHH", 2), builtin("ihh-oracle", {"am1": 0.4}), 2.0),
+    }[kind]
+    grid = AnnulusGrid(r_in, 8.0, 17, 32, spacing)
+    U = AnnulusField.from_potential(grid, P).values
+    v = np.zeros_like(U)
+    v[1:-1] = np.random.default_rng(7).normal(size=(grid.n_r - 2, grid.n_theta))
+    eps = 1e-6
+    _, J = _discrete_system(monkeypatch, spec, AnnulusField(grid, U))
+    Fp, _ = _discrete_system(monkeypatch, spec, AnnulusField(grid, U + eps * v))
+    Fm, _ = _discrete_system(monkeypatch, spec, AnnulusField(grid, U - eps * v))
+    Jv = J @ v[1:-1].ravel()
+    assert np.abs(Jv - (Fp - Fm) / (2 * eps)).max() <= 1e-6 * np.abs(Jv).max()

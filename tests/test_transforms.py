@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 from asymlab import (
     EquationSpec,
     LaurentCoeffs,
-    RotationParams,
     SymMat,
-    forward_point,
     harmonic_potential,
     legendre,
     legendre_lewy,
+    oracle_sle,
     phase,
     rotate_hessian,
     rotate_potential,
@@ -21,29 +20,17 @@ from asymlab import (
 )
 from asymlab.equations import sigma2_margin
 from asymlab.errors import BadParams, NotConvex, StripViolation
-from asymlab.oracle2d import builtin, harmonic_representation_value
+from asymlab.oracle2d import builtin
 
 from conftest import random_symmetric
 
 
 class TestRotationParams:
     def test_range_checked(self):
-        with pytest.raises(BadParams):
-            RotationParams(0.0)
-        with pytest.raises(BadParams):
-            RotationParams(math.pi / 2)
-
-    def test_from_spec(self):
-        spec = EquationSpec("SLE", 2, theta=math.pi / 2)
-        assert RotationParams.from_spec(spec).vartheta == pytest.approx(math.pi / 4)
-        spec3 = EquationSpec("SLE", 3, theta=math.pi / 2 + 0.3)
-        assert RotationParams.from_spec(spec3).vartheta == pytest.approx(0.1)
-
-    def test_from_spec_rejects_negative_phase(self):
-        # Theta < -(n-2)pi/2 is supercritical but on the mirrored branch;
-        # the caller is expected to apply u -> -u first
-        with pytest.raises(BadParams):
-            RotationParams.from_spec(EquationSpec("SLE", 3, theta=-math.pi / 2 - 0.3))
+        """The rotation angle of the SLE oracle lies in (0, pi/2)."""
+        for vt in (0.0, math.pi / 2, -0.3, math.nan, math.inf):
+            with pytest.raises(BadParams):
+                oracle_sle(LaurentCoeffs(a1=0.1), vt)
 
 
 class TestHessianRotation:
@@ -103,29 +90,35 @@ class TestConformality:
 
 
 class TestForwardPoint:
+    """The rotated potential's gradient graph is the image of P's under
+    (x, y) -> (c x + s y, -s x + c y)."""
+
     def test_formula(self):
         vt = math.pi / 6
+        c, s = math.cos(vt), math.sin(vt)
+        P = builtin("quadratic", {"A": [[1.2, 0.4], [0.4, 0.7]], "b": [0.3, -0.2], "c": 1.5})
         x = np.array([2.0, -1.0])
-        g = np.array([0.5, 3.0])
-        xt, yt = forward_point(x, g, vt)
-        assert np.allclose(xt, math.cos(vt) * x + math.sin(vt) * g)
-        assert np.allclose(yt, -math.sin(vt) * x + math.cos(vt) * g)
+        g = P.grad(x)
+        xt = c * x + s * g
+        assert np.allclose(rotate_potential(P, vt).grad(xt), -s * x + c * g)
 
     def test_distance_increase(self, rng):
-        """|xt(x1) - xt(x2)| >= sin(vartheta) |x1 - x2| when the potential's
-        phase matches 2*vartheta (so the rotated Hessian stays in the
-        two-sided strip |lambda| <= cot(vartheta))."""
+        """|xt1 - xt2| >= sin(vartheta) |x1 - x2| for the preimages x of
+        rotated points xt when the potential's phase matches 2*vartheta (so
+        the rotated Hessian stays in the two-sided strip |lambda| <= cot(vartheta))."""
         vt = 0.6
+        c, s = math.cos(vt), math.sin(vt)
         t1, t2 = 0.9, 2 * vt - 0.9
         R = np.array([[math.cos(0.4), -math.sin(0.4)], [math.sin(0.4), math.cos(0.4)]])
         A = R @ np.diag([math.tan(t1), math.tan(t2)]) @ R.T
         P = builtin("quadratic", {"A": A.tolist(), "b": [0.1, 0.0], "c": 0.0})
+        Pt = rotate_potential(P, vt)
         for _ in range(500):
-            x1, x2 = rng.uniform(-5, 5, size=(2, 2))
-            d_in = np.linalg.norm(x1 - x2)
-            d_out = np.linalg.norm(
-                forward_point(x1, P.grad(x1), vt)[0] - forward_point(x2, P.grad(x2), vt)[0])
-            assert d_out >= math.sin(vt) * d_in - 1e-12
+            Xt = rng.uniform(-5, 5, size=(2, 2))
+            X = c * Xt - s * Pt.grads(Xt)   # rotate (xt, Dut) back by -vartheta
+            d_in = np.linalg.norm(X[0] - X[1])
+            d_out = np.linalg.norm(Xt[0] - Xt[1])
+            assert d_out >= s * d_in - 1e-12
 
 
 class TestPotentialRotation:
@@ -244,6 +237,17 @@ class TestLegendreLewy:
             ev = np.linalg.eigvalsh(Pt.hess(y).m)
             assert ev.max() < 0.0
             assert ev.min() > -1.0 / spec.delta
+
+
+def harmonic_representation_value(coeffs: LaurentCoeffs, vartheta: float,
+                                  z: complex) -> float:
+    """Closed-form value of the unrotated potential at the rotated point z:
+    (1/2) s c (|z|^2 - |h|^2) + Re(W - s^2 z h).  Alternate route to
+    unrotate_potential for cross-checks."""
+    c, s = math.cos(vartheta), math.sin(vartheta)
+    hz = coeffs.h(z)
+    W = coeffs.primitive(z)
+    return 0.5 * s * c * (abs(z) ** 2 - abs(hz) ** 2) + (W - s * s * z * hz).real
 
 
 def _unit(rng):
