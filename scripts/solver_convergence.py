@@ -5,10 +5,12 @@ Solves the Monge-Ampere and special-Lagrangian Dirichlet problems on
 [rIn, rOut] with boundary data sampled from closed-form solutions, then
 reports max-norm errors and h-halving ratios over three grids.
 
-The `iters` column counts Newton steps per grid. The first grid starts
-from the affine blend of the boundary data (5 steps on the defaults); each
-later grid refines the one before and starts from its solution, prolonged
-by cubic interpolation, so its count is that of the warm start (2-3).
+The `iters` column counts Newton steps per grid, chord steps on held LU
+factors included. The first grid starts from the affine blend of the
+boundary data (11 steps on the defaults, 2 of them factored); each later
+grid refines the one before and starts from its solution, prolonged by
+cubic interpolation, and takes 2-5 steps, of which only the first factors
+its Jacobian.
 """
 import argparse
 import math

@@ -15,7 +15,7 @@ import numpy as np
 from . import asymptotics, oracle2d, solver
 from .core import AnnulusGrid, EquationSpec, PotentialFn, SymMat
 from .equations import residual_many
-from .errors import ConfigError, LabError
+from .errors import BadParams, ConfigError, LabError
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -102,6 +102,8 @@ def _dump_json(obj, path: str | None):
 # ---------------------------------------------------------------------------
 
 def cmd_residual(args) -> int:
+    if args.points < 1:
+        raise BadParams(f"--points must be at least 1, got {args.points}")
     P = parse_solution(args.solution, args.params)
     spec = parse_equation(args.equation, args.dim or P.dim, args.theta, args.delta)
     pts = _exterior_points(P, args.points, args.seed)

@@ -139,17 +139,14 @@ def oracle_sle(coeffs: LaurentCoeffs, vartheta: float) -> PotentialFn:
     Built as unrotate_potential of the harmonic potential; the returned
     domain radius is the smallest certified one from a geometric sweep.
     """
-    if not 0 < vartheta < math.pi / 2:
-        raise BadParams(f"vartheta must be in (0, pi/2), got {vartheta}")
-    c, s = math.cos(vartheta), math.sin(vartheta)
-    cot = c / s
-    if abs(coeffs.a1) >= cot - A1_MARGIN:
-        raise StripViolation(
-            f"|a1| = {abs(coeffs.a1):.6g} >= cot(vartheta) - {A1_MARGIN}")
     ht = harmonic_potential(coeffs)
     a1 = coeffs.a1
     At = SymMat(np.array([[a1.real, -a1.imag], [-a1.imag, -a1.real]]))
-    u = unrotate_potential(ht, vartheta, hessian_hint=At, check=False)
+    u = unrotate_potential(ht, vartheta, hessian_hint=At, check=False)  # checks vartheta
+    c, s = math.cos(vartheta), math.sin(vartheta)
+    cot = c / s
+    if abs(a1) >= cot - A1_MARGIN:
+        raise StripViolation(f"|a1| = {abs(a1):.6g} >= cot(vartheta) - {A1_MARGIN}")
 
     strip_tol = cot - 1e-6
     preimage = _graph_preimage(ht, c, -s, "oracle validation inversion",

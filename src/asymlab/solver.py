@@ -6,7 +6,10 @@ Hessians are H = sum_k C_k S_k U: stencil sums of second-order centered
 differences in the (log-)radial and angular coordinates times the polar
 chain-rule coefficients; the Jacobian contracts the same C_k with dF/dM.
 Each Jacobian is factored by SuperLU under the minimum-degree ordering of
-J^T + J, which suits the structurally symmetric 9-point stencil.
+J^T + J, which suits the structurally symmetric 9-point stencil.  The
+factors are kept for chord (simplified Newton) steps while the residual
+contracts, the frozen-Jacobian test of Deuflhard, "Newton Methods for
+Nonlinear Problems" (Springer 2004, sec. 2.1).
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ from .errors import (BadParams, DidNotConverge, InadmissibleIterate,
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 DAMPING_FLOOR = 2.0 ** -20
+# a chord step reusing the held LU factors is taken only if it cuts the
+# sup-norm residual at least this much
+CHORD_CONTRACTION = 0.25
 
 
 @dataclass
@@ -36,8 +42,10 @@ class SolveReport:
     field: AnnulusField
     residual_history: list = field(default_factory=list)
     converged: bool = True
-    # one entry per Newton iteration: accepted line-search step t, number of
-    # halvings before it, and nnz of the LU factors of that iteration's Jacobian
+    # one entry per Newton iteration: accepted step length t, number of
+    # halvings before it, nnz of the LU factors it solved with, whether it
+    # factored its own Jacobian (else a chord step on held factors), and its
+    # residual evaluations (a rejected chord trial included)
     steps: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -156,11 +164,7 @@ def _prolong(U: np.ndarray) -> np.ndarray:
 
 
 def _newton_step(J: sp.csc_matrix, rhs: np.ndarray, it: int):
-    """Solve J step = rhs by sparse LU; return the step and nnz(L + U).
-
-    The factors are dropped on return, so no two factorizations are alive
-    at once.
-    """
+    """Solve J step = rhs by sparse LU; return the step and the factors."""
     try:
         lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as e:  # SuperLU: "Factor is exactly singular"
@@ -168,7 +172,23 @@ def _newton_step(J: sp.csc_matrix, rhs: np.ndarray, it: int):
     step = lu.solve(rhs)
     if not np.isfinite(step).all():
         raise SingularJacobian(f"iteration {it}: non-finite Newton step")
-    return step, int(lu.nnz)
+    return step, lu
+
+
+def _trial(spec: EquationSpec, grid: AnnulusGrid, C: np.ndarray, U: np.ndarray,
+           step: np.ndarray, accept):
+    """Evaluate the iterate U - step once: its (U, H, residual, sup-norm
+    residual) if `accept` takes that sup norm and every interior node is
+    admissible, else None."""
+    op = OPERATORS[spec.kind]
+    U_new = U.copy()
+    U_new[1:-1] -= step
+    H_new = _hessians(grid, U_new, C)
+    res_new = op.residual(spec, H_new)
+    new_inf = float(np.max(np.abs(res_new)))
+    if accept(new_inf) and op.admissible(spec, H_new).all():
+        return U_new, H_new, res_new, new_inf
+    return None
 
 
 def solve_annulus(spec: EquationSpec, grid: AnnulusGrid, inner_bc, outer_bc,
@@ -176,8 +196,13 @@ def solve_annulus(spec: EquationSpec, grid: AnnulusGrid, inner_bc, outer_bc,
                   max_iter: int = NEWTON_MAX_ITER) -> SolveReport:
     """Damped Newton on the stacked nodewise residual with Dirichlet data.
 
-    The line search halves the step until the sup-norm residual decreases
-    and every interior node stays admissible.
+    Each iteration first tries a chord step: a full step solved with the
+    held LU factors of the last factored Jacobian, kept if every interior
+    node stays admissible and the sup-norm residual falls by the factor
+    CHORD_CONTRACTION.  Otherwise the factors are dropped and the Jacobian
+    at the iterate is assembled and factored; the line search halves that
+    step until the sup-norm residual decreases and every interior node
+    stays admissible.
     """
     if spec.dim != 2:
         raise WrongDimension("annulus solver is 2D only")
@@ -205,28 +230,35 @@ def solve_annulus(spec: EquationSpec, grid: AnnulusGrid, inner_bc, outer_bc,
 
     history = [float(np.max(np.abs(res)))]
     steps = []
+    lu = None  # factors of the last factored Jacobian, held for chord steps
     while history[-1] > tol and len(steps) < max_iter:
         it, rinf = len(steps) + 1, history[-1]
-        J = _assemble_jacobian(grid, C, op.gradient(spec, H))
-        step, nnz_lu = _newton_step(J, res.ravel(), it)
-        step = step.reshape(res.shape)
-        t, halvings = 1.0, 0
-        while True:
-            U_new = U.copy()
-            U_new[1:-1] -= t * step
-            H_new = _hessians(grid, U_new, C)
-            res_new = op.residual(spec, H_new)
-            new_inf = float(np.max(np.abs(res_new)))
-            if new_inf < rinf and op.admissible(spec, H_new).all():
-                break
-            t *= 0.5
-            halvings += 1
-            if t < DAMPING_FLOOR:
-                raise InadmissibleIterate(
-                    f"damping floor reached at iteration {it}, |r|={rinf:.3g}")
-        U, H, res = U_new, H_new, res_new
+        t, halvings, trials, new = 1.0, 0, 0, None
+        if lu is not None:
+            trials += 1
+            chord = lu.solve(res.ravel()).reshape(res.shape)
+            new = _trial(spec, grid, C, U, chord, lambda r: r <= CHORD_CONTRACTION * rinf)
+        factored = new is None
+        if factored:
+            lu = None
+            J = _assemble_jacobian(grid, C, op.gradient(spec, H))
+            step, lu = _newton_step(J, res.ravel(), it)
+            step = step.reshape(res.shape)
+            while True:
+                trials += 1
+                new = _trial(spec, grid, C, U, t * step, lambda r: r < rinf)
+                if new is not None:
+                    break
+                t *= 0.5
+                halvings += 1
+                if t < DAMPING_FLOOR:
+                    raise InadmissibleIterate(
+                        f"damping floor reached at iteration {it}, |r|={rinf:.3g}")
+        U, H, res, new_inf = new
         history.append(new_inf)
-        steps.append({"t": t, "halvings": halvings, "nnzLU": nnz_lu})
+        steps.append({"t": t, "halvings": halvings, "nnzLU": int(lu.nnz),
+                      "factored": factored, "trials": trials})
+    lu = None
 
     fld = AnnulusField(grid, U, inner_bc, outer_bc)
     report = SolveReport(len(steps), history[-1], sum(s["halvings"] for s in steps), fld,

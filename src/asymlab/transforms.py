@@ -50,6 +50,13 @@ def _strip_check(c: float, s: float, what: str = "lambda_max"):
     return check
 
 
+def _rotation_angle(vartheta: float) -> tuple[float, float]:
+    """(cos, sin) of a gradient-graph rotation angle, which must lie in (0, pi/2)."""
+    if not 0 < vartheta < math.pi / 2:
+        raise BadParams(f"vartheta must be in (0, pi/2), got {vartheta}")
+    return math.cos(vartheta), math.sin(vartheta)
+
+
 def _rotate_hessians(H: np.ndarray, vartheta: float) -> np.ndarray:
     """Eigenvalue map lambda -> tan(arctan(lambda) - vartheta) on (N, n, n)."""
     c, s = math.cos(vartheta), math.sin(vartheta)
@@ -188,7 +195,7 @@ def rotate_potential(P: PotentialFn, vartheta: float, *,
     Newton; the map is the gradient of the convex c|x|^2/2 + s P under the
     precondition D^2 P > (1 - cot vartheta) I.
     """
-    c, s = math.cos(vartheta), math.sin(vartheta)
+    c, s = _rotation_angle(vartheta)
     if check:
         _check_hessian_bound(P, 1.0 - c / s)
     guess = None
@@ -208,7 +215,7 @@ def unrotate_potential(Pt: PotentialFn, vartheta: float, *,
     Requires lambda_max(D^2 Pt) < cot(vartheta) on the evaluation set (the
     strip bound); the additive constant is fixed by the defining formula.
     """
-    c, s = math.cos(vartheta), math.sin(vartheta)
+    c, s = _rotation_angle(vartheta)
     if check:
         _strip_check(c, s, "sampled lambda_max")(_sampled_spectra(Pt, 11))
     guess = None

@@ -48,6 +48,13 @@ class TestResidualCommand:
         assert r.returncode == 2
         assert json.loads(r.stderr)["error"]["kind"] == "BadParams"
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_empty_sample_is_config_error(self, points):
+        r = run(["residual", "--solution", "builtin:ma-radial",
+                 "--equation", "ma", "--points", points])
+        assert r.returncode == 2
+        assert json.loads(r.stderr)["error"]["kind"] == "BadParams"
+
 
 class TestFitCommand:
     def test_profile_to_stdout(self):

@@ -164,6 +164,24 @@ class TestNewtonRecord:
         assert reps[0].to_dict()["steps"] == steps
         assert json.dumps(reps[0].to_dict()) == json.dumps(reps[1].to_dict())
 
+    def test_chord_and_factored_steps(self):
+        """The first step factors; a chord step is a full step on the held
+        factors after one trial; a later factored step counts its rejected
+        chord trial besides its line-search trials."""
+        grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
+        rep = solve_annulus(MA2, grid, *boundary_data_from(builtin("ma-radial", {"c": 1.0}), grid))
+        assert rep.steps[0]["factored"]
+        assert not all(s["factored"] for s in rep.steps)
+        nnz = None
+        for k, s in enumerate(rep.steps):
+            if s["factored"]:
+                nnz = s["nnzLU"]
+                assert s["trials"] == s["halvings"] + 1 + (k > 0)
+            else:
+                assert (s["t"], s["halvings"], s["trials"]) == (1.0, 0, 1)
+                assert s["nnzLU"] == nnz
+                assert rep.residual_history[k + 1] <= solver.CHORD_CONTRACTION * rep.residual_history[k]
+
     def test_fill_below_default_ordering(self):
         """The recorded LU fill comes from the minimum-degree ordering of
         J^T + J, which fills less than SuperLU's default COLAMD."""
@@ -246,18 +264,23 @@ def _spy_solves(mp):
     return calls
 
 
+def _oracle_case(kind, s):
+    """(spec, oracle, inner radius) of one family, its data moved by s in [-1, 1]."""
+    if kind == "MA":
+        return MA2, builtin("ma-radial", {"c": 1.0 + 0.05 * s}), 1.0
+    if kind == "SLE":
+        return SLE2, oracle_sle(LaurentCoeffs(a1=0.1 * cmath.exp(1j * math.pi * s),
+                                              am1=0.5 + 0.05 * s), math.pi / 4), 1.0
+    return EquationSpec("IHH", 2), builtin("ihh-oracle", {"am1": 0.4 + 0.05 * s}), 2.0
+
+
 class TestWarmStart:
     @given(kind=st.sampled_from(["MA", "SLE"]), s=st.floats(-1.0, 1.0))
     @settings(max_examples=10, deadline=None)
     def test_warm_and_cold_solves_agree(self, kind, s):
         coarse = AnnulusGrid(1.0, 8.0, 9, 16, "uniform")
         fine = coarse.refine()
-        if kind == "MA":
-            spec, P = MA2, builtin("ma-radial", {"c": 1.0 + 0.05 * s})
-        else:
-            spec = SLE2
-            P = oracle_sle(LaurentCoeffs(a1=0.1 * cmath.exp(1j * math.pi * s),
-                                         am1=0.5 + 0.05 * s), math.pi / 4)
+        spec, P, _ = _oracle_case(kind, s)
         with pytest.MonkeyPatch.context() as mp:
             calls = _spy_solves(mp)
             convergence_study(spec, P, [coarse, fine])
@@ -301,10 +324,69 @@ class TestWarmStart:
         assert all(row["iterations"] <= 3 for row in rows[1:])
 
 
+class TestChordSteps:
+    @given(kind=st.sampled_from(["MA", "SLE", "IHH"]),
+           spacing=st.sampled_from(["uniform", "logarithmic"]), s=st.floats(-1.0, 1.0))
+    @settings(max_examples=20, deadline=None)
+    def test_chord_agrees_with_full_newton(self, kind, spacing, s):
+        """Chord steps end where full Newton, which factors every iteration
+        (a zero contraction factor rejects every chord trial), ends."""
+        spec, P, r_in = _oracle_case(kind, s)
+        grid = AnnulusGrid(r_in, 8.0, 17, 32, spacing)
+        data = boundary_data_from(P, grid)
+        chord = solve_annulus(spec, grid, *data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "CHORD_CONTRACTION", 0.0)
+            full = solve_annulus(spec, grid, *data)
+        assert not all(step["factored"] for step in chord.steps)
+        assert all(step["factored"] for step in full.steps)
+        assert chord.final_residual_inf <= solver.NEWTON_TOL
+        assert full.final_residual_inf <= solver.NEWTON_TOL
+        assert np.abs(chord.field.values - full.field.values).max() <= 1e-9
+
+    def test_at_most_one_factorization_alive(self, monkeypatch):
+        """The held factors are dropped before each new factorization and
+        when the solve returns."""
+        alive, seen = set(), []
+        splu = solver.spla.splu
+
+        class Tracked:
+            def __init__(self, lu):
+                self.lu, self.nnz = lu, lu.nnz
+                alive.add(id(self))
+
+            def solve(self, b):
+                return self.lu.solve(b)
+
+            def __del__(self):
+                alive.discard(id(self))
+
+        def tracked_splu(*args, **kw):
+            seen.append(len(alive))
+            return Tracked(splu(*args, **kw))
+
+        monkeypatch.setattr(solver.spla, "splu", tracked_splu)
+        grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
+        rep = solve_annulus(MA2, grid, *boundary_data_from(builtin("ma-radial", {"c": 1.0}), grid))
+        assert seen == [0] * sum(step["factored"] for step in rep.steps)
+        assert len(seen) >= 2 and not alive
+
+    def test_one_factorization_per_refined_criterion_8_ma_grid(self, monkeypatch):
+        grids = [AnnulusGrid(1.0, 8.0, 33, 64, "uniform")]
+        for _ in range(2):
+            grids.append(grids[-1].refine())
+        calls = _spy_solves(monkeypatch)
+        convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), grids)
+        assert len(calls) == 3
+        for _, rep in calls[1:]:
+            assert sum(step["factored"] for step in rep.steps) == 1
+
+
 class TestEvaluations:
     def test_each_trial_iterate_evaluated_once(self, monkeypatch):
         """Hessians (and with them the residual) are evaluated once for the
-        start and once per line-search trial; assembly reuses the accepted one."""
+        start and once per trial, chord or line search; assembly reuses the
+        accepted one."""
         calls = []
         hessians = solver._hessians
 
@@ -316,7 +398,7 @@ class TestEvaluations:
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
         rep = solve_annulus(MA2, grid, *boundary_data_from(builtin("ma-radial", {"c": 1.0}), grid))
         assert rep.damping_events > 0
-        assert len(calls) == 1 + sum(s["halvings"] + 1 for s in rep.steps)
+        assert len(calls) == 1 + sum(s["trials"] for s in rep.steps)
 
 
 class _Captured(Exception):

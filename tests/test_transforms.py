@@ -25,12 +25,23 @@ from asymlab.oracle2d import builtin
 from conftest import random_symmetric
 
 
+BAD_ANGLES = (0.0, math.pi / 2, -0.3, math.nan, math.inf)
+
+
 class TestRotationParams:
     def test_range_checked(self):
         """The rotation angle of the SLE oracle lies in (0, pi/2)."""
-        for vt in (0.0, math.pi / 2, -0.3, math.nan, math.inf):
+        for vt in BAD_ANGLES:
             with pytest.raises(BadParams):
                 oracle_sle(LaurentCoeffs(a1=0.1), vt)
+
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("transform", [rotate_potential, unrotate_potential])
+    @pytest.mark.parametrize("vt", BAD_ANGLES)
+    def test_potential_transforms_check_angle(self, transform, vt, check):
+        P = builtin("quadratic", {"A": [[1.0, 0.0], [0.0, 1.0]]})
+        with pytest.raises(BadParams, match="vartheta"):
+            transform(P, vt, check=check)
 
 
 class TestHessianRotation:
