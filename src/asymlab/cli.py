@@ -15,7 +15,7 @@ import numpy as np
 from . import asymptotics, oracle2d, solver
 from .core import AnnulusGrid, EquationSpec, PotentialFn, SymMat
 from .equations import residual_many
-from .errors import BadParams, ConfigError, LabError
+from .errors import BadParams, ConfigError, LabError, WrongDimension
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -27,13 +27,32 @@ def _load_schema(name: str) -> dict:
         return json.load(f)
 
 
-def _validate(instance: dict, schema_name: str):
-    import jsonschema
+# one validator per shipped schema, built (and its schema checked) on first use
+_VALIDATORS: dict = {}
 
+
+def _validate(instance: dict, schema_name: str):
+    """Same errors as `jsonschema.validate`, without re-checking the schema
+    against its meta-schema on every call."""
+    import jsonschema  # here, so that `import asymlab.cli` does not pay for it
+
+    validator = _VALIDATORS.get(schema_name)
+    if validator is None:
+        schema = _load_schema(schema_name)
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        validator = _VALIDATORS[schema_name] = cls(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise ConfigError(f"config does not match {schema_name}: {error.message}") from error
+
+
+def _lookup(cfg: dict, key: str, where: str):
+    """cfg[key], or a ConfigError naming the missing key."""
     try:
-        jsonschema.validate(instance, _load_schema(schema_name))
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"config does not match {schema_name}: {e.message}") from e
+        return cfg[key]
+    except KeyError:
+        raise ConfigError(f"{where} lacks {key!r}") from None
 
 
 def parse_equation(kind: str, dim: int, theta=None, delta=None) -> EquationSpec:
@@ -48,14 +67,26 @@ def parse_equation(kind: str, dim: int, theta=None, delta=None) -> EquationSpec:
         raise ConfigError(str(e)) from e
 
 
+def _equation_for(args, P: PotentialFn) -> EquationSpec:
+    """The equation of the command line, in the solution's dimension."""
+    spec = parse_equation(args.equation, args.dim or P.dim, args.theta, args.delta)
+    _check_dim(spec, P)
+    return spec
+
+
+def _check_dim(spec: EquationSpec, P: PotentialFn):
+    if spec.dim != P.dim:
+        raise WrongDimension(f"the equation is {spec.dim}D but the solution is {P.dim}D")
+
+
 def solution_from_spec(spec: dict) -> PotentialFn:
     _validate(spec, "oracle.json")
-    if spec["kind"] == "sle":
+    if _lookup(spec, "kind", "solution spec") == "sle":
         coeffs = oracle2d._coeffs_from_params(
             {"a1": spec.get("a1", 0.0), "a0": spec.get("a0", 0.0),
              "am1": spec.get("am1", 0.0), "tail": spec.get("tail", ())})
-        return oracle2d.oracle_sle(coeffs, float(spec["vartheta"]))
-    return oracle2d.builtin(spec["name"], spec.get("params"))
+        return oracle2d.oracle_sle(coeffs, float(_lookup(spec, "vartheta", "sle spec")))
+    return oracle2d.builtin(_lookup(spec, "name", "builtin spec"), spec.get("params"))
 
 
 def parse_solution(arg: str, params_json: str | None = None) -> PotentialFn:
@@ -105,7 +136,7 @@ def cmd_residual(args) -> int:
     if args.points < 1:
         raise BadParams(f"--points must be at least 1, got {args.points}")
     P = parse_solution(args.solution, args.params)
-    spec = parse_equation(args.equation, args.dim or P.dim, args.theta, args.delta)
+    spec = _equation_for(args, P)
     pts = _exterior_points(P, args.points, args.seed)
     res = residual_many(spec, P.hessians(pts))
     worst = float(np.max(np.abs(res)))
@@ -134,15 +165,14 @@ def _write_samples_csv(P: PotentialFn, shells, path: str, seed: int):
     H = P.hessians(X)
     table = np.column_stack([X, P.values(X), P.grads(X)]
                             + [H[:, i, j] for i, j in entries])
+    lines = [header] + [",".join(map(repr, row)) for row in table.tolist()]
     with open(path, "w") as f:
-        f.write(header + "\n")
-        for row in table:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+        f.write("\n".join(lines) + "\n")
 
 
 def cmd_fit(args) -> int:
     P = parse_solution(args.solution, args.params)
-    spec = parse_equation(args.equation, args.dim or P.dim, args.theta, args.delta)
+    spec = _equation_for(args, P)
     radii = tuple(float(r) for r in args.shells.split(","))
     shells = asymptotics.ShellSpec(radii, args.points_per_shell)
     profile = asymptotics.fit_profile(P, spec, shells, seed=args.seed)
@@ -175,8 +205,9 @@ def cmd_boundary_d(args) -> int:
 
 
 def _grid_from_config(cfg: dict) -> AnnulusGrid:
-    return AnnulusGrid(float(cfg["rInner"]), float(cfg["rOuter"]),
-                       int(cfg["nR"]), int(cfg["nTheta"]),
+    r_in, r_out, n_r, n_t = (_lookup(cfg, k, "solver grid")
+                             for k in ("rInner", "rOuter", "nR", "nTheta"))
+    return AnnulusGrid(float(r_in), float(r_out), int(n_r), int(n_t),
                        cfg.get("spacing", "logarithmic"))
 
 
@@ -196,16 +227,17 @@ def cmd_solve(args) -> int:
 
 
 def _write_field_csv(fld, path: str):
-    grid = fld.grid
-    r, th = grid.r, grid.theta
+    """One row per node, plain decimal floats; x1 and x2 are the products of
+    the written r with math.cos and math.sin of the written theta. One write
+    per ring of nodes: joining the whole file first costs ~2 MB of peak RSS
+    on a 65x128 grid for no speed."""
+    theta = fld.grid.theta.tolist()
+    trig = [(t, math.cos(t), math.sin(t)) for t in theta]
     with open(path, "w") as f:
         f.write("i,j,r,theta,x1,x2,u\n")
-        for i in range(grid.n_r):
-            for j in range(grid.n_theta):
-                x1 = r[i] * math.cos(th[j])
-                x2 = r[i] * math.sin(th[j])
-                f.write(f"{i},{j},{r[i]!r},{th[j]!r},{x1!r},{x2!r},"
-                        f"{fld.values[i, j]!r}\n")
+        for i, (r, row) in enumerate(zip(fld.grid.r.tolist(), fld.values.tolist())):
+            f.write("".join(f"{i},{j},{r!r},{t!r},{r * c!r},{r * s!r},{u!r}\n"
+                            for j, ((t, c, s), u) in enumerate(zip(trig, row))))
 
 
 def cmd_experiment(args) -> int:
@@ -215,6 +247,7 @@ def cmd_experiment(args) -> int:
     eq = cfg["equation"]
     spec = parse_equation(eq["kind"], eq["dim"], eq.get("theta"), eq.get("delta"))
     P = solution_from_spec(cfg["solution"])
+    _check_dim(spec, P)
     seed = int(cfg.get("seed", 0))
     shells = asymptotics.ShellSpec(tuple(cfg["shells"]["radii"]),
                                    int(cfg["shells"].get("pointsPerShell", 64)))
@@ -324,7 +357,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError, KeyError) as e:
+    except (ConfigError, json.JSONDecodeError, FileNotFoundError) as e:
         _emit_error(e)
         return EXIT_CONFIG
     except LabError as e:

@@ -186,8 +186,9 @@ class AnnulusGrid:
     spacing: Literal["uniform", "logarithmic"] = "logarithmic"
 
     def __post_init__(self):
-        if not (0 < self.r_inner < self.r_outer):
-            raise BadParams("need 0 < r_inner < r_outer")
+        if not (0 < self.r_inner < self.r_outer < math.inf):
+            raise BadParams("need finite radii 0 < r_inner < r_outer, got "
+                            f"{self.r_inner!r}, {self.r_outer!r}")
         if self.n_r < 4:
             raise BadParams("n_r must be >= 4")
         if self.n_theta < 8 or self.n_theta % 2:

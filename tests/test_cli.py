@@ -4,7 +4,10 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import pytest
+
+from asymlab import cli
 
 LAB = [sys.executable, "-m", "asymlab.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -55,6 +58,15 @@ class TestResidualCommand:
         assert r.returncode == 2
         assert json.loads(r.stderr)["error"]["kind"] == "BadParams"
 
+    @pytest.mark.parametrize("solution,dim", [("builtin:ma-radial", "3"),
+                                              ("builtin:warren3d", "2")])
+    def test_dimension_mismatch_is_wrong_dimension(self, solution, dim):
+        r = run(["residual", "--solution", solution, "--equation", "ma",
+                 "--dim", dim, "--points", "10"])
+        assert r.returncode == 1
+        assert json.loads(r.stderr)["error"]["kind"] == "WrongDimension"
+        assert "max |residual|" not in r.stdout
+
 
 class TestFitCommand:
     def test_profile_to_stdout(self):
@@ -75,6 +87,13 @@ class TestFitCommand:
                  "--equation", "sle", "--theta", "0", "--shells", "4,8,16"])
         assert r.returncode == 1
         assert json.loads(r.stderr)["error"]["kind"] == "NoDecay"
+
+    def test_dimension_mismatch_is_wrong_dimension(self):
+        r = run(["fit", "--solution", "builtin:ma-radial", "--params", '{"c": 1.0}',
+                 "--equation", "ma", "--dim", "3"])
+        assert r.returncode == 1
+        assert json.loads(r.stderr)["error"]["kind"] == "WrongDimension"
+        assert r.stdout == ""
 
 
 class TestBoundaryDCommand:
@@ -159,6 +178,15 @@ class TestExperiment:
         assert (override / "summary.json").exists()
         assert not (tmp_path / "ignored").exists()
 
+    def test_dimension_mismatch_is_wrong_dimension(self, tmp_path):
+        cfg = self._config(str(tmp_path / "out"))
+        cfg["equation"]["dim"] = 3
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        r = run(["experiment", "--config", str(cfg_path)])
+        assert r.returncode == 1
+        assert json.loads(r.stderr)["error"]["kind"] == "WrongDimension"
+
 
 class TestSolveCommand:
     def test_solve_writes_field_and_report(self, tmp_path):
@@ -178,3 +206,132 @@ class TestSolveCommand:
                  "--outputs", str(tmp_path)])
         assert r.returncode == 2
         assert json.loads(r.stderr)["error"]["kind"] == "BadParams"
+
+    @pytest.mark.parametrize("grid", ["1,inf,9,16", "1,nan,9,16", "inf,8,9,16"])
+    def test_non_finite_radii_are_config_error(self, tmp_path, grid):
+        r = run(["solve", "--solution", "builtin:ma-radial", "--equation", "ma",
+                 "--grid", grid, "--outputs", str(tmp_path)])
+        assert r.returncode == 2
+        err = json.loads(r.stderr)["error"]  # one JSON line: no numpy warning first
+        assert err["kind"] == "BadParams" and "finite radii" in err["message"]
+
+
+# ---------------------------------------------------------------------------
+# in-process: output files, the cached validators and config lookups
+# ---------------------------------------------------------------------------
+
+def _experiment_config(outputs, **extra):
+    return {"equation": {"kind": "ma", "dim": 2},
+            "solution": {"kind": "builtin", "name": "ma-radial", "params": {"c": 1.0}},
+            "shells": {"radii": [50.0, 100.0, 200.0], "pointsPerShell": 32},
+            "outputs": str(outputs), **extra}
+
+
+def _main(args, capsys):
+    """cli.main in this process: (exit code, error JSON or None)."""
+    rc = cli.main(args)
+    err = capsys.readouterr().err
+    return rc, (json.loads(err)["error"] if err else None)
+
+
+@pytest.fixture
+def fresh_validators(monkeypatch):
+    """An empty validator cache, so the next _validate builds its validator,
+    and outputs where the config says."""
+    monkeypatch.delenv("LAB_OUTPUT_DIR", raising=False)
+    monkeypatch.setattr(cli, "_VALIDATORS", {})
+
+
+class TestOutputFiles:
+    @pytest.fixture(scope="class")
+    def out(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("experiment")
+        cfg = _experiment_config(out, solver={"grid": {
+            "rInner": 1.0, "rOuter": 8.0, "nR": 9, "nTheta": 16}})
+        cfg_path = out / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        env = os.environ.pop("LAB_OUTPUT_DIR", None)
+        try:
+            assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+        finally:
+            if env is not None:
+                os.environ["LAB_OUTPUT_DIR"] = env
+        return out
+
+    @staticmethod
+    def _rows(path):
+        header, *lines = path.read_text().splitlines()
+        return header.split(","), [line.split(",") for line in lines]
+
+    @pytest.mark.parametrize("name", ["field.csv", "samples.csv"])
+    def test_every_field_is_a_float(self, out, name):
+        header, rows = self._rows(out / name)
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            for token in row:
+                float(token)
+
+    def test_field_rows_are_polar_nodes(self, out):
+        header, rows = self._rows(out / "field.csv")
+        assert header == ["i", "j", "r", "theta", "x1", "x2", "u"]
+        assert len(rows) == 9 * 16
+        for k, row in enumerate(rows):
+            i, j = int(row[0]), int(row[1])
+            r, theta, x1, x2 = map(float, row[2:6])
+            assert (i, j) == divmod(k, 16)
+            assert x1 == r * math.cos(theta) and x2 == r * math.sin(theta)
+
+
+class TestValidatorCache:
+    def test_invalid_config_same_error_every_call(self, tmp_path, capsys,
+                                                  fresh_validators):
+        cfg = _experiment_config(tmp_path / "out")
+        cfg["shells"]["pointsPerShell"] = 8
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(cfg, cli._load_schema("experiment.json"))
+
+        errors = [_main(["experiment", "--config", str(cfg_path)], capsys)
+                  for _ in range(2)]
+        assert set(cli._VALIDATORS) == {"experiment.json"}
+        expected = {"kind": "ConfigError",
+                    "message": f"config does not match experiment.json: {ref.value.message}"}
+        assert errors == [(2, expected), (2, expected)]
+
+    def test_malformed_schema_raises_at_first_use(self, monkeypatch, fresh_validators):
+        monkeypatch.setattr(cli, "_load_schema", lambda name: {"type": 12})
+        for _ in range(2):
+            with pytest.raises(jsonschema.SchemaError):
+                cli._validate({"kind": "builtin"}, "oracle.json")
+        assert cli._VALIDATORS == {}
+
+
+class TestConfigLookups:
+    @pytest.mark.parametrize("spec,key", [({}, "kind"), ({"kind": "builtin"}, "name"),
+                                          ({"kind": "sle"}, "vartheta")])
+    def test_solution_spec_key(self, monkeypatch, fresh_validators, spec, key):
+        monkeypatch.setattr(cli, "_load_schema", lambda name: {})
+        with pytest.raises(cli.ConfigError, match=repr(key)):
+            cli.solution_from_spec(spec)
+
+    def test_grid_key_missing_past_schema(self, tmp_path, capsys, monkeypatch,
+                                          fresh_validators):
+        real = cli._load_schema
+
+        def schema_without_nr(name):
+            schema = real(name)
+            if name == "experiment.json":
+                grid = schema["properties"]["solver"]["properties"]["grid"]
+                grid["required"].remove("nR")
+            return schema
+
+        monkeypatch.setattr(cli, "_load_schema", schema_without_nr)
+        cfg = _experiment_config(tmp_path / "out", solver={"grid": {
+            "rInner": 1.0, "rOuter": 8.0, "nTheta": 16}})
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc, err = _main(["experiment", "--config", str(cfg_path)], capsys)
+        assert rc == 2
+        assert err == {"kind": "ConfigError", "message": "solver grid lacks 'nR'"}

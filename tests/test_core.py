@@ -132,6 +132,13 @@ class TestAnnulusGrid:
         with pytest.raises(BadParams):
             AnnulusGrid(1.0, 8.0, 9, 32, "chebyshev")
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("which", ["inner", "outer"])
+    def test_non_finite_radii(self, bad, which):
+        radii = (bad, 8.0) if which == "inner" else (1.0, bad)
+        with pytest.raises(BadParams, match="finite radii"):
+            AnnulusGrid(*radii, 9, 32)
+
     def test_nodes_xy_shapes(self):
         g = AnnulusGrid(1.0, 4.0, 5, 12)
         x, y = g.nodes_xy()
