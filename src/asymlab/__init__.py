@@ -9,8 +9,7 @@ from .errors import (BadParams, ConfigError, DidNotConverge, IllConditioned,
                      UnknownName, WrongDimension)
 from .core import (AnnulusField, AnnulusGrid, AsymptoticProfile, EquationSpec,
                    PotentialFn, SymMat, phase)
-from .equations import (admissible, forms_consistent, linearization, residual,
-                        residual_algebraic_2d)
+from .equations import residual
 from .transforms import (legendre, legendre_lewy, rotate_hessian,
                          rotate_potential, unrotate_hessian, unrotate_potential)
 from .oracle2d import (LaurentCoeffs, builtin, expected_profile,
@@ -26,8 +25,7 @@ __all__ = [
     "SingularRotation", "StripViolation", "UnknownName", "WrongDimension",
     "AnnulusField", "AnnulusGrid", "AsymptoticProfile", "EquationSpec",
     "PotentialFn", "SymMat", "phase",
-    "admissible", "forms_consistent", "linearization", "residual",
-    "residual_algebraic_2d",
+    "residual",
     "legendre", "legendre_lewy", "rotate_hessian", "rotate_potential",
     "unrotate_hessian", "unrotate_potential",
     "LaurentCoeffs", "builtin", "expected_profile", "harmonic_potential",

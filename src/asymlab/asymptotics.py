@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .core import AsymptoticProfile, EquationSpec, PotentialFn, SymMat, matvecs, rowdot
+from .equations import OPERATORS
 from .errors import (BadParams, IllConditioned, NoDecay, NonPositiveValue,
                      WrongDimension)
 
@@ -33,6 +34,8 @@ class ShellSpec:
         object.__setattr__(self, "radii", r)
         if len(r) < 2 or any(b <= a for a, b in zip(r, r[1:])):
             raise BadParams("radii must be strictly increasing, >= 2 of them")
+        if not all(math.isfinite(v) and v > 0 for v in r):
+            raise BadParams(f"radii must be finite and positive, got {r}")
         if self.points_per_shell < 32:
             raise BadParams("points_per_shell must be >= 32")
 
@@ -103,17 +106,17 @@ def decay_exponent(samples) -> float:
     return float(np.polyfit(np.log(r), np.log(v), 1)[0])
 
 
+def _row(spec: EquationSpec, name: str) -> Callable:
+    """The equation's `name` entry of `OPERATORS` (log_kernel or div_form)."""
+    fn = getattr(OPERATORS[spec.kind], name)
+    if fn is None:
+        raise BadParams(f"no 2D {name} for {spec.kind}")
+    return fn
+
+
 def log_kernel(spec: EquationSpec, A: SymMat) -> SymMat:
-    """The matrix L of the log term, per equation."""
-    a = A.m
-    if spec.kind == "SLE":
-        L = np.eye(A.dim) + a @ a
-    elif spec.kind == "MA":
-        L = a.copy()
-    elif spec.kind == "IHH":
-        L = a @ a
-    else:
-        raise BadParams(f"no 2D log kernel for {spec.kind}")
+    """The matrix L of the log term, from the equation's row of `OPERATORS`."""
+    L = _row(spec, "log_kernel")(spec, A.m)
     return SymMat(0.5 * (L + L.T))
 
 
@@ -164,6 +167,10 @@ class BoundaryCurve:
     dgamma: Callable[[np.ndarray], np.ndarray]
     order: int = DEFAULT_QUAD_ORDER
 
+    def __post_init__(self):
+        if self.order < 16:  # the minimum experiment.json enforces
+            raise BadParams(f"quadrature order must be >= 16, got {self.order}")
+
     @staticmethod
     def circle(radius: float, center=(0.0, 0.0), order: int = DEFAULT_QUAD_ORDER):
         cx, cy = center
@@ -205,25 +212,14 @@ def _curve_integral(curve: BoundaryCurve, integrand) -> float:
     return float(np.sum(integrand(g, nu) * speed)) * h
 
 
-def _div_form(spec: EquationSpec):
-    """Weights (laplace_w, cross_w, area_w) of the divergence identity
-    integrand: laplace_w * u_nu + cross_w * u_1 (u_22, -u_12).nu, whose bulk
-    counterpart integrates laplace_w * tr + cross_w * det minus area_w."""
-    if spec.kind == "SLE":
-        return math.cos(spec.theta), math.sin(spec.theta), math.sin(spec.theta)
-    if spec.kind == "MA":
-        return 0.0, 1.0, 1.0
-    if spec.kind == "IHH":
-        return -1.0, 1.0, 0.0
-    raise BadParams(f"no boundary formula for {spec.kind}")
-
-
 def boundary_d(spec: EquationSpec, P: PotentialFn, curve: BoundaryCurve) -> float:
     """The log coefficient as a boundary integral over a curve enclosing the
-    hole, d = (integral - area term) / 2pi."""
+    hole, d = (integral - aw * area) / 2pi. With the weights (lw, cw, aw) of
+    the equation's algebraic form, the integrand lw u_nu + cw u_1 (u_22, -u_12).nu
+    is the flux whose divergence is lw tr D^2u + cw det D^2u."""
     if spec.dim != 2 or P.dim != 2:
         raise WrongDimension("boundary_d is 2D only")
-    lw, cw, aw = _div_form(spec)
+    lw, cw, aw = _row(spec, "div_form")(spec)
 
     def integrand(X, nu):
         g = P.grads(X)
@@ -247,7 +243,7 @@ def flux_identity(spec: EquationSpec, A: SymMat, d: float, R: float,
     if A.dim != 2:
         raise WrongDimension("flux identity is 2D only")
     L = log_kernel(spec, A)
-    lw, cw, _ = _div_form(spec)
+    lw, cw, _ = _row(spec, "div_form")(spec)
     b = np.zeros(2) if b is None else np.asarray(b, dtype=float)
     Am = A.m
     Lm = L.m

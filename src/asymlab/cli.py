@@ -55,6 +55,20 @@ def _lookup(cfg: dict, key: str, where: str):
         raise ConfigError(f"{where} lacks {key!r}") from None
 
 
+def _comma_list(text: str, flag: str, types: tuple | None = None) -> list:
+    """The fields of a command-line comma list: one per entry of `types`,
+    each converted by it, or any number of floats. Anything else is a
+    ConfigError."""
+    fields = text.split(",")
+    types = types or (float,) * len(fields)
+    if len(fields) != len(types):
+        raise ConfigError(f"{flag} takes {len(types)} comma-separated fields, got {text!r}")
+    try:
+        return [t(v) for t, v in zip(types, fields)]
+    except ValueError as e:
+        raise ConfigError(f"{flag} {text!r}: {e}") from None
+
+
 def parse_equation(kind: str, dim: int, theta=None, delta=None) -> EquationSpec:
     kind = kind.upper()
     if kind == "SLE" and theta is None:
@@ -146,8 +160,7 @@ def cmd_residual(args) -> int:
 
 def cmd_oracle(args) -> int:
     P = parse_solution(args.solution, args.params)
-    radii = [float(r) for r in args.radii.split(",")]
-    shells = asymptotics.ShellSpec(tuple(radii), args.points_per_shell)
+    shells = asymptotics.ShellSpec(_comma_list(args.radii, "--radii"), args.points_per_shell)
     out = os.path.join(_out_dir(args.outputs), args.out)
     _write_samples_csv(P, shells, out, args.seed)
     print(f"wrote {out} (rho = {P.rho})")
@@ -173,8 +186,7 @@ def _write_samples_csv(P: PotentialFn, shells, path: str, seed: int):
 def cmd_fit(args) -> int:
     P = parse_solution(args.solution, args.params)
     spec = _equation_for(args, P)
-    radii = tuple(float(r) for r in args.shells.split(","))
-    shells = asymptotics.ShellSpec(radii, args.points_per_shell)
+    shells = asymptotics.ShellSpec(_comma_list(args.shells, "--shells"), args.points_per_shell)
     profile = asymptotics.fit_profile(P, spec, shells, seed=args.seed)
     _dump_json(profile.to_dict(),
                os.path.join(_out_dir(args.outputs), args.out) if args.out else None)
@@ -214,8 +226,8 @@ def _grid_from_config(cfg: dict) -> AnnulusGrid:
 def cmd_solve(args) -> int:
     P = parse_solution(args.solution, args.params)
     spec = parse_equation(args.equation, 2, args.theta, args.delta)
-    r_in, r_out, n_r, n_t = args.grid.split(",")
-    grid = AnnulusGrid(float(r_in), float(r_out), int(n_r), int(n_t), args.spacing)
+    r_in, r_out, n_r, n_t = _comma_list(args.grid, "--grid", (float, float, int, int))
+    grid = AnnulusGrid(r_in, r_out, n_r, n_t, args.spacing)
     inner, outer = solver.boundary_data_from(P, grid)
     report = solver.solve_annulus(spec, grid, inner, outer)
     out_dir = _out_dir(args.outputs)

@@ -1,4 +1,4 @@
-"""Residuals, linearizations, and admissibility for the four operators.
+"""The operator table of the four equations.
 
 Operators, acting on the Hessian M = D^2 u:
 
@@ -10,7 +10,8 @@ Operators, acting on the Hessian M = D^2 u:
 `OPERATORS` gives, per kind, the residual F, its derivative dF/dM and the
 admissible set on stacked Hessians (..., n, n); on n = 2 batches they use
 closed-form invariants, which cost a small fraction of a LAPACK call per
-matrix. The public functions below are views of it.
+matrix. The 2D kinds add the log kernel and the algebraic form that
+`asymptotics` reads. `residual` and `residual_many` are views of it.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .core import EquationSpec, SymMat
-from .errors import NotAdmissible, SingularHessian, WrongDimension
-
-FORMS_TOL = 1e-10
+from .errors import SingularHessian
 
 
 def sigma2_margin(dim: int) -> float:
@@ -86,13 +85,16 @@ def _ihh_residual(spec: EquationSpec, H: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """F(M), dF/dM and the admissible set as fn(spec, H) on stacked
-    Hessians; orientation * dF/dM is positive definite where F is elliptic."""
+    """F(M), dF/dM and the admissible set as fn(spec, H) on stacked Hessians.
+    The 2D kinds also give the kernel L(A) of the log term (d/2) log(x'Lx)
+    as fn(spec, A), and the weights (lw, cw, aw) of the algebraic form
+    lw tr M + cw det M - aw = 0 of the equation as fn(spec)."""
 
     residual: Callable
     gradient: Callable
     admissible: Callable
-    orientation: float = 1.0
+    log_kernel: Callable | None = None
+    div_form: Callable | None = None
 
 
 OPERATORS = {
@@ -100,26 +102,28 @@ OPERATORS = {
     "SLE": Operator(lambda spec, H: _phase(H) - spec.theta,
                     lambda spec, H: _inv(np.eye(H.shape[-1]) + H @ H),
                     lambda spec, H: (spec.supercritical
-                                     & (np.abs(_phase(H) - spec.theta) < math.pi / 2))),
+                                     & (np.abs(_phase(H) - spec.theta) < math.pi / 2)),
+                    log_kernel=lambda spec, A: np.eye(A.shape[-1]) + A @ A,
+                    div_form=lambda spec: (math.cos(spec.theta), math.sin(spec.theta),
+                                           math.sin(spec.theta))),
     "MA": Operator(lambda spec, H: _det(H) - 1.0,
                    lambda spec, H: _adj(H),
-                   lambda spec, H: eigvals(H)[..., 0] > 0.0),
+                   lambda spec, H: eigvals(H)[..., 0] > 0.0,
+                   log_kernel=lambda spec, A: A,
+                   div_form=lambda spec: (0.0, 1.0, 1.0)),
     "SIGMA2": Operator(lambda spec, H: _sigma2(eigvals(H)) - 1.0,
                        lambda spec, H: (np.trace(H, axis1=-2, axis2=-1)[..., None, None]
                                         * np.eye(H.shape[-1]) - H),
                        lambda spec, H: (eigvals(H)[..., 0]
                                         > spec.delta - sigma2_margin(spec.dim))),
-    # dF/dM = -M^-2 is negative definite
+    # dF/dM = -M^-2 is negative definite; in 2D, 1/l1 + 1/l2 = 1 is tr = det
     "IHH": Operator(_ihh_residual,
                     lambda spec, H: -np.linalg.matrix_power(_inv(H), 2),
                     lambda spec, H: eigvals(H)[..., 0] > 1.0,
-                    orientation=-1.0),
+                    log_kernel=lambda spec, A: A @ A,
+                    div_form=lambda spec: (-1.0, 1.0, 0.0)),
 }
 
-
-# ---------------------------------------------------------------------------
-# views
-# ---------------------------------------------------------------------------
 
 def residual(spec: EquationSpec, M: SymMat) -> float:
     return float(OPERATORS[spec.kind].residual(spec, M.m))
@@ -128,46 +132,3 @@ def residual(spec: EquationSpec, M: SymMat) -> float:
 def residual_many(spec: EquationSpec, H: np.ndarray) -> np.ndarray:
     """Residuals for a batch of Hessians, shape (N, dim, dim) -> (N,)."""
     return OPERATORS[spec.kind].residual(spec, np.asarray(H, dtype=float))
-
-
-def admissible(spec: EquationSpec, M: SymMat) -> bool:
-    return bool(OPERATORS[spec.kind].admissible(spec, M.m))
-
-
-def linearization(spec: EquationSpec, M: SymMat) -> np.ndarray:
-    """orientation * dF/dM at M, positive definite on the admissible set:
-    (I + M^2)^-1, det(M) M^-1, tr(M) I - M, and M^-2 for IHH, whose
-    derivative -M^-2 is negated, so consumers of IHH must negate it when
-    forming directional derivatives of `residual`."""
-    # (I + M^2)^-1 is positive definite for every M, so SLE needs only the
-    # supercritical branch, not the phase window
-    ok = spec.supercritical if spec.kind == "SLE" else admissible(spec, M)
-    if not ok:
-        raise NotAdmissible(f"matrix not admissible for {spec.kind}")
-    op = OPERATORS[spec.kind]
-    return op.orientation * op.gradient(spec, M.m)
-
-
-def residual_algebraic_2d(spec: EquationSpec, M: SymMat) -> float:
-    """2D algebraic forms: SLE as cos(T)*tr + sin(T)*(det - 1), IHH as tr - det.
-
-    These lose branch information (they vanish for phases Theta mod pi);
-    consistency checks must consult the trigonometric phase.
-    """
-    if spec.dim != 2 or M.dim != 2:
-        raise WrongDimension("algebraic form is 2D only")
-    tr = float(np.trace(M.m))
-    det = float(np.linalg.det(M.m))
-    if spec.kind == "SLE":
-        return math.cos(spec.theta) * tr + math.sin(spec.theta) * (det - 1.0)
-    if spec.kind == "IHH":
-        return tr - det
-    raise WrongDimension(f"no 2D algebraic form for {spec.kind}")
-
-
-def forms_consistent(M: SymMat, theta: float, tol: float = FORMS_TOL) -> bool:
-    """True iff M satisfies the 2D SLE at phase theta in both the trigonometric
-    and the algebraic form; the trig phase picks the branch."""
-    spec = EquationSpec("SLE", 2, theta=theta)
-    return (abs(residual(spec, M)) <= tol
-            and abs(residual_algebraic_2d(spec, M)) <= tol)

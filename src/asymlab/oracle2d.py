@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AsymptoticProfile, PotentialFn, SymMat, matvecs, rowdot
+from .asymptotics import log_kernel
+from .core import AsymptoticProfile, EquationSpec, PotentialFn, SymMat, matvecs, rowdot
 from .errors import BadParams, InverseMapDiverged, StripViolation, UnknownName
 from .transforms import (_graph_map, _graph_preimage, _predictor, unrotate_hessian,
                          unrotate_potential)
@@ -114,9 +115,8 @@ def expected_profile(coeffs: LaurentCoeffs, vartheta: float) -> AsymptoticProfil
     A = unrotate_hessian(SymMat([[a1.real, -a1.imag], [-a1.imag, -a1.real]]), vartheta).m
     bt = np.array([a0.real, -a0.imag])
     b = (c * np.eye(2) + s * A) @ bt
-    L = np.eye(2) + A @ A
-    return AsymptoticProfile(SymMat(A), b, math.nan, coeffs.am1,
-                             SymMat(0.5 * (L + L.T)), math.nan)
+    L = log_kernel(EquationSpec("SLE", 2, theta=2 * vartheta), SymMat(A))
+    return AsymptoticProfile(SymMat(A), b, math.nan, coeffs.am1, L, math.nan)
 
 
 def _certify_rho(probe, n_points: int = 256) -> float:

@@ -57,27 +57,17 @@ def _rotation_angle(vartheta: float) -> tuple[float, float]:
     return math.cos(vartheta), math.sin(vartheta)
 
 
-def _rotate_hessians(H: np.ndarray, vartheta: float) -> np.ndarray:
-    """Eigenvalue map lambda -> tan(arctan(lambda) - vartheta) on (N, n, n)."""
-    c, s = math.cos(vartheta), math.sin(vartheta)
-    return _graph_hessians(H, c, s, -s, c, _rotation_check(c, s))
-
-
-def _unrotate_hessians(Ht: np.ndarray, vartheta: float) -> np.ndarray:
-    """Inverse of `_rotate_hessians`; every row needs lambda_max < cot(vartheta)."""
-    c, s = math.cos(vartheta), math.sin(vartheta)
-    return _graph_hessians(Ht, c, -s, s, c, _strip_check(c, s))
-
-
 def rotate_hessian(M: SymMat, vartheta: float) -> SymMat:
     """Eigenvalue map lambda_i -> tan(arctan(lambda_i) - vartheta),
     eigenvectors unchanged."""
-    return SymMat(_rotate_hessians(M.m[None], vartheta)[0])
+    c, s = math.cos(vartheta), math.sin(vartheta)
+    return SymMat(_graph_hessians(M.m[None], c, s, -s, c, _rotation_check(c, s))[0])
 
 
 def unrotate_hessian(Mt: SymMat, vartheta: float) -> SymMat:
     """Inverse of rotate_hessian; requires lambda_max(Mt) < cot(vartheta)."""
-    return SymMat(_unrotate_hessians(Mt.m[None], vartheta)[0])
+    c, s = math.cos(vartheta), math.sin(vartheta)
+    return SymMat(_graph_hessians(Mt.m[None], c, -s, s, c, _strip_check(c, s))[0])
 
 
 @np.errstate(all="ignore")
@@ -160,19 +150,20 @@ def _graph_map(P: PotentialFn, a: float, b: float, c: float, d: float,
     """Potential of P's gradient graph moved by (x, Du) -> (a x + b Du, c x + d Du).
 
     At xt = a x + b Du(x), with x found by `_graph_preimage`:
-        value     det u + (ac/2)|x|^2 + (bd/2)|Du|^2 + bc x.Du,  det = ad - bc
+        value     det u + (ac/2)|x|^2 + (bd/2)|G|^2 + bc x.G,  det = ad - bc
         gradient  c x + d Du
         Hessian   (cI + dH)(aI + bH)^-1, after `check` on H's eigenvalues.
-    With d = 0 (the Legendre family) the value takes Du = (xt - a x)/b from
-    the target, the conjugate form x.y - u that is stationary in x; the
-    rotations evaluate Du(x).
+    The value takes G = (xt - a x)/b (b != 0 in every map) in place of Du(x):
+    the form is then stationary in x, so an error in the inverted x moves it
+    only at second order. The gradient keeps Du(x); taken from G it measured
+    less accurate.
     """
     invert = _graph_preimage(P, a, b, what, guess)
     det = a * d - b * c
 
     def values(Xt):
         X = invert(Xt)
-        G = P.grads_fn(X) if d else (Xt - a * X) / b
+        G = (Xt - a * X) / b
         return (det * P.values_fn(X) + 0.5 * a * c * rowdot(X, X)
                 + 0.5 * b * d * rowdot(G, G) + b * c * rowdot(X, G))
 

@@ -52,6 +52,12 @@ class TestShellSpec:
         with pytest.raises(BadParams):
             ShellSpec((1.0, 2.0), points_per_shell=8)
 
+    @pytest.mark.parametrize("radii", [(0.0, 1.0), (-1.0, 2.0), (50.0, math.inf),
+                                       (50.0, math.nan), (math.nan, 50.0)])
+    def test_radii_finite_and_positive(self, radii):
+        with pytest.raises(BadParams):
+            ShellSpec(radii)
+
 
 class TestShellPoints:
     @pytest.mark.parametrize("dim", [2, 3])
@@ -104,6 +110,13 @@ class TestLogKernel:
         assert np.allclose(log_kernel(SLE2, A).m, np.eye(2) + A.m @ A.m)
         assert np.allclose(log_kernel(MA2, A).m, A.m)
         assert np.allclose(log_kernel(IHH2, A).m, A.m @ A.m)
+
+    def test_sigma2_has_no_log_term(self):
+        A = SymMat([[1.5, 0.0], [0.0, 2.0 / 3.0]])
+        with pytest.raises(BadParams, match="log_kernel"):
+            log_kernel(EquationSpec("SIGMA2", 3, delta=0.1), A)
+        with pytest.raises(BadParams, match="SIGMA2"):
+            flux_identity(EquationSpec("SIGMA2", 3, delta=0.1), A, 0.5, 2.0)
 
 
 class TestFitProfile:
@@ -198,6 +211,11 @@ class TestFluxIdentity:
 
 
 class TestBoundaryCurve:
+    @pytest.mark.parametrize("order", [-4, 0, 15])
+    def test_order_below_16(self, order):
+        with pytest.raises(BadParams, match="order"):
+            BoundaryCurve.circle(2.0, order=order)
+
     def test_circle_area(self):
         assert BoundaryCurve.circle(2.0).enclosed_area() == pytest.approx(4 * math.pi, abs=1e-9)
 

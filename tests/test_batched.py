@@ -29,7 +29,7 @@ from asymlab.equations import sigma2_margin
 from asymlab.errors import (BadParams, InverseMapDiverged, SingularRotation,
                             StripViolation, WrongDimension)
 from asymlab.oracle2d import builtin
-from asymlab.transforms import _rotate_hessians, _unrotate_hessians
+from asymlab.transforms import _graph_hessians, _rotation_check, _strip_check
 
 from test_transforms import perturbed_quadratic
 
@@ -428,11 +428,13 @@ def test_unrotate_strip_violation_on_one_row():
 
 def test_batched_hessian_maps_check_every_row():
     good = np.diag([0.3, -0.2])
-    vt = math.pi / 4
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
     with pytest.raises(StripViolation):
-        _unrotate_hessians(np.stack([good, np.diag([0.2, 1.5]), good]), vt)
+        _graph_hessians(np.stack([good, np.diag([0.2, 1.5]), good]),
+                        c, -s, s, c, _strip_check(c, s))
     with pytest.raises(SingularRotation):
-        _rotate_hessians(np.stack([good, np.diag([-1.0, 0.5]), good]), vt)
+        _graph_hessians(np.stack([good, np.diag([-1.0, 0.5]), good]),
+                        c, s, -s, c, _rotation_check(c, s))
 
 
 @pytest.mark.parametrize("build", [

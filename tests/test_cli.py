@@ -216,6 +216,29 @@ class TestSolveCommand:
         assert err["kind"] == "BadParams" and "finite radii" in err["message"]
 
 
+class TestMalformedArguments:
+    """Bad comma lists, quadrature orders and shell radii are named config
+    errors: exit 2 and one JSON line on stderr, with no traceback or numpy
+    or LAPACK message before it."""
+
+    @pytest.mark.parametrize("args, kind", [
+        (["solve", "--equation", "ma", "--grid", "1,8,9"], "ConfigError"),
+        (["solve", "--equation", "ma", "--grid", "1,8,9.5,16"], "ConfigError"),
+        (["fit", "--equation", "ma", "--shells", "50,abc"], "ConfigError"),
+        (["oracle", "--radii", "10,x"], "ConfigError"),
+        (["boundary-d", "--equation", "ma", "--order", "0"], "BadParams"),
+        (["boundary-d", "--equation", "ma", "--order", "-4"], "BadParams"),
+        (["fit", "--equation", "ma", "--shells", "0,1"], "BadParams"),
+        (["fit", "--equation", "ma", "--shells", "50,inf"], "BadParams"),
+    ], ids=lambda v: " ".join(v[-2:]) if isinstance(v, list) else v)
+    def test_named_config_error(self, tmp_path, args, kind):
+        r = run(args + ["--solution", "builtin:ma-radial", "--outputs", str(tmp_path)])
+        assert r.returncode == 2
+        assert r.stderr.count("\n") == 1
+        assert json.loads(r.stderr)["error"]["kind"] == kind
+        assert r.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # in-process: output files, the cached validators and config lookups
 # ---------------------------------------------------------------------------

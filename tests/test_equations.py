@@ -7,12 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from asymlab import EquationSpec, SymMat, phase
 from asymlab.equations import (
     OPERATORS,
-    admissible,
     eigvals_2x2,
-    forms_consistent,
-    linearization,
     residual,
-    residual_algebraic_2d,
     residual_many,
     sigma2_margin,
 )
@@ -29,6 +25,11 @@ SPECS = [
     EquationSpec("IHH", 2),
     EquationSpec("IHH", 3),
 ]
+
+
+def admissible(spec, M: SymMat) -> bool:
+    """The table's admissible set at one matrix, as a one-row batch."""
+    return bool(OPERATORS[spec.kind].admissible(spec, M.m[None])[0])
 
 
 def test_sigma2_margin_value():
@@ -69,28 +70,33 @@ class TestResidual:
             assert np.allclose(residual_many(spec, H), expect, atol=1e-12)
 
 
-class TestAlgebraicForm:
-    """cos(Theta) Delta u + sin(Theta)(det D^2 u - 1) vanishes exactly when
-    the trig phase equals Theta (mod pi branch, which the trig form fixes)."""
+@given(st.sampled_from(["SLE", "MA", "IHH"]), st.floats(1.1, 5.0), st.floats(-5.0, 5.0),
+       st.floats(0.0, math.pi), st.floats(0.1, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_div_form_vanishes_exactly_on_solutions(kind, lam, mu, angle, t):
+    """The table's weights give lw tr + cw det - aw = 0 on 2x2 matrices that
+    solve the operator (eigenvalues (mu, lam) at Theta = their phase for SLE,
+    (1/lam, lam) for MA, (lam/(lam - 1), lam) for IHH), and not on M + tI,
+    whose eigenvalues all grow and so leave the solution set."""
+    w = {"SLE": (mu, lam), "MA": (1.0 / lam, lam), "IHH": (lam / (lam - 1.0), lam)}[kind]
+    c, s = math.cos(angle), math.sin(angle)
+    Q = np.array([[c, -s], [s, c]])
+    M = SymMat(Q @ np.diag(w) @ Q.T)
+    spec = EquationSpec(kind, 2, theta=phase(M) if kind == "SLE" else None)
+    assert abs(residual(spec, M)) < 1e-12
+    lw, cw, aw = OPERATORS[kind].div_form(spec)
 
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=200, deadline=None)
-    def test_trig_implies_algebraic(self, seed):
-        r = np.random.default_rng(seed)
-        M = random_symmetric(r, 2, scale=2.0)
-        th = phase(M)
-        if not -math.pi < th < math.pi:
-            return
-        spec = EquationSpec("SLE", 2, theta=th)
-        assert abs(residual_algebraic_2d(spec, M)) < 1e-12
+    def form(H):
+        return lw * np.trace(H) + cw * np.linalg.det(H) - aw
 
-    def test_forms_consistent(self, rng):
-        for _ in range(50):
-            M = random_symmetric(rng, 2, scale=2.0)
-            th = phase(M)
-            if -math.pi < th < math.pi:
-                assert forms_consistent(M, th)
-        assert not forms_consistent(SymMat.identity(2), 0.3)
+    scale = abs(lw * np.trace(M.m)) + abs(cw * np.linalg.det(M.m)) + abs(aw)
+    assert abs(form(M.m)) <= 1e-12 * scale
+    assert abs(form(M.m + t * np.eye(2))) > 1e-6 * scale
+
+
+def test_sigma2_has_no_2d_rows():
+    assert OPERATORS["SIGMA2"].log_kernel is None
+    assert OPERATORS["SIGMA2"].div_form is None
 
 
 class TestAdmissibility:
@@ -126,25 +132,29 @@ class TestAdmissibility:
 
 
 class TestLinearization:
+    """dF/dM from the table; IHH's is negative definite, so its sign is -1."""
+
+    @staticmethod
+    def _sign(spec):
+        return -1.0 if spec.kind == "IHH" else 1.0
+
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}{s.dim}")
     def test_ellipticity(self, spec, rng):
-        """Eigenvalues of the linearized coefficient matrix are strictly
-        positive on 1000 random admissible matrices."""
+        """Eigenvalues of sign * dF/dM are strictly positive on 1000 random
+        admissible matrices."""
         for _ in range(1000):
             M = random_admissible(rng, spec)
-            lin = linearization(spec, M)
+            lin = self._sign(spec) * OPERATORS[spec.kind].gradient(spec, M.m)
             assert np.linalg.eigvalsh(lin).min() > 0.0
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}{s.dim}")
     def test_directional_derivative_sign(self, spec, rng):
-        """residual(M + tE) - residual(M) ~ t <lin(M), E>, Richardson-checked
-        at t in {1e-4, 5e-5}; fixes the sign convention of each linearization."""
+        """residual(M + tE) - residual(M) ~ t <dF/dM, E>, Richardson-checked
+        at t in {1e-4, 5e-5}; fixes the sign convention of each gradient."""
         for _ in range(20):
             M = random_admissible(rng, spec)
             E = random_symmetric(rng, spec.dim)
-            lin = linearization(spec, M)
-            sign = -1.0 if spec.kind == "IHH" else 1.0
-            pred = sign * np.sum(lin * E.m)
+            pred = np.sum(OPERATORS[spec.kind].gradient(spec, M.m) * E.m)
             errs = []
             for t in (1e-4, 5e-5):
                 got = (residual(spec, SymMat(M.m + t * E.m)) - residual(spec, M)) / t
@@ -166,8 +176,9 @@ def test_eigvals_2x2_matches_lapack(a, b, c):
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5), st.floats(0.1, 3.0))
 @settings(max_examples=200, deadline=None)
 def test_sle_admissible_matches_solver_window(a, b, c, theta):
+    """The closed-form 2x2 phase in the table picks the same window
+    |phase - Theta| < pi/2 as the LAPACK phase."""
     spec = EquationSpec("SLE", 2, theta=theta)
     M = SymMat(np.array([[a, b], [b, c]]))
     assume(abs(abs(phase(M) - theta) - math.pi / 2) > 1e-9)
-    mask = OPERATORS["SLE"].admissible(spec, M.m[None])
-    assert admissible(spec, M) == bool(mask[0])
+    assert admissible(spec, M) == (abs(phase(M) - theta) < math.pi / 2)
