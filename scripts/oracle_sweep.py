@@ -22,6 +22,8 @@ from asymlab import (
     oracle_sle,
 )
 from asymlab.asymptotics import decay_exponent, shell_points
+from asymlab.cli import EXIT_CONFIG, _comma_list
+from asymlab.errors import ConfigError
 
 INSTANCES = [
     (math.pi / 8, LaurentCoeffs(a1=0.5 + 0.3j, a0=0.2 + 0.1j, am1=0.7, tail=(0.3,))),
@@ -50,8 +52,11 @@ def main():
     ap.add_argument("--shells", default="50,400,6",
                     help="rMin,rMax,count for the geometric shell family")
     args = ap.parse_args()
-    lo, hi, n = args.shells.split(",")
-    radii = np.geomspace(float(lo), float(hi), int(n))
+    try:
+        lo, hi, n = _comma_list(args.shells, "--shells", (float, float, int))
+    except ConfigError as e:
+        ap.exit(EXIT_CONFIG, f"{ap.prog}: error: {e}\n")
+    radii = np.geomspace(lo, hi, n)
 
     print(f"{'vartheta':>9} {'a_-1':>6} {'d fit':>10} {'d boundary':>12} "
           f"{'u-Q-Gamma':>10} {'D2u-A':>7}")

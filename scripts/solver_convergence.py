@@ -17,7 +17,9 @@ import math
 import time
 
 from asymlab import EquationSpec, LaurentCoeffs, oracle_sle
+from asymlab.cli import EXIT_CONFIG, _comma_list
 from asymlab.core import AnnulusGrid
+from asymlab.errors import ConfigError
 from asymlab.oracle2d import builtin
 from asymlab.solver import convergence_study
 
@@ -32,7 +34,10 @@ def main():
                     default="uniform")
     args = ap.parse_args()
 
-    n_r, n_t = (int(v) for v in args.base.split(","))
+    try:
+        n_r, n_t = _comma_list(args.base, "--base", (int, int))
+    except ConfigError as e:
+        ap.exit(EXIT_CONFIG, f"{ap.prog}: error: {e}\n")
     grids = [AnnulusGrid(args.r_inner, args.r_outer, n_r, n_t, args.spacing)]
     for _ in range(args.levels - 1):
         grids.append(grids[-1].refine())

@@ -173,6 +173,8 @@ class BoundaryCurve:
 
     @staticmethod
     def circle(radius: float, center=(0.0, 0.0), order: int = DEFAULT_QUAD_ORDER):
+        if not 0 < radius < math.inf:
+            raise BadParams(f"circle radius must be finite and > 0, got {radius!r}")
         cx, cy = center
         return BoundaryCurve(
             lambda t: np.stack([cx + radius * np.cos(t), cy + radius * np.sin(t)], axis=1),

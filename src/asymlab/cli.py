@@ -96,10 +96,8 @@ def _check_dim(spec: EquationSpec, P: PotentialFn):
 def solution_from_spec(spec: dict) -> PotentialFn:
     _validate(spec, "oracle.json")
     if _lookup(spec, "kind", "solution spec") == "sle":
-        coeffs = oracle2d._coeffs_from_params(
-            {"a1": spec.get("a1", 0.0), "a0": spec.get("a0", 0.0),
-             "am1": spec.get("am1", 0.0), "tail": spec.get("tail", ())})
-        return oracle2d.oracle_sle(coeffs, float(_lookup(spec, "vartheta", "sle spec")))
+        return oracle2d.oracle_sle(oracle2d._coeffs_from_params(spec),
+                                   float(_lookup(spec, "vartheta", "sle spec")))
     return oracle2d.builtin(_lookup(spec, "name", "builtin spec"), spec.get("params"))
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -232,12 +232,10 @@ class AnnulusGrid:
 
 @dataclass
 class AnnulusField:
-    """Grid function with Dirichlet rows pinned to the stored boundary arrays."""
+    """Grid function; rows 0 and -1 of `values` are the Dirichlet data."""
 
     grid: AnnulusGrid
     values: np.ndarray
-    inner_bc: np.ndarray = field(default=None)
-    outer_bc: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.values = np.array(self.values, dtype=float)
@@ -245,14 +243,6 @@ class AnnulusField:
             raise BadParams(
                 f"values shape {self.values.shape} != grid shape "
                 f"({self.grid.n_r}, {self.grid.n_theta})")
-        if self.inner_bc is None:
-            self.inner_bc = self.values[0].copy()
-        if self.outer_bc is None:
-            self.outer_bc = self.values[-1].copy()
-        self.inner_bc = np.asarray(self.inner_bc, dtype=float)
-        self.outer_bc = np.asarray(self.outer_bc, dtype=float)
-        self.values[0] = self.inner_bc
-        self.values[-1] = self.outer_bc
 
     @staticmethod
     def from_potential(grid: AnnulusGrid, P: PotentialFn) -> "AnnulusField":

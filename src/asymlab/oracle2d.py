@@ -18,8 +18,8 @@ import numpy as np
 from .asymptotics import log_kernel
 from .core import AsymptoticProfile, EquationSpec, PotentialFn, SymMat, matvecs, rowdot
 from .errors import BadParams, InverseMapDiverged, StripViolation, UnknownName
-from .transforms import (_graph_map, _graph_preimage, _predictor, unrotate_hessian,
-                         unrotate_potential)
+from .transforms import (_graph_map, _graph_preimage, _rotation_angle, _strip_check,
+                         unrotate_hessian)
 
 TAIL_MAX_LEN = 7          # coefficients a_{-2} ... a_{-8}
 TAIL_MAX_ABS = 10.0
@@ -102,6 +102,12 @@ def harmonic_potential(coeffs: LaurentCoeffs) -> PotentialFn:
     return PotentialFn(2, 1.0, values, grads, hessians)
 
 
+def _far_hessian(coeffs: LaurentCoeffs) -> np.ndarray:
+    """Hessian of the harmonic potential at infinity, the a1 term of h."""
+    a1 = coeffs.a1
+    return np.array([[a1.real, -a1.imag], [-a1.imag, -a1.real]])
+
+
 def expected_profile(coeffs: LaurentCoeffs, vartheta: float) -> AsymptoticProfile:
     """Predicted expansion data of oracle_sle(coeffs, vartheta).
 
@@ -110,10 +116,8 @@ def expected_profile(coeffs: LaurentCoeffs, vartheta: float) -> AsymptoticProfil
     fit stability, never against a prediction.
     """
     c, s = math.cos(vartheta), math.sin(vartheta)
-    a1, a0 = coeffs.a1, coeffs.a0
-    # the far-field Hessian of the harmonic potential, unrotated
-    A = unrotate_hessian(SymMat([[a1.real, -a1.imag], [-a1.imag, -a1.real]]), vartheta).m
-    bt = np.array([a0.real, -a0.imag])
+    A = unrotate_hessian(SymMat(_far_hessian(coeffs)), vartheta).m
+    bt = np.array([coeffs.a0.real, -coeffs.a0.imag])
     b = (c * np.eye(2) + s * A) @ bt
     L = log_kernel(EquationSpec("SLE", 2, theta=2 * vartheta), SymMat(A))
     return AsymptoticProfile(SymMat(A), b, math.nan, coeffs.am1, L, math.nan)
@@ -136,29 +140,25 @@ def _certify_rho(probe, n_points: int = 256) -> float:
 def oracle_sle(coeffs: LaurentCoeffs, vartheta: float) -> PotentialFn:
     """Exact exterior solution of the SLE with Theta = 2*vartheta.
 
-    Built as unrotate_potential of the harmonic potential; the returned
-    domain radius is the smallest certified one from a geometric sweep.
+    The harmonic potential's gradient graph rotated by -vartheta; the domain
+    radius is the smallest certified one from a geometric sweep.
     """
+    c, s = _rotation_angle(vartheta)
+    if abs(coeffs.a1) >= c / s - A1_MARGIN:
+        raise StripViolation(f"|a1| = {abs(coeffs.a1):.6g} >= cot(vartheta) - {A1_MARGIN}")
     ht = harmonic_potential(coeffs)
-    a1 = coeffs.a1
-    At = SymMat(np.array([[a1.real, -a1.imag], [-a1.imag, -a1.real]]))
-    u = unrotate_potential(ht, vartheta, hessian_hint=At, check=False)  # checks vartheta
-    c, s = math.cos(vartheta), math.sin(vartheta)
-    cot = c / s
-    if abs(a1) >= cot - A1_MARGIN:
-        raise StripViolation(f"|a1| = {abs(a1):.6g} >= cot(vartheta) - {A1_MARGIN}")
-
-    strip_tol = cot - 1e-6
-    preimage = _graph_preimage(ht, c, -s, "oracle validation inversion",
-                               _predictor(c * np.eye(2) - s * At.m))
+    what = "unrotate_potential point inversion"
+    # Newton starts at J^-1 xt, J the far-field Jacobian of xt = c x - s Du(x)
+    inv = np.linalg.inv(c * np.eye(2) - s * _far_hessian(coeffs))
+    guess = lambda Xt: matvecs(inv, Xt)
+    preimage = _graph_preimage(ht, c, -s, what, guess)
+    strip_tol = c / s - 1e-6
 
     def probe(X):
-        Ht = ht.hessians_fn(preimage(X))
-        if (np.linalg.eigvalsh(Ht)[:, -1] >= strip_tol).any():
+        if (np.linalg.eigvalsh(ht.hessians_fn(preimage(X)))[:, -1] >= strip_tol).any():
             raise StripViolation("validation shell hits the strip bound")
 
-    rho = _certify_rho(probe)
-    return PotentialFn(2, rho, u.values_fn, u.grads_fn, u.hessians_fn)
+    return _graph_map(ht, c, -s, s, c, _certify_rho(probe), what, guess, _strip_check(c, s))
 
 
 # ---------------------------------------------------------------------------
@@ -204,52 +204,49 @@ def _warren3d() -> PotentialFn:
     return PotentialFn(3, 0.0, values, grads, hessians)
 
 
-def _log_radial(dim: int) -> PotentialFn:
-    # v = log|x| solves (delta_ij + (n-2) x_i x_j |x|^-2) v_ij = 0
+def _radial(dim: int, f, df, d2f) -> PotentialFn:
+    """u(x) = f(|x|): gradient f' x/r, Hessian f'' xh xh' + (f'/r)(I - xh xh')."""
     def values(X):
-        return np.log(np.sqrt(rowdot(X, X)))
+        return f(np.sqrt(rowdot(X, X)))
 
     def grads(X):
-        return X / rowdot(X, X)[:, None]
+        r = np.sqrt(rowdot(X, X))
+        return (df(r) / r)[:, None] * X
 
     def hessians(X):
-        r2 = rowdot(X, X)[:, None, None]
-        return np.eye(dim) / r2 - 2.0 * (X[:, :, None] * X[:, None, :]) / r2 ** 2
+        r = np.sqrt(rowdot(X, X))
+        xh = X / r[:, None]
+        proj = xh[:, :, None] * xh[:, None, :]
+        return (d2f(r)[:, None, None] * proj
+                + (df(r) / r)[:, None, None] * (np.eye(dim) - proj))
 
     return PotentialFn(dim, 1e-12, values, grads, hessians)
 
 
-def _ma_radial(c_param: float) -> PotentialFn:
+def _log_radial(dim: int) -> PotentialFn:
+    # v = log|x| solves (delta_ij + (n-2) x_i x_j |x|^-2) v_ij = 0
+    return _radial(dim, np.log, lambda r: 1.0 / r, lambda r: -1.0 / (r * r))
+
+
+def _ma_radial(c: float) -> PotentialFn:
     # u'(r) = sqrt(r^2 + c) gives det D^2 u = u'' u'/r = 1 in the plane
-    if c_param <= 0:
+    if c <= 0:
         raise BadParams("ma-radial needs c > 0")
 
-    def parts(X):
-        r = np.sqrt(rowdot(X, X))
-        return r, np.sqrt(r * r + c_param)
+    def values(r):
+        s = np.sqrt(r * r + c)
+        return 0.5 * (r * s + c * np.log(r + s))
 
-    def values(X):
-        r, s = parts(X)
-        return 0.5 * (r * s + c_param * np.log(r + s))
-
-    def grads(X):
-        r, s = parts(X)
-        return (s / r)[:, None] * X
-
-    def hessians(X):
-        r, s = parts(X)
-        xh = X / r[:, None]
-        proj = xh[:, :, None] * xh[:, None, :]
-        return ((r / s)[:, None, None] * proj
-                + (s / r)[:, None, None] * (np.eye(2) - proj))
-
-    return PotentialFn(2, 1e-12, values, grads, hessians)
+    return _radial(2, values, lambda r: np.sqrt(r * r + c), lambda r: r / np.sqrt(r * r + c))
 
 
-def _quadratic(A, b, c) -> PotentialFn:
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    dim = A.shape[0]
+def _quadratic(params: dict) -> PotentialFn:
+    if "A" not in params:
+        raise BadParams("quadratic requires A")
+    A = np.asarray(params["A"], dtype=float)
+    b = np.asarray(params.get("b", np.zeros(len(A))), dtype=float)
+    c = float(params.get("c", 0.0))
+    dim = len(A)  # TypeError, so BadParams, for a scalar A
     if A.shape != (dim, dim) or b.shape != (dim,):
         raise BadParams("quadratic needs square A and matching b")
     M = SymMat(A).m
@@ -261,15 +258,19 @@ def _quadratic(A, b, c) -> PotentialFn:
         lambda X: np.broadcast_to(M, (len(X), dim, dim)).copy())
 
 
-def _ihh_oracle(coeffs: LaurentCoeffs) -> PotentialFn:
+def _ihh_oracle(params: dict) -> PotentialFn:
     """Exact IHH solution by inverting the Legendre transform.
 
-    The dual ubar(y) = |y|^2/4 + (harmonic part from coeffs) satisfies
-    Laplacian(ubar) = 1 with 0 < D^2 ubar < I, which is equivalent to the
-    inverse harmonic Hessian equation for u.  Its log coefficient a_{-1}
-    surfaces in u with the opposite sign: d = -a_{-1}.  In terms of the
-    harmonic part, u is its gradient graph moved by (y, Dh) -> (y/2 + Dh, y).
+    The dual ubar(y) = |y|^2/4 + (harmonic part from the Laurent data in
+    params) satisfies Laplacian(ubar) = 1 with 0 < D^2 ubar < I, which is
+    equivalent to the inverse harmonic Hessian equation for u.  Its log
+    coefficient a_{-1} surfaces in u with the opposite sign: d = -a_{-1}.
+    In terms of the harmonic part, u is its gradient graph moved by
+    (y, Dh) -> (y/2 + Dh, y).
     """
+    coeffs = _coeffs_from_params(params)
+    if abs(coeffs.a1) >= 0.45:
+        raise BadParams("ihh-oracle needs |a1| < 0.45 to keep D^2 dual in (0, I)")
     harm = harmonic_potential(coeffs)
     what, guess = "ihh-oracle inversion", lambda X: 2.0 * X
     invert = _graph_preimage(harm, 0.5, 1.0, what, guess)
@@ -286,45 +287,34 @@ def ihh_expected_d(coeffs: LaurentCoeffs) -> float:
     return -coeffs.am1
 
 
-def builtin(name: str, params: dict | None = None) -> PotentialFn:
-    """Closed-form oracle by name.
+# name -> (parameter names it accepts, constructor taking the parameter dict);
+# README.md tabulates the defaults and domain radii
+_BUILTINS = {
+    "sin-exp": ((), lambda p: _sin_exp()),
+    "warren3d": ((), lambda p: _warren3d()),
+    "log-radial": (("dim",), lambda p: _log_radial(int(p.get("dim", 3)))),
+    "ma-radial": (("c",), lambda p: _ma_radial(float(p.get("c", 1.0)))),
+    "quadratic": (("A", "b", "c"), _quadratic),
+    "ihh-oracle": (("a1", "a0", "am1", "tail"), _ihh_oracle),
+}
 
-    Names: sin-exp, warren3d, log-radial (dim), ma-radial (c), quadratic
-    (A, b, c), ihh-oracle (a1, a0, am1, tail for the dual potential).
-    """
+
+def builtin(name: str, params: dict | None = None) -> PotentialFn:
+    """Closed-form oracle by name, one of `_BUILTINS`."""
     params = dict(params or {})
     try:
         bad = sorted(k for k, v in params.items() if not _finite(v))
         if bad:
             raise BadParams(f"non-finite parameters {bad} for {name!r}")
-        if name == "sin-exp":
-            _expect_keys(params, ())
-            return _sin_exp()
-        if name == "warren3d":
-            _expect_keys(params, ())
-            return _warren3d()
-        if name == "log-radial":
-            _expect_keys(params, ("dim",))
-            return _log_radial(int(params.get("dim", 3)))
-        if name == "ma-radial":
-            _expect_keys(params, ("c",))
-            return _ma_radial(float(params.get("c", 1.0)))
-        if name == "quadratic":
-            _expect_keys(params, ("A", "b", "c"))
-            if "A" not in params:
-                raise BadParams("quadratic requires A")
-            A = np.asarray(params["A"], dtype=float)
-            return _quadratic(A, params.get("b", np.zeros(A.shape[0])),
-                              float(params.get("c", 0.0)))
-        if name == "ihh-oracle":
-            _expect_keys(params, ("a1", "a0", "am1", "tail"))
-            coeffs = _coeffs_from_params(params)
-            if abs(coeffs.a1) >= 0.45:
-                raise BadParams("ihh-oracle needs |a1| < 0.45 to keep D^2 dual in (0, I)")
-            return _ihh_oracle(coeffs)
+        if name not in _BUILTINS:
+            raise UnknownName(f"no builtin solution named {name!r}")
+        allowed, make = _BUILTINS[name]
+        extra = set(params) - set(allowed)
+        if extra:
+            raise BadParams(f"unknown parameters {sorted(extra)}")
+        return make(params)
     except (TypeError, ValueError) as e:
         raise BadParams(f"bad parameters for {name!r}: {e}") from e
-    raise UnknownName(f"no builtin solution named {name!r}")
 
 
 def _finite(v) -> bool:
@@ -332,12 +322,6 @@ def _finite(v) -> bool:
     if isinstance(v, (list, tuple)):
         return all(map(_finite, v))
     return cmath.isfinite(complex(v))
-
-
-def _expect_keys(params: dict, allowed):
-    extra = set(params) - set(allowed)
-    if extra:
-        raise BadParams(f"unknown parameters {sorted(extra)}")
 
 
 def _coeffs_from_params(params: dict) -> LaurentCoeffs:

@@ -215,11 +215,11 @@ def solve_annulus(spec: EquationSpec, grid: AnnulusGrid, inner_bc, outer_bc,
 
     if isinstance(init, AnnulusField):
         U = init.values.copy()
-        U[0], U[-1] = inner_bc, outer_bc
     elif init == "affine-blend":
         U = _blend_initial(grid, inner_bc, outer_bc)
     else:
         raise BadParams("init must be an AnnulusField or 'affine-blend'")
+    U[0], U[-1] = inner_bc, outer_bc  # the Dirichlet rows; no step changes them
 
     op = OPERATORS[spec.kind]
     C = _hessian_coefficients(grid)
@@ -260,7 +260,7 @@ def solve_annulus(spec: EquationSpec, grid: AnnulusGrid, inner_bc, outer_bc,
                       "factored": factored, "trials": trials})
     lu = None
 
-    fld = AnnulusField(grid, U, inner_bc, outer_bc)
+    fld = AnnulusField(grid, U)
     report = SolveReport(len(steps), history[-1], sum(s["halvings"] for s in steps), fld,
                          history, converged=history[-1] <= tol, steps=steps)
     if not report.converged:

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import EquationSpec, PotentialFn, SymMat, matvecs, rowdot, sym_upper
+from .core import EquationSpec, PotentialFn, SymMat, rowdot, sym_upper
 from .errors import (BadParams, InverseMapDiverged, NotAdmissible, NotConvex,
                      SingularRotation, StripViolation)
 
@@ -109,9 +109,11 @@ def _newton_invert(target, guess, fun, jac, what: str):
 
 def _sampled_spectra(P: PotentialFn, seed: int, n_samples: int = 64) -> np.ndarray:
     """Hessian eigenvalues (ascending, one row per point) at random points
-    on three shells of P's domain."""
+    on three shells of P's domain: radii 1, 4 and 16 when rho < 1, so that
+    a domain radius near 0 (1e-12 for the radial builtins) is not sampled
+    where roundoff swamps the Hessian."""
     rng = np.random.default_rng(seed)
-    radii = P.rho * np.array([1.05, 2.0, 8.0]) if P.rho > 0 else np.array([1.0, 4.0, 16.0])
+    radii = P.rho * np.array([1.05, 2.0, 8.0]) if P.rho >= 1 else np.array([1.0, 4.0, 16.0])
     per_shell = n_samples // len(radii)
     D = rng.normal(size=(len(radii) * per_shell, P.dim))
     X = np.repeat(radii, per_shell)[:, None] * D / np.sqrt(rowdot(D, D))[:, None]
@@ -137,12 +139,6 @@ def _graph_preimage(P: PotentialFn, a: float, b: float, what: str, guess=None):
             lambda p: a * np.eye(P.dim) + b * P.hessians_fn(p),
             what)
     return invert
-
-
-def _predictor(jac: np.ndarray):
-    """Starting guess J^-1 xt from a far-field Jacobian J of the graph map."""
-    inv = np.linalg.inv(jac)
-    return lambda Xt: matvecs(inv, Xt)
 
 
 def _graph_map(P: PotentialFn, a: float, b: float, c: float, d: float,
@@ -177,9 +173,7 @@ def _graph_map(P: PotentialFn, a: float, b: float, c: float, d: float,
     return PotentialFn(P.dim, rho, values, grads, hessians)
 
 
-def rotate_potential(P: PotentialFn, vartheta: float, *,
-                     hessian_hint: SymMat | None = None,
-                     check: bool = True) -> PotentialFn:
+def rotate_potential(P: PotentialFn, vartheta: float, *, check: bool = True) -> PotentialFn:
     """New potential of the rotated gradient graph.
 
     Evaluation at a rotated point xt inverts xt = c x + s DP(x) by damped
@@ -189,18 +183,13 @@ def rotate_potential(P: PotentialFn, vartheta: float, *,
     c, s = _rotation_angle(vartheta)
     if check:
         _check_hessian_bound(P, 1.0 - c / s)
-    guess = None
-    if hessian_hint is not None:
-        guess = _predictor(c * np.eye(P.dim) + s * hessian_hint.m)
     # distance-increase gives |xt1 - xt2| >= sin(vartheta) |x1 - x2|; the
     # image of {|x| > rho} contains an exterior set of comparable radius.
     return _graph_map(P, c, s, -s, c, P.rho * abs(s), "rotate_potential point inversion",
-                      guess, _rotation_check(c, s))
+                      check=_rotation_check(c, s))
 
 
-def unrotate_potential(Pt: PotentialFn, vartheta: float, *,
-                       hessian_hint: SymMat | None = None,
-                       check: bool = True) -> PotentialFn:
+def unrotate_potential(Pt: PotentialFn, vartheta: float, *, check: bool = True) -> PotentialFn:
     """Rotation by -vartheta: recover u from the rotated potential.
 
     Requires lambda_max(D^2 Pt) < cot(vartheta) on the evaluation set (the
@@ -209,22 +198,15 @@ def unrotate_potential(Pt: PotentialFn, vartheta: float, *,
     c, s = _rotation_angle(vartheta)
     if check:
         _strip_check(c, s, "sampled lambda_max")(_sampled_spectra(Pt, 11))
-    guess = None
-    if hessian_hint is not None:
-        jac = c * np.eye(Pt.dim) - s * hessian_hint.m
-        if np.min(np.linalg.eigvalsh(0.5 * (jac + jac.T))) <= 0:
-            raise StripViolation("far-field Hessian hint violates the strip bound")
-        guess = _predictor(jac)
     return _graph_map(Pt, c, -s, s, c, Pt.rho * abs(s), "unrotate_potential point inversion",
-                      guess, _strip_check(c, s))
+                      check=_strip_check(c, s))
 
 
-def legendre(P: PotentialFn, *, mu: float | None = None,
-             check: bool = True) -> PotentialFn:
+def legendre(P: PotentialFn, *, check: bool = True) -> PotentialFn:
     """Convex conjugate: ubar(y) = x.y - u(x) at x = (Du)^-1(y)."""
     if check:
         try:
-            _check_hessian_bound(P, mu if mu is not None else 0.0)
+            _check_hessian_bound(P, 0.0)
         except NotAdmissible as e:
             raise NotConvex(str(e)) from e
     return _graph_map(P, 0.0, 1.0, 1.0, 0.0, 0.0, "legendre point inversion")

@@ -1,8 +1,11 @@
-"""The public surface: every exported name resolves, every script imports,
-and every attribute the benchmark's tracer wraps still exists."""
+"""The public surface: every exported name resolves, every script imports
+and rejects a malformed comma list, and every attribute the benchmark's
+tracer wraps still exists."""
 import glob
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +27,22 @@ def test_script_imports(path):
     `__main__` guard, so this fails only on a name the script lost."""
     spec = importlib.util.spec_from_file_location("script_" + os.path.basename(path)[:-3], path)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+@pytest.mark.parametrize("name, args", [
+    ("solver_convergence.py", ["--base", "33"]),
+    ("solver_convergence.py", ["--base", "33,6.5"]),
+    ("oracle_sweep.py", ["--shells", "50,400"]),
+    ("oracle_sweep.py", ["--shells", "50,abc,6"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_script_malformed_comma_list_exits_2(name, args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1 and args[0] in r.stderr
+    assert "Traceback" not in r.stderr and r.stdout == ""
 
 
 def test_tracing_targets_exist():

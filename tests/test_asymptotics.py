@@ -216,6 +216,11 @@ class TestBoundaryCurve:
         with pytest.raises(BadParams, match="order"):
             BoundaryCurve.circle(2.0, order=order)
 
+    @pytest.mark.parametrize("radius", [0.0, -2.0, math.inf, math.nan])
+    def test_circle_radius_finite_and_positive(self, radius):
+        with pytest.raises(BadParams, match="radius"):
+            BoundaryCurve.circle(radius)
+
     def test_circle_area(self):
         assert BoundaryCurve.circle(2.0).enclosed_area() == pytest.approx(4 * math.pi, abs=1e-9)
 

@@ -228,6 +228,9 @@ class TestMalformedArguments:
         (["oracle", "--radii", "10,x"], "ConfigError"),
         (["boundary-d", "--equation", "ma", "--order", "0"], "BadParams"),
         (["boundary-d", "--equation", "ma", "--order", "-4"], "BadParams"),
+        (["boundary-d", "--equation", "ma", "--radius", "0"], "BadParams"),
+        (["boundary-d", "--equation", "ma", "--radius", "-2"], "BadParams"),
+        (["boundary-d", "--equation", "ma", "--radius", "inf"], "BadParams"),
         (["fit", "--equation", "ma", "--shells", "0,1"], "BadParams"),
         (["fit", "--equation", "ma", "--shells", "50,inf"], "BadParams"),
     ], ids=lambda v: " ".join(v[-2:]) if isinstance(v, list) else v)

@@ -1,4 +1,6 @@
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from asymlab import (
 )
 from asymlab.equations import residual
 from asymlab.errors import BadParams, StripViolation, UnknownName
-from asymlab.oracle2d import builtin, ihh_expected_d
+from asymlab.oracle2d import _BUILTINS, builtin, ihh_expected_d
 
 from conftest import exterior_points
 
@@ -129,6 +131,28 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
             builtin("does-not-exist")
+
+    def test_names_match_schema(self):
+        with resources.files("asymlab.schemas").joinpath("oracle.json").open() as f:
+            schema = json.load(f)
+        names = schema["oneOf"][1]["properties"]["name"]["enum"]
+        assert sorted(_BUILTINS) == sorted(names)
+
+    @pytest.mark.parametrize("name", sorted(set(_BUILTINS) - {"quadratic"}))
+    def test_builds_with_defaults(self, name):
+        P = builtin(name)
+        x = np.full(P.dim, 3.0)
+        assert np.isfinite(P.value(x)) and np.isfinite(P.hess(x).m).all()
+
+    @pytest.mark.parametrize("params, match", [
+        ({"b": [0.0, 0.0]}, "requires A"),
+        ({"A": 5.0}, "bad parameters"),
+        ({"A": 5.0, "b": [0.0]}, "bad parameters"),
+        ({"A": [1.0, 2.0]}, "square A"),
+    ])
+    def test_quadratic_needs_square_A(self, params, match):
+        with pytest.raises(BadParams, match=match):
+            builtin("quadratic", params)
 
     def test_unknown_params_rejected(self):
         with pytest.raises(BadParams):

@@ -58,6 +58,19 @@ class TestBoundaryData:
         assert np.allclose(outer, [P.value(p) for p in zip(x[-1], y[-1])])
 
 
+class TestDirichletRows:
+    def test_solution_keeps_boundary_data_exactly(self):
+        grid = AnnulusGrid(1.0, 4.0, 9, 16)
+        P = builtin("ma-radial", {"c": 1.0})
+        inner, outer = boundary_data_from(P, grid)
+        # a warm start with other boundary rows is overwritten by the data
+        start = AnnulusField(grid, AnnulusField.from_potential(grid, P).values + 1e-3)
+        for init in ("affine-blend", start):
+            values = solve_annulus(MA2, grid, inner, outer, init=init).field.values
+            assert np.array_equal(values[0], inner)
+            assert np.array_equal(values[-1], outer)
+
+
 class TestSolveMA:
     def test_recovers_radial_solution(self):
         grid = AnnulusGrid(1.0, 8.0, 65, 128, "uniform")

@@ -195,12 +195,16 @@ class TestLegendre:
             assert PP.value(x) == pytest.approx(P.value(x), abs=1e-9)
             assert np.allclose(PP.grad(x), P.grad(x), atol=1e-9)
 
+    def test_checked_on_ma_radial(self):
+        # its domain radius is 1e-12; the convexity check samples |x| >= 1,
+        # not |x| ~ 1e-12, where the radial eigenvalue r/sqrt(r^2+c) rounds to 0
+        for c in (0.5, 1.0, 4.0):
+            Pb = legendre(builtin("ma-radial", {"c": c}))
+            assert Pb.grad([math.sqrt(4.0 + c), 0.0]) == pytest.approx([2.0, 0.0])
+
     def test_hessian_reciprocity(self, rng):
-        # the sampled convexity check probes shells near rho ~ 0 where the
-        # radial eigenvalue r/sqrt(r^2+c) vanishes; skip it and test the
-        # reciprocity itself on honest exterior radii
         P = builtin("ma-radial", {"c": 1.0})
-        Pb = legendre(P, check=False)
+        Pb = legendre(P)
         for _ in range(25):
             x = rng.uniform(2.0, 10.0) * _unit(rng)
             ev_u = np.linalg.eigvalsh(P.hess(x).m)
