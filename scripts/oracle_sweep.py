@@ -22,8 +22,8 @@ from asymlab import (
     oracle_sle,
 )
 from asymlab.asymptotics import decay_exponent, shell_points
-from asymlab.cli import EXIT_CONFIG, _comma_list
-from asymlab.errors import ConfigError
+from asymlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, _comma_list
+from asymlab.errors import ConfigError, LabError
 
 INSTANCES = [
     (math.pi / 8, LaurentCoeffs(a1=0.5 + 0.3j, a0=0.2 + 0.1j, am1=0.7, tail=(0.3,))),
@@ -53,20 +53,26 @@ def main():
                     help="rMin,rMax,count for the geometric shell family")
     args = ap.parse_args()
     try:
-        lo, hi, n = _comma_list(args.shells, "--shells", (float, float, int))
-    except ConfigError as e:
-        ap.exit(EXIT_CONFIG, f"{ap.prog}: error: {e}\n")
+        run(args)
+    except LabError as e:
+        ap.exit(EXIT_CONFIG if isinstance(e, ConfigError) else EXIT_NUMERICAL,
+                f"{ap.prog}: error: {e}\n")
+
+
+def run(args):
+    lo, hi, n = _comma_list(args.shells, "--shells", (float, float, int))
     radii = np.geomspace(lo, hi, n)
+    shells = ShellSpec(tuple(radii))
 
     print(f"{'vartheta':>9} {'a_-1':>6} {'d fit':>10} {'d boundary':>12} "
           f"{'u-Q-Gamma':>10} {'D2u-A':>7}")
     for vt, co in INSTANCES:
         spec = EquationSpec("SLE", 2, theta=2 * vt)
         P = oracle_sle(co, vt)
-        prof = fit_profile(P, spec, ShellSpec(tuple(radii)))
+        prof = fit_profile(P, spec, shells)
         d_bd = boundary_d(spec, P, BoundaryCurve.circle(max(2.0, 1.2 * P.rho)))
         r_slope = remainder_slope(P, expected_profile(co, vt), radii)
-        _, h_slope = hessian_limit(P, ShellSpec(tuple(radii)))
+        _, h_slope = hessian_limit(P, shells)
         print(f"{vt:9.4f} {co.am1:6.2f} {prof.d:10.6f} {d_bd:12.8f} "
               f"{r_slope:10.2f} {h_slope:7.2f}")
 

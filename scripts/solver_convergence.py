@@ -17,9 +17,9 @@ import math
 import time
 
 from asymlab import EquationSpec, LaurentCoeffs, oracle_sle
-from asymlab.cli import EXIT_CONFIG, _comma_list
+from asymlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, _comma_list
 from asymlab.core import AnnulusGrid
-from asymlab.errors import ConfigError
+from asymlab.errors import ConfigError, LabError
 from asymlab.oracle2d import builtin
 from asymlab.solver import convergence_study
 
@@ -33,11 +33,15 @@ def main():
     ap.add_argument("--spacing", choices=["uniform", "logarithmic"],
                     default="uniform")
     args = ap.parse_args()
-
     try:
-        n_r, n_t = _comma_list(args.base, "--base", (int, int))
-    except ConfigError as e:
-        ap.exit(EXIT_CONFIG, f"{ap.prog}: error: {e}\n")
+        run(args)
+    except LabError as e:
+        ap.exit(EXIT_CONFIG if isinstance(e, ConfigError) else EXIT_NUMERICAL,
+                f"{ap.prog}: error: {e}\n")
+
+
+def run(args):
+    n_r, n_t = _comma_list(args.base, "--base", (int, int))
     grids = [AnnulusGrid(args.r_inner, args.r_outer, n_r, n_t, args.spacing)]
     for _ in range(args.levels - 1):
         grids.append(grids[-1].refine())

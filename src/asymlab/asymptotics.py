@@ -17,7 +17,7 @@ import numpy as np
 from .core import AsymptoticProfile, EquationSpec, PotentialFn, SymMat, matvecs, rowdot
 from .equations import OPERATORS
 from .errors import (BadParams, IllConditioned, NoDecay, NonPositiveValue,
-                     WrongDimension)
+                     NotAdmissible, WrongDimension)
 
 EXACT_FLOOR = 1e-12
 EXACT_SLOPE = -math.inf
@@ -218,7 +218,8 @@ def boundary_d(spec: EquationSpec, P: PotentialFn, curve: BoundaryCurve) -> floa
     """The log coefficient as a boundary integral over a curve enclosing the
     hole, d = (integral - aw * area) / 2pi. With the weights (lw, cw, aw) of
     the equation's algebraic form, the integrand lw u_nu + cw u_1 (u_22, -u_12).nu
-    is the flux whose divergence is lw tr D^2u + cw det D^2u."""
+    is the flux whose divergence is lw tr D^2u + cw det D^2u. A Hessian
+    outside the equation's admissible set at a node raises NotAdmissible."""
     if spec.dim != 2 or P.dim != 2:
         raise WrongDimension("boundary_d is 2D only")
     lw, cw, aw = _row(spec, "div_form")(spec)
@@ -226,6 +227,10 @@ def boundary_d(spec: EquationSpec, P: PotentialFn, curve: BoundaryCurve) -> floa
     def integrand(X, nu):
         g = P.grads(X)
         H = P.hessians(X)
+        bad = np.flatnonzero(~OPERATORS[spec.kind].admissible(spec, H))
+        if bad.size:
+            raise NotAdmissible(f"D^2u at curve node {X[bad[0]].tolist()} is not "
+                                f"admissible for {spec.kind}")
         return (lw * rowdot(g, nu)
                 + cw * g[:, 0] * (H[:, 1, 1] * nu[:, 0] - H[:, 0, 1] * nu[:, 1]))
 
@@ -233,12 +238,11 @@ def boundary_d(spec: EquationSpec, P: PotentialFn, curve: BoundaryCurve) -> floa
     return (total - aw * curve.enclosed_area()) / (2 * math.pi)
 
 
-def flux_identity(spec: EquationSpec, A: SymMat, d: float, R: float,
-                  b=None, order: int = DEFAULT_QUAD_ORDER) -> float:
+def flux_identity(spec: EquationSpec, A: SymMat, d: float, R: float) -> float:
     """Flux of the linearized log term through the kernel ellipse of radius R.
 
     Integrates the cross terms of the equation's algebraic form between
-    Q = x'Ax/2 + b'x and Gamma = (d/2) log(x'Lx); the result is 2*pi*d
+    Q = x'Ax/2 and Gamma = (d/2) log(x'Lx); the result is 2*pi*d
     independently of R, by the distributional identity concentrating the
     bulk integrand at the origin.
     """
@@ -246,10 +250,9 @@ def flux_identity(spec: EquationSpec, A: SymMat, d: float, R: float,
         raise WrongDimension("flux identity is 2D only")
     L = log_kernel(spec, A)
     lw, cw, _ = _row(spec, "div_form")(spec)
-    b = np.zeros(2) if b is None else np.asarray(b, dtype=float)
     Am = A.m
     Lm = L.m
-    curve = BoundaryCurve.ellipse_of_kernel(L, R, order)
+    curve = BoundaryCurve.ellipse_of_kernel(L, R)
 
     def integrand(X, nu):
         Lx = matvecs(Lm, X)
@@ -257,7 +260,7 @@ def flux_identity(spec: EquationSpec, A: SymMat, d: float, R: float,
         dGamma = d * Lx / q[:, None]
         HGamma11 = d * (Lm[1, 1] / q - 2.0 * Lx[:, 1] ** 2 / q ** 2)
         HGamma01 = d * (Lm[0, 1] / q - 2.0 * Lx[:, 0] * Lx[:, 1] / q ** 2)
-        Q1 = rowdot(X, Am[0]) + b[0]
+        Q1 = rowdot(X, Am[0])
         return (lw * rowdot(dGamma, nu)
                 + cw * (Q1 * (HGamma11 * nu[:, 0] - HGamma01 * nu[:, 1])
                         + dGamma[:, 0] * (Am[1, 1] * nu[:, 0] - Am[0, 1] * nu[:, 1])))

@@ -70,13 +70,8 @@ def _comma_list(text: str, flag: str, types: tuple | None = None) -> list:
 
 
 def parse_equation(kind: str, dim: int, theta=None, delta=None) -> EquationSpec:
-    kind = kind.upper()
-    if kind == "SLE" and theta is None:
-        raise ConfigError("SLE needs --theta")
-    if kind == "SIGMA2" and delta is None:
-        raise ConfigError("SIGMA2 needs --delta")
     try:
-        return EquationSpec(kind, dim, theta=theta, delta=delta)
+        return EquationSpec(kind.upper(), dim, theta=theta, delta=delta)
     except LabError as e:
         raise ConfigError(str(e)) from e
 
@@ -114,11 +109,11 @@ def parse_solution(arg: str, params_json: str | None = None) -> PotentialFn:
         return solution_from_spec(json.load(f))
 
 
-def _exterior_points(P: PotentialFn, n: int, seed: int, r_lo=None, r_hi=None):
+def _exterior_points(P: PotentialFn, n: int, seed: int):
     """Quasi-random exterior sample points, scrambled by the seed."""
     rng = np.random.default_rng(seed)
-    lo = r_lo if r_lo is not None else max(P.rho, 0.3) + 0.2
-    hi = r_hi if r_hi is not None else 4.0 * lo + 4.0
+    lo = max(P.rho, 0.3) + 0.2
+    hi = 4.0 * lo + 4.0
     radii = lo * (hi / lo) ** rng.random(n)
     dirs = rng.normal(size=(n, P.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -226,8 +221,7 @@ def cmd_solve(args) -> int:
     spec = parse_equation(args.equation, 2, args.theta, args.delta)
     r_in, r_out, n_r, n_t = _comma_list(args.grid, "--grid", (float, float, int, int))
     grid = AnnulusGrid(r_in, r_out, n_r, n_t, args.spacing)
-    inner, outer = solver.boundary_data_from(P, grid)
-    report = solver.solve_annulus(spec, grid, inner, outer)
+    report = solver.solve_annulus(spec, P, grid)
     out_dir = _out_dir(args.outputs)
     _write_field_csv(report.field, os.path.join(out_dir, args.out))
     _dump_json(report.to_dict(), os.path.join(out_dir, args.report))
@@ -284,8 +278,7 @@ def cmd_experiment(args) -> int:
 
     if "solver" in cfg:
         grid = _grid_from_config(cfg["solver"]["grid"])
-        inner, outer = solver.boundary_data_from(P, grid)
-        report = solver.solve_annulus(spec, grid, inner, outer)
+        report = solver.solve_annulus(spec, P, grid)
         _write_field_csv(report.field, os.path.join(out_dir, "field.csv"))
         summary["solve"] = report.to_dict()
         summary["checks"]["solve_converged"] = report.converged

@@ -65,11 +65,11 @@ class NonPositiveValue(LabError):
 
 
 class DidNotConverge(LabError):
-    """Newton solve stalled; carries the best iterate's report when available."""
+    """Newton solve stalled; carries the report of its last iterate."""
 
     kind = "DidNotConverge"
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 

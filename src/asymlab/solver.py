@@ -15,7 +15,7 @@ Nonlinear Problems" (Springer 2004, sec. 2.1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,13 +40,13 @@ class SolveReport:
     final_residual_inf: float
     damping_events: int
     field: AnnulusField
-    residual_history: list = field(default_factory=list)
-    converged: bool = True
+    residual_history: list
+    converged: bool
     # one entry per Newton iteration: accepted step length t, number of
     # halvings before it, nnz of the LU factors it solved with, whether it
     # factored its own Jacobian (else a chord step on held factors), and its
     # residual evaluations (a rejected chord trial included)
-    steps: list = field(default_factory=list)
+    steps: list
 
     def to_dict(self) -> dict:
         return {
@@ -133,12 +133,12 @@ def _assemble_jacobian(grid: AnnulusGrid, C: np.ndarray, G: np.ndarray) -> sp.cs
     return J.tocsc()
 
 
-def _blend_initial(grid: AnnulusGrid, inner_bc, outer_bc) -> np.ndarray:
+def _blend_initial(grid: AnnulusGrid, inner, outer) -> np.ndarray:
     """Radial interpolation of the boundary data, affine in |x|^2 so that
     quadratic data is reproduced exactly and convexity is not destroyed."""
     w = ((grid.r ** 2 - grid.r_inner ** 2)
          / (grid.r_outer ** 2 - grid.r_inner ** 2))[:, None]
-    return (1.0 - w) * inner_bc[None, :] + w * outer_bc[None, :]
+    return (1.0 - w) * inner[None, :] + w * outer[None, :]
 
 
 def _prolong(U: np.ndarray) -> np.ndarray:
@@ -191,10 +191,11 @@ def _trial(spec: EquationSpec, grid: AnnulusGrid, C: np.ndarray, U: np.ndarray,
     return None
 
 
-def solve_annulus(spec: EquationSpec, grid: AnnulusGrid, inner_bc, outer_bc,
-                  init="affine-blend", tol: float = NEWTON_TOL,
-                  max_iter: int = NEWTON_MAX_ITER) -> SolveReport:
-    """Damped Newton on the stacked nodewise residual with Dirichlet data.
+def solve_annulus(spec: EquationSpec, P: PotentialFn, grid: AnnulusGrid,
+                  start: AnnulusField | None = None) -> SolveReport:
+    """Damped Newton on the stacked nodewise residual, with the Dirichlet
+    data P on the two boundary rings, started from `start` or, if it is
+    None, from the affine blend of that data.
 
     Each iteration first tries a chord step: a full step solved with the
     held LU factors of the last factored Jacobian, kept if every interior
@@ -202,24 +203,18 @@ def solve_annulus(spec: EquationSpec, grid: AnnulusGrid, inner_bc, outer_bc,
     CHORD_CONTRACTION.  Otherwise the factors are dropped and the Jacobian
     at the iterate is assembled and factored; the line search halves that
     step until the sup-norm residual decreases and every interior node
-    stays admissible.
+    stays admissible.  The solve ends at a sup-norm residual <= NEWTON_TOL,
+    or raises DidNotConverge after NEWTON_MAX_ITER iterations.
     """
-    if spec.dim != 2:
+    if spec.dim != 2 or P.dim != 2:
         raise WrongDimension("annulus solver is 2D only")
-    inner_bc = np.asarray(inner_bc, dtype=float)
-    outer_bc = np.asarray(outer_bc, dtype=float)
-    if inner_bc.shape != (grid.n_theta,) or outer_bc.shape != (grid.n_theta,):
-        raise BadParams("boundary arrays must have length n_theta")
-    if not (np.isfinite(inner_bc).all() and np.isfinite(outer_bc).all()):
+    if start is not None and start.grid != grid:
+        raise BadParams(f"start is on {start.grid}, not on the solve's grid {grid}")
+    inner, outer = boundary_data_from(P, grid)
+    if not (np.isfinite(inner).all() and np.isfinite(outer).all()):
         raise BadParams("boundary data must be finite")
-
-    if isinstance(init, AnnulusField):
-        U = init.values.copy()
-    elif init == "affine-blend":
-        U = _blend_initial(grid, inner_bc, outer_bc)
-    else:
-        raise BadParams("init must be an AnnulusField or 'affine-blend'")
-    U[0], U[-1] = inner_bc, outer_bc  # the Dirichlet rows; no step changes them
+    U = _blend_initial(grid, inner, outer) if start is None else start.values.copy()
+    U[0], U[-1] = inner, outer  # the Dirichlet rows; no step changes them
 
     op = OPERATORS[spec.kind]
     C = _hessian_coefficients(grid)
@@ -231,7 +226,7 @@ def solve_annulus(spec: EquationSpec, grid: AnnulusGrid, inner_bc, outer_bc,
     history = [float(np.max(np.abs(res)))]
     steps = []
     lu = None  # factors of the last factored Jacobian, held for chord steps
-    while history[-1] > tol and len(steps) < max_iter:
+    while history[-1] > NEWTON_TOL and len(steps) < NEWTON_MAX_ITER:
         it, rinf = len(steps) + 1, history[-1]
         t, halvings, trials, new = 1.0, 0, 0, None
         if lu is not None:
@@ -262,10 +257,10 @@ def solve_annulus(spec: EquationSpec, grid: AnnulusGrid, inner_bc, outer_bc,
 
     fld = AnnulusField(grid, U)
     report = SolveReport(len(steps), history[-1], sum(s["halvings"] for s in steps), fld,
-                         history, converged=history[-1] <= tol, steps=steps)
+                         history, history[-1] <= NEWTON_TOL, steps)
     if not report.converged:
         raise DidNotConverge(
-            f"|r|_inf = {history[-1]:.3g} after {max_iter} iterations", report)
+            f"|r|_inf = {history[-1]:.3g} after {len(steps)} iterations", report)
     return report
 
 
@@ -291,16 +286,15 @@ def convergence_study(spec: EquationSpec, oracle: PotentialFn,
     prev_err = None
     prev = None
     for grid in grids:
-        inner, outer = boundary_data_from(oracle, grid)
         report = None
         if prev is not None and grid == prev.grid.refine():
-            start = AnnulusField(grid, _prolong(prev.values))
             try:
-                report = solve_annulus(spec, grid, inner, outer, init=start)
+                report = solve_annulus(spec, oracle, grid,
+                                       AnnulusField(grid, _prolong(prev.values)))
             except NotAdmissible:
                 pass
         if report is None:
-            report = solve_annulus(spec, grid, inner, outer)
+            report = solve_annulus(spec, oracle, grid)
         exact = AnnulusField.from_potential(grid, oracle).values
         err = float(np.max(np.abs(report.field.values - exact)))
         h = grid.h_t

@@ -1,6 +1,6 @@
 """The public surface: every exported name resolves, every script imports
-and rejects a malformed comma list, and every attribute the benchmark's
-tracer wraps still exists."""
+and rejects a malformed comma list or a bad parameter value, and every
+attribute the benchmark's tracer wraps still exists."""
 import glob
 import importlib.util
 import os
@@ -29,19 +29,30 @@ def test_script_imports(path):
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
-@pytest.mark.parametrize("name, args", [
-    ("solver_convergence.py", ["--base", "33"]),
-    ("solver_convergence.py", ["--base", "33,6.5"]),
-    ("oracle_sweep.py", ["--shells", "50,400"]),
-    ("oracle_sweep.py", ["--shells", "50,abc,6"]),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
-def test_script_malformed_comma_list_exits_2(name, args):
+# (script, arguments, a part of its one-line error message)
+SCRIPT_ERRORS = [
+    ("solver_convergence.py", ["--base", "33"], "--base"),
+    ("solver_convergence.py", ["--base", "33,6.5"], "--base"),
+    ("oracle_sweep.py", ["--shells", "50,400"], "--shells"),
+    ("oracle_sweep.py", ["--shells", "50,abc,6"], "--shells"),
+    # parameter values the library rejects with BadParams, a config error
+    ("radial_families.py", ["--c", "-1"], "c > 0"),
+    ("solver_convergence.py", ["--r-inner", "-1"], "r_inner"),
+    ("solver_convergence.py", ["--base", "3,8"], "n_r"),
+    ("oracle_sweep.py", ["--shells", "400,50,6"], "increasing"),
+]
+
+
+@pytest.mark.parametrize("name, args, says", [
+    pytest.param(*row, id=f"{row[0]}-{' '.join(row[1])}") for row in SCRIPT_ERRORS])
+def test_script_malformed_comma_list_exits_2(name, args, says):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
     r = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 2
-    assert r.stderr.count("\n") == 1 and args[0] in r.stderr
+    assert r.stderr.startswith(f"{name}: error: ") and r.stderr.count("\n") == 1
+    assert says in r.stderr
     assert "Traceback" not in r.stderr and r.stdout == ""
 
 

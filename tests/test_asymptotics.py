@@ -19,7 +19,7 @@ from asymlab import (
     oracle_sle,
 )
 from asymlab.asymptotics import log_kernel, shell_points
-from asymlab.errors import BadParams, NoDecay
+from asymlab.errors import BadParams, NoDecay, NotAdmissible
 from asymlab.oracle2d import builtin
 
 SLE2 = EquationSpec("SLE", 2, theta=math.pi / 2)
@@ -189,6 +189,14 @@ class TestBoundaryD:
         P = builtin("ihh-oracle", {"am1": 0.4})
         d = boundary_d(IHH2, P, BoundaryCurve.circle(max(2.0, P.rho * 1.2)))
         assert d == pytest.approx(-0.4, abs=1e-6)
+
+    @pytest.mark.parametrize("spec", [MA2, IHH2, SLE2])
+    def test_inadmissible_hessian_is_not_admissible(self, spec):
+        """log|x| has Hessian eigenvalues -1/r^2 and 1/r^2: not convex (MA),
+        not above 1 (IHH), and of phase 0, outside the branch of Theta = pi/2
+        (SLE); no d is reported for it."""
+        with pytest.raises(NotAdmissible, match="curve node"):
+            boundary_d(spec, builtin("log-radial", {"dim": 2}), BoundaryCurve.circle(2.0))
 
 
 class TestFluxIdentity:

@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from asymlab import (
     EquationSpec,
@@ -85,8 +85,9 @@ def ref_rotate(P: Ref, vt) -> Ref:
                           lambda p: c * np.eye(len(p)) + s * P.hess(p))
 
     def value(xt):
+        # G = (xt - c x)/s stands for Du(x): the value is then stationary in x
         x = invert(xt)
-        g = P.grad(x)
+        g = (xt - c * x) / s
         return 0.5 * c * s * (g @ g - x @ x) - s * s * (g @ x) + P.value(x)
 
     return Ref(value,
@@ -105,8 +106,9 @@ def ref_unrotate(Pt: Ref, vt, hint=None) -> Ref:
                           lambda p: c * np.eye(len(p)) - s * Pt.hess(p))
 
     def value(x):
+        # G = (c xt - x)/s stands for Du(xt), as in ref_rotate
         xt = invert(x)
-        g = Pt.grad(xt)
+        g = (c * xt - x) / s
         return -0.5 * c * s * (g @ g - xt @ xt) - s * s * (g @ xt) + Pt.value(xt)
 
     return Ref(value,
@@ -332,6 +334,7 @@ def assert_close(got, want):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 @given(seed=st.integers(0, 2 ** 32 - 1))
+@example(seed=123)
 @settings(max_examples=15, deadline=None)
 def test_batched_matches_per_point_reference(name, seed):
     P, ref, sample = built(name)

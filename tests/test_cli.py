@@ -109,6 +109,16 @@ class TestBoundaryDCommand:
         assert r.returncode == 2
         assert json.loads(r.stderr)["error"]["kind"] == "BadParams"
 
+    def test_non_solution_is_not_admissible(self):
+        """det D^2 log|x| < 0: log|x| solves no MA equation, so no d is printed."""
+        r = run(["boundary-d", "--solution", "builtin:log-radial", "--params", '{"dim": 2}',
+                 "--equation", "ma", "--radius", "2"])
+        assert r.returncode == 1
+        assert r.stderr.count("\n") == 1
+        err = json.loads(r.stderr)["error"]
+        assert err["kind"] == "NotAdmissible" and "[2.0, 0.0]" in err["message"]
+        assert r.stdout == ""
+
 
 class TestOracleSpecFile:
     def test_sle_oracle_from_json(self, tmp_path):
@@ -127,6 +137,31 @@ class TestOracleSpecFile:
         path.write_text(json.dumps(cfg))
         r = run(["residual", "--solution", str(path), "--equation", "ma"])
         assert r.returncode == 2
+
+
+class TestEquationParameters:
+    """A missing theta or delta is named by EquationSpec's own message,
+    which names no command-line flag, from a config and from flags alike."""
+
+    def test_sle_without_theta_in_config(self, tmp_path):
+        cfg = {"equation": {"kind": "sle", "dim": 2},
+               "solution": {"kind": "builtin", "name": "sin-exp"},
+               "shells": {"radii": [4.0, 8.0]}, "outputs": str(tmp_path)}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        r = run(["experiment", "--config", str(cfg_path)])
+        assert r.returncode == 2
+        assert json.loads(r.stderr)["error"] == {"kind": "ConfigError",
+                                                 "message": "SLE spec requires theta"}
+
+    @pytest.mark.parametrize("solution, equation, message", [
+        ("builtin:sin-exp", "sle", "SLE spec requires theta"),
+        ("builtin:warren3d", "sigma2", "SIGMA2 spec requires delta > 0"),
+    ])
+    def test_missing_flag(self, solution, equation, message):
+        r = run(["fit", "--solution", solution, "--equation", equation])
+        assert r.returncode == 2
+        assert json.loads(r.stderr)["error"] == {"kind": "ConfigError", "message": message}
 
 
 class TestExperiment:
@@ -198,6 +233,13 @@ class TestSolveCommand:
         assert report["converged"] is True
         header = (tmp_path / "field.csv").read_text().splitlines()[0]
         assert header == "i,j,r,theta,x1,x2,u"
+
+    def test_three_dimensional_solution_is_wrong_dimension(self, tmp_path):
+        r = run(["solve", "--solution", "builtin:warren3d", "--equation", "ma",
+                 "--grid", "1,2,9,16", "--outputs", str(tmp_path)])
+        assert r.returncode == 1
+        assert json.loads(r.stderr)["error"] == {"kind": "WrongDimension",
+                                                 "message": "annulus solver is 2D only"}
 
     def test_non_finite_boundary_data_is_config_error(self, tmp_path):
         r = run(["solve", "--solution", "builtin:quadratic", "--params",

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 
@@ -17,7 +18,8 @@ from asymlab import (
 )
 from asymlab import solver
 from asymlab.equations import OPERATORS
-from asymlab.errors import BadParams, NotAdmissible, SingularJacobian
+from asymlab.errors import (BadParams, DidNotConverge, NotAdmissible, SingularJacobian,
+                            WrongDimension)
 from asymlab.oracle2d import builtin
 from asymlab.solver import _prolong, boundary_data_from, convergence_study
 
@@ -64,9 +66,9 @@ class TestDirichletRows:
         P = builtin("ma-radial", {"c": 1.0})
         inner, outer = boundary_data_from(P, grid)
         # a warm start with other boundary rows is overwritten by the data
-        start = AnnulusField(grid, AnnulusField.from_potential(grid, P).values + 1e-3)
-        for init in ("affine-blend", start):
-            values = solve_annulus(MA2, grid, inner, outer, init=init).field.values
+        warm = AnnulusField(grid, AnnulusField.from_potential(grid, P).values + 1e-3)
+        for start in (None, warm):
+            values = solve_annulus(MA2, P, grid, start).field.values
             assert np.array_equal(values[0], inner)
             assert np.array_equal(values[-1], outer)
 
@@ -75,8 +77,7 @@ class TestSolveMA:
     def test_recovers_radial_solution(self):
         grid = AnnulusGrid(1.0, 8.0, 65, 128, "uniform")
         P = builtin("ma-radial", {"c": 1.0})
-        inner, outer = boundary_data_from(P, grid)
-        rep = solve_annulus(MA2, grid, inner, outer)
+        rep = solve_annulus(MA2, P, grid)
         assert rep.converged
         assert rep.final_residual_inf < 1e-10
         assert _exact_error(rep, grid, P) < 1e-4
@@ -84,14 +85,14 @@ class TestSolveMA:
     def test_residual_history_monotone(self):
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
         P = builtin("ma-radial", {"c": 1.0})
-        rep = solve_annulus(MA2, grid, *boundary_data_from(P, grid))
+        rep = solve_annulus(MA2, P, grid)
         hist = rep.residual_history
         assert all(b < a for a, b in zip(hist, hist[1:]))
 
     def test_final_iterate_admissible_everywhere(self):
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
         P = builtin("ma-radial", {"c": 1.0})
-        rep = solve_annulus(MA2, grid, *boundary_data_from(P, grid))
+        rep = solve_annulus(MA2, P, grid)
         H = _grid_hessians(rep.field)
         for i in range(1, grid.n_r - 1):
             for j in range(0, grid.n_theta, 7):
@@ -101,12 +102,12 @@ class TestSolveMA:
         grid = AnnulusGrid(1.0, 8.0, 17, 32, "uniform")
         P = builtin("quadratic", {"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0], "c": 0.0})
         with pytest.raises(NotAdmissible):
-            solve_annulus(MA2, grid, *boundary_data_from(P, grid))
+            solve_annulus(MA2, P, grid)
 
     def test_report_to_dict(self):
         grid = AnnulusGrid(1.0, 4.0, 17, 32, "uniform")
         P = builtin("ma-radial", {"c": 1.0})
-        rep = solve_annulus(MA2, grid, *boundary_data_from(P, grid))
+        rep = solve_annulus(MA2, P, grid)
         d = rep.to_dict()
         assert d["converged"] is True
         assert d["iterations"] == rep.iterations
@@ -116,14 +117,14 @@ class TestSolveSLE:
     def test_recovers_oracle(self):
         grid = AnnulusGrid(1.0, 8.0, 65, 128, "uniform")
         P = oracle_sle(LaurentCoeffs(a1=0.1, am1=0.5), math.pi / 4)
-        rep = solve_annulus(SLE2, grid, *boundary_data_from(P, grid))
+        rep = solve_annulus(SLE2, P, grid)
         assert rep.converged
         assert _exact_error(rep, grid, P) < 2e-3
 
     def test_phase_branch_everywhere_supercritical(self):
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
         P = oracle_sle(LaurentCoeffs(a1=0.1, am1=0.5), math.pi / 4)
-        rep = solve_annulus(SLE2, grid, *boundary_data_from(P, grid))
+        rep = solve_annulus(SLE2, P, grid)
         H = _grid_hessians(rep.field)
         for i in range(1, grid.n_r - 1):
             ph = np.sum(np.arctan(np.linalg.eigvalsh(H[i - 1, 11])))
@@ -131,19 +132,18 @@ class TestSolveSLE:
 
 
 class TestPerturbationStability:
-    def test_one_step_from_oracle_interpolant_is_small(self):
+    def test_one_step_from_oracle_interpolant_is_small(self, monkeypatch):
         """The exact solution sampled on the grid is a near-zero of the
         discrete system: one Newton step moves it by O(h^2) only."""
-        from asymlab.errors import DidNotConverge
-
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
+        monkeypatch.setattr(solver, "NEWTON_TOL", 1e-30)
         P = builtin("ma-radial", {"c": 1.0})
         moves = []
         for n_r, n_t in ((17, 32), (33, 64)):
             grid = AnnulusGrid(1.0, 8.0, n_r, n_t, "uniform")
             start = AnnulusField.from_potential(grid, P)
             try:
-                rep = solve_annulus(MA2, grid, start.values[0], start.values[-1],
-                                    init=start, max_iter=1, tol=1e-30)
+                rep = solve_annulus(MA2, P, grid, start)
             except DidNotConverge as e:
                 rep = e.report
             moves.append(np.abs(rep.field.values - start.values).max())
@@ -167,7 +167,7 @@ class TestNewtonRecord:
     def test_one_deterministic_entry_per_iteration(self):
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
         P = builtin("ma-radial", {"c": 1.0})
-        reps = [solve_annulus(MA2, grid, *boundary_data_from(P, grid)) for _ in range(2)]
+        reps = [solve_annulus(MA2, P, grid) for _ in range(2)]
         steps = reps[0].steps
         assert len(steps) == reps[0].iterations
         assert sum(s["halvings"] for s in steps) == reps[0].damping_events
@@ -182,7 +182,7 @@ class TestNewtonRecord:
         factors after one trial; a later factored step counts its rejected
         chord trial besides its line-search trials."""
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
-        rep = solve_annulus(MA2, grid, *boundary_data_from(builtin("ma-radial", {"c": 1.0}), grid))
+        rep = solve_annulus(MA2, builtin("ma-radial", {"c": 1.0}), grid)
         assert rep.steps[0]["factored"]
         assert not all(s["factored"] for s in rep.steps)
         nnz = None
@@ -200,8 +200,8 @@ class TestNewtonRecord:
         J^T + J, which fills less than SuperLU's default COLAMD."""
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
         P = builtin("ma-radial", {"c": 1.0})
+        rep = solve_annulus(MA2, P, grid)
         inner, outer = boundary_data_from(P, grid)
-        rep = solve_annulus(MA2, grid, inner, outer)
         C = solver._hessian_coefficients(grid)
         H = solver._hessians(grid, solver._blend_initial(grid, inner, outer), C)
         J = solver._assemble_jacobian(grid, C, OPERATORS["MA"].gradient(MA2, H))
@@ -212,11 +212,35 @@ class TestFailureNames:
     @pytest.mark.parametrize("ring", [0, 1])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_boundary_data_is_bad_params(self, ring, bad):
+        """A potential that is non-finite at one node of one ring."""
         grid = AnnulusGrid(1.0, 8.0, 9, 16, "uniform")
-        rings = boundary_data_from(builtin("ma-radial", {"c": 1.0}), grid)
-        rings[ring][3] = bad
-        with pytest.raises(BadParams):
-            solve_annulus(MA2, grid, *rings)
+        P = builtin("ma-radial", {"c": 1.0})
+        x, y = grid.nodes_xy()
+        node = (x[-ring, 3], y[-ring, 3])
+        hits = []
+
+        def values(X):
+            v = P.values_fn(X)
+            hit = (X[:, 0] == node[0]) & (X[:, 1] == node[1])
+            hits.append(int(hit.sum()))
+            v[hit] = bad
+            return v
+
+        with pytest.raises(BadParams, match="boundary data must be finite"):
+            solve_annulus(MA2, dataclasses.replace(P, values_fn=values), grid)
+        assert hits == [1]
+
+    def test_start_on_another_grid_is_bad_params(self):
+        grid = AnnulusGrid(1.0, 8.0, 17, 32, "uniform")
+        P = builtin("ma-radial", {"c": 1.0})
+        start = AnnulusField.from_potential(AnnulusGrid(1.0, 8.0, 9, 32, "uniform"), P)
+        with pytest.raises(BadParams, match="start is on"):
+            solve_annulus(MA2, P, grid, start)
+
+    def test_three_dimensional_potential_is_wrong_dimension(self):
+        grid = AnnulusGrid(1.0, 2.0, 9, 16)
+        with pytest.raises(WrongDimension, match="annulus solver is 2D only"):
+            solve_annulus(MA2, builtin("warren3d"), grid)
 
     def test_singular_jacobian(self, monkeypatch):
         grid = AnnulusGrid(1.0, 8.0, 9, 16, "uniform")
@@ -224,7 +248,7 @@ class TestFailureNames:
         monkeypatch.setattr(solver, "_assemble_jacobian",
                             lambda *a: sp.csc_matrix((n, n)))
         with pytest.raises(SingularJacobian):
-            solve_annulus(MA2, grid, *boundary_data_from(builtin("ma-radial", {"c": 1.0}), grid))
+            solve_annulus(MA2, builtin("ma-radial", {"c": 1.0}), grid)
 
     def test_non_finite_step(self, monkeypatch):
         class NanLU:
@@ -236,7 +260,7 @@ class TestFailureNames:
         monkeypatch.setattr(solver.spla, "splu", lambda *a, **k: NanLU())
         grid = AnnulusGrid(1.0, 8.0, 9, 16, "uniform")
         with pytest.raises(SingularJacobian):
-            solve_annulus(MA2, grid, *boundary_data_from(builtin("ma-radial", {"c": 1.0}), grid))
+            solve_annulus(MA2, builtin("ma-radial", {"c": 1.0}), grid)
 
 
 def _on_nodes(grid, f):
@@ -263,14 +287,14 @@ class TestProlong:
 
 
 def _spy_solves(mp):
-    """Record (init, report or None) of every `solve_annulus` call."""
+    """Record (start, report or None) of every `solve_annulus` call."""
     calls = []
     inner_solve = solver.solve_annulus
 
-    def spy(spec, grid, inner, outer, init="affine-blend", **kw):
-        call = [init, None]
+    def spy(spec, P, grid, start=None):
+        call = [start, None]
         calls.append(call)
-        call[1] = inner_solve(spec, grid, inner, outer, init=init, **kw)
+        call[1] = inner_solve(spec, P, grid, start)
         return call[1]
 
     mp.setattr(solver, "solve_annulus", spy)
@@ -297,9 +321,9 @@ class TestWarmStart:
         with pytest.MonkeyPatch.context() as mp:
             calls = _spy_solves(mp)
             convergence_study(spec, P, [coarse, fine])
-        (init0, _), (init1, warm) = calls
-        assert init0 == "affine-blend" and isinstance(init1, AnnulusField)
-        cold = solve_annulus(spec, fine, *boundary_data_from(P, fine))
+        (start0, _), (start1, warm) = calls
+        assert start0 is None and isinstance(start1, AnnulusField)
+        cold = solve_annulus(spec, P, fine)
         assert warm.final_residual_inf <= 1e-10
         assert cold.final_residual_inf <= 1e-10
         assert np.abs(warm.field.values - cold.field.values).max() <= 1e-9
@@ -309,9 +333,9 @@ class TestWarmStart:
         g1 = AnnulusGrid(1.0, 8.0, 17, 32, "logarithmic")  # not g0.refine()
         calls = _spy_solves(monkeypatch)
         convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), [g0, g1, g1.refine()])
-        inits = [init for init, _ in calls]
-        assert inits[:2] == ["affine-blend", "affine-blend"]
-        assert isinstance(inits[2], AnnulusField)
+        starts = [start for start, _ in calls]
+        assert starts[:2] == [None, None]
+        assert isinstance(starts[2], AnnulusField)
 
     def test_inadmissible_prolonged_start_falls_back(self, monkeypatch):
         """A prolonged start outside the MA cone is dropped for the affine
@@ -323,9 +347,9 @@ class TestWarmStart:
         monkeypatch.setattr(solver, "_prolong", lambda U: -_prolong(U))
         calls = _spy_solves(monkeypatch)
         rows = convergence_study(MA2, P, grids)
-        (_, _), (warm_init, warm), (cold_init, _) = calls
-        assert isinstance(warm_init, AnnulusField) and warm is None  # NotAdmissible
-        assert cold_init == "affine-blend"
+        (_, _), (warm_start, warm), (cold_start, _) = calls
+        assert isinstance(warm_start, AnnulusField) and warm is None  # NotAdmissible
+        assert cold_start is None
         assert rows[1]["maxError"] == cold[0]["maxError"]
         assert rows[1]["iterations"] == cold[0]["iterations"]
 
@@ -346,11 +370,10 @@ class TestChordSteps:
         (a zero contraction factor rejects every chord trial), ends."""
         spec, P, r_in = _oracle_case(kind, s)
         grid = AnnulusGrid(r_in, 8.0, 17, 32, spacing)
-        data = boundary_data_from(P, grid)
-        chord = solve_annulus(spec, grid, *data)
+        chord = solve_annulus(spec, P, grid)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "CHORD_CONTRACTION", 0.0)
-            full = solve_annulus(spec, grid, *data)
+            full = solve_annulus(spec, P, grid)
         assert not all(step["factored"] for step in chord.steps)
         assert all(step["factored"] for step in full.steps)
         assert chord.final_residual_inf <= solver.NEWTON_TOL
@@ -380,7 +403,7 @@ class TestChordSteps:
 
         monkeypatch.setattr(solver.spla, "splu", tracked_splu)
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
-        rep = solve_annulus(MA2, grid, *boundary_data_from(builtin("ma-radial", {"c": 1.0}), grid))
+        rep = solve_annulus(MA2, builtin("ma-radial", {"c": 1.0}), grid)
         assert seen == [0] * sum(step["factored"] for step in rep.steps)
         assert len(seen) >= 2 and not alive
 
@@ -409,7 +432,7 @@ class TestEvaluations:
 
         monkeypatch.setattr(solver, "_hessians", counted)
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
-        rep = solve_annulus(MA2, grid, *boundary_data_from(builtin("ma-radial", {"c": 1.0}), grid))
+        rep = solve_annulus(MA2, builtin("ma-radial", {"c": 1.0}), grid)
         assert rep.damping_events > 0
         assert len(calls) == 1 + sum(s["trials"] for s in rep.steps)
 
@@ -418,9 +441,10 @@ class _Captured(Exception):
     pass
 
 
-def _discrete_system(monkeypatch, spec, fld):
-    """(F(U), J(U)) of the discrete system at fld, as `solve_annulus` hands
-    them to the sparse LU step."""
+def _discrete_system(monkeypatch, spec, P, fld):
+    """(F(U), J(U)) of the discrete system started at fld, with P's boundary
+    data, as `solve_annulus` hands them to the sparse LU step (a zero
+    tolerance makes it take that step)."""
     out = []
 
     def capture(J, rhs, it):
@@ -429,8 +453,9 @@ def _discrete_system(monkeypatch, spec, fld):
 
     with monkeypatch.context() as mp:
         mp.setattr(solver, "_newton_step", capture)
+        mp.setattr(solver, "NEWTON_TOL", 0.0)
         with pytest.raises(_Captured):
-            solve_annulus(spec, fld.grid, fld.values[0], fld.values[-1], init=fld, tol=0.0)
+            solve_annulus(spec, P, fld.grid, fld)
     return out[0]
 
 
@@ -449,8 +474,8 @@ def test_jacobian_matches_residual_difference(monkeypatch, kind, spacing):
     v = np.zeros_like(U)
     v[1:-1] = np.random.default_rng(7).normal(size=(grid.n_r - 2, grid.n_theta))
     eps = 1e-6
-    _, J = _discrete_system(monkeypatch, spec, AnnulusField(grid, U))
-    Fp, _ = _discrete_system(monkeypatch, spec, AnnulusField(grid, U + eps * v))
-    Fm, _ = _discrete_system(monkeypatch, spec, AnnulusField(grid, U - eps * v))
+    _, J = _discrete_system(monkeypatch, spec, P, AnnulusField(grid, U))
+    Fp, _ = _discrete_system(monkeypatch, spec, P, AnnulusField(grid, U + eps * v))
+    Fm, _ = _discrete_system(monkeypatch, spec, P, AnnulusField(grid, U - eps * v))
     Jv = J @ v[1:-1].ravel()
     assert np.abs(Jv - (Fp - Fm) / (2 * eps)).max() <= 1e-6 * np.abs(Jv).max()
