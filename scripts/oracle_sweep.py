@@ -22,8 +22,7 @@ from asymlab import (
     oracle_sle,
 )
 from asymlab.asymptotics import decay_exponent, shell_points
-from asymlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, _comma_list
-from asymlab.errors import ConfigError, LabError
+from asymlab.cli import _comma_list, run_script
 
 INSTANCES = [
     (math.pi / 8, LaurentCoeffs(a1=0.5 + 0.3j, a0=0.2 + 0.1j, am1=0.7, tail=(0.3,))),
@@ -51,12 +50,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--shells", default="50,400,6",
                     help="rMin,rMax,count for the geometric shell family")
-    args = ap.parse_args()
-    try:
-        run(args)
-    except LabError as e:
-        ap.exit(EXIT_CONFIG if isinstance(e, ConfigError) else EXIT_NUMERICAL,
-                f"{ap.prog}: error: {e}\n")
+    run_script(ap, run)
 
 
 def run(args):

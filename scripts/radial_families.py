@@ -20,8 +20,7 @@ from asymlab import (
     fit_profile,
     flux_identity,
 )
-from asymlab.cli import EXIT_CONFIG, EXIT_NUMERICAL
-from asymlab.errors import ConfigError, LabError
+from asymlab.cli import run_script
 from asymlab.oracle2d import builtin, ihh_expected_d
 from asymlab.oracle2d import LaurentCoeffs
 
@@ -30,12 +29,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--c", type=float, default=1.0, help="Monge-Ampere parameter")
     ap.add_argument("--am1", type=float, default=0.4, help="IHH dual log charge")
-    args = ap.parse_args()
-    try:
-        run(args)
-    except LabError as e:
-        ap.exit(EXIT_CONFIG if isinstance(e, ConfigError) else EXIT_NUMERICAL,
-                f"{ap.prog}: error: {e}\n")
+    run_script(ap, run)
 
 
 def run(args):

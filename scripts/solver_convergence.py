@@ -17,9 +17,8 @@ import math
 import time
 
 from asymlab import EquationSpec, LaurentCoeffs, oracle_sle
-from asymlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, _comma_list
+from asymlab.cli import _comma_list, run_script
 from asymlab.core import AnnulusGrid
-from asymlab.errors import ConfigError, LabError
 from asymlab.oracle2d import builtin
 from asymlab.solver import convergence_study
 
@@ -32,12 +31,7 @@ def main():
     ap.add_argument("--levels", type=int, default=3)
     ap.add_argument("--spacing", choices=["uniform", "logarithmic"],
                     default="uniform")
-    args = ap.parse_args()
-    try:
-        run(args)
-    except LabError as e:
-        ap.exit(EXIT_CONFIG if isinstance(e, ConfigError) else EXIT_NUMERICAL,
-                f"{ap.prog}: error: {e}\n")
+    run_script(ap, run)
 
 
 def run(args):

@@ -219,7 +219,7 @@ def boundary_d(spec: EquationSpec, P: PotentialFn, curve: BoundaryCurve) -> floa
     hole, d = (integral - aw * area) / 2pi. With the weights (lw, cw, aw) of
     the equation's algebraic form, the integrand lw u_nu + cw u_1 (u_22, -u_12).nu
     is the flux whose divergence is lw tr D^2u + cw det D^2u. A Hessian
-    outside the equation's admissible set at a node raises NotAdmissible."""
+    off the equation's solution branch at a node raises NotAdmissible."""
     if spec.dim != 2 or P.dim != 2:
         raise WrongDimension("boundary_d is 2D only")
     lw, cw, aw = _row(spec, "div_form")(spec)
@@ -227,7 +227,7 @@ def boundary_d(spec: EquationSpec, P: PotentialFn, curve: BoundaryCurve) -> floa
     def integrand(X, nu):
         g = P.grads(X)
         H = P.hessians(X)
-        bad = np.flatnonzero(~OPERATORS[spec.kind].admissible(spec, H))
+        bad = np.flatnonzero(~OPERATORS[spec.kind].in_branch(spec, H))
         if bad.size:
             raise NotAdmissible(f"D^2u at curve node {X[bad[0]].tolist()} is not "
                                 f"admissible for {spec.kind}")

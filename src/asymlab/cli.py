@@ -360,12 +360,25 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError) as e:
+    except (LabError, json.JSONDecodeError, FileNotFoundError) as e:
         _emit_error(e)
-        return EXIT_CONFIG
+        return exit_code(e)
+
+
+def exit_code(e: Exception) -> int:
+    """EXIT_CONFIG for bad input, EXIT_NUMERICAL for any other LabError."""
+    bad_input = (ConfigError, json.JSONDecodeError, FileNotFoundError)
+    return EXIT_CONFIG if isinstance(e, bad_input) else EXIT_NUMERICAL
+
+
+def run_script(ap: argparse.ArgumentParser, run) -> None:
+    """Parse the command line with ap and call run(args); a LabError exits
+    with its exit code after one `prog: error: message` line on stderr."""
+    args = ap.parse_args()
+    try:
+        run(args)
     except LabError as e:
-        _emit_error(e)
-        return EXIT_NUMERICAL
+        ap.exit(exit_code(e), f"{ap.prog}: error: {e}\n")
 
 
 def _emit_error(e: Exception):

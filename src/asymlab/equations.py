@@ -86,23 +86,34 @@ def _ihh_residual(spec: EquationSpec, H: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Operator:
     """F(M), dF/dM and the admissible set as fn(spec, H) on stacked Hessians.
-    The 2D kinds also give the kernel L(A) of the log term (d/2) log(x'Lx)
-    as fn(spec, A), and the weights (lw, cw, aw) of the algebraic form
+    `branch` is the solution branch as fn(spec, H) where it is wider than the
+    admissible set (SLE: the phase window, without the supercritical
+    condition the solver needs); None means the admissible set. The 2D kinds
+    also give the kernel L(A) of the log term (d/2) log(x'Lx) as fn(spec, A),
+    and the weights (lw, cw, aw) of the algebraic form
     lw tr M + cw det M - aw = 0 of the equation as fn(spec)."""
 
     residual: Callable
     gradient: Callable
     admissible: Callable
+    branch: Callable | None = None
     log_kernel: Callable | None = None
     div_form: Callable | None = None
+
+    def in_branch(self, spec, H) -> np.ndarray:
+        return (self.branch or self.admissible)(spec, H)
+
+
+def _sle_branch(spec, H):
+    return np.abs(_phase(H) - spec.theta) < math.pi / 2
 
 
 OPERATORS = {
     # the branch kept is the supercritical one, phase in (Theta - pi/2, Theta + pi/2)
     "SLE": Operator(lambda spec, H: _phase(H) - spec.theta,
                     lambda spec, H: _inv(np.eye(H.shape[-1]) + H @ H),
-                    lambda spec, H: (spec.supercritical
-                                     & (np.abs(_phase(H) - spec.theta) < math.pi / 2)),
+                    lambda spec, H: spec.supercritical & _sle_branch(spec, H),
+                    branch=_sle_branch,
                     log_kernel=lambda spec, A: np.eye(A.shape[-1]) + A @ A,
                     div_form=lambda spec: (math.cos(spec.theta), math.sin(spec.theta),
                                            math.sin(spec.theta))),

@@ -190,13 +190,22 @@ class TestBoundaryD:
         d = boundary_d(IHH2, P, BoundaryCurve.circle(max(2.0, P.rho * 1.2)))
         assert d == pytest.approx(-0.4, abs=1e-6)
 
-    @pytest.mark.parametrize("spec", [MA2, IHH2, SLE2])
+    @pytest.mark.parametrize("spec", [MA2, IHH2, EquationSpec("SLE", 2, theta=0.9 * math.pi)])
     def test_inadmissible_hessian_is_not_admissible(self, spec):
         """log|x| has Hessian eigenvalues -1/r^2 and 1/r^2: not convex (MA),
-        not above 1 (IHH), and of phase 0, outside the branch of Theta = pi/2
-        (SLE); no d is reported for it."""
+        not above 1 (IHH), and of phase 0, at distance 0.9 pi > pi/2 from
+        Theta = 0.9 pi, outside that SLE branch; no d is reported for it."""
         with pytest.raises(NotAdmissible, match="curve node"):
             boundary_d(spec, builtin("log-radial", {"dim": 2}), BoundaryCurve.circle(2.0))
+
+    def test_critical_phase_laplace_has_zero_d(self):
+        """2D SLE at Theta = 0 is Laplace's equation; it is not supercritical,
+        so the solver refuses it, but its harmonic solutions lie on the phase
+        branch and carry no log term."""
+        spec = EquationSpec("SLE", 2, theta=0.0)
+        assert not spec.supercritical
+        d = boundary_d(spec, builtin("sin-exp"), BoundaryCurve.circle(2.0))
+        assert d == pytest.approx(0.0, abs=1e-9)
 
 
 class TestFluxIdentity:

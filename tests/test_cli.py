@@ -119,6 +119,13 @@ class TestBoundaryDCommand:
         assert err["kind"] == "NotAdmissible" and "[2.0, 0.0]" in err["message"]
         assert r.stdout == ""
 
+    def test_critical_phase_laplace_solution(self):
+        """sin(x1) exp(x2) solves 2D SLE at Theta = 0 and has no log term."""
+        r = run(["boundary-d", "--solution", "builtin:sin-exp", "--equation", "sle",
+                 "--theta", "0", "--radius", "2"])
+        assert r.returncode == 0
+        assert abs(float(r.stdout.split("=")[1])) < 1e-9
+
 
 class TestOracleSpecFile:
     def test_sle_oracle_from_json(self, tmp_path):

@@ -114,6 +114,15 @@ class TestAdmissibility:
         assert not admissible(spec, SymMat.diag(-5.0, -5.0))
         assert not admissible(spec, SymMat.diag(-3.0, 3.0))  # phase 0, on the edge
 
+    def test_sle_branch_ignores_supercritical_flag(self):
+        """At the critical phase Theta = 0 in 2D no Hessian is admissible to
+        the solver, but a harmonic one is on the solution branch."""
+        spec = EquationSpec("SLE", 2, theta=0.0)
+        H = SymMat.diag(-3.0, 3.0).m[None]
+        assert not OPERATORS["SLE"].admissible(spec, H)[0]
+        assert OPERATORS["SLE"].in_branch(spec, H)[0]
+        assert not OPERATORS["SLE"].in_branch(spec, SymMat.diag(5.0, 5.0).m[None])[0]
+
     def test_ma_positive_definite(self):
         spec = EquationSpec("MA", 2)
         assert admissible(spec, SymMat.diag(0.5, 2.0))
