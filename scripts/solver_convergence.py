@@ -5,18 +5,20 @@ Solves the Monge-Ampere and special-Lagrangian Dirichlet problems on
 [rIn, rOut] with boundary data sampled from closed-form solutions, then
 reports max-norm errors and h-halving ratios over three grids.
 
-The `iters` column counts Newton steps per grid, chord steps on held LU
-factors included. The first grid starts from the affine blend of the
-boundary data (11 steps on the defaults, 2 of them factored); each later
-grid refines the one before and starts from its solution, prolonged by
-cubic interpolation, and takes 2-5 steps, of which only the first factors
-its Jacobian.
+The `iters` column counts Newton steps per grid, chord steps included.
+The first grid starts from the affine blend of the boundary data (11 steps
+on the defaults, 2 of them factored); each later grid refines the one
+before and starts from its solution, prolonged by cubic interpolation.
+On the defaults the middle grid takes 3-5 steps, of which only the first
+factors its Jacobian, and the last grid, 3 steps that factor nothing: it
+solves its Newton systems by GMRES preconditioned with a two-grid cycle on
+the middle grid's factors, and takes its chord steps with such cycles.
 """
 import argparse
 import math
 import time
 
-from asymlab import EquationSpec, LaurentCoeffs, oracle_sle
+from asymlab import ConfigError, EquationSpec, LaurentCoeffs, oracle_sle
 from asymlab.cli import _comma_list, run_script
 from asymlab.core import AnnulusGrid
 from asymlab.oracle2d import builtin
@@ -36,6 +38,8 @@ def main():
 
 def run(args):
     n_r, n_t = _comma_list(args.base, "--base", (int, int))
+    if args.levels < 1:
+        raise ConfigError(f"--levels must be >= 1, got {args.levels}")
     grids = [AnnulusGrid(args.r_inner, args.r_outer, n_r, n_t, args.spacing)]
     for _ in range(args.levels - 1):
         grids.append(grids[-1].refine())

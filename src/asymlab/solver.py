@@ -10,6 +10,13 @@ J^T + J, which suits the structurally symmetric 9-point stencil.  The
 factors are kept for chord (simplified Newton) steps while the residual
 contracts, the frozen-Jacobian test of Deuflhard, "Newton Methods for
 Nonlinear Problems" (Springer 2004, sec. 2.1).
+
+A solve handed the factors of the grid it refines (`HeldFactors`, as the
+last grid of `convergence_study` is) factors nothing: it is inexact
+Newton-Krylov (Knoll & Keyes, J. Comput. Phys. 193, 2004), each Newton
+system solved by GMRES to the forcing term of Eisenstat & Walker (SIAM J.
+Sci. Comput. 17, 1996), right-preconditioned by one two-grid cycle on those
+factors; its chord steps are CHORD_CYCLES such cycles on the frozen Jacobian.
 """
 
 from __future__ import annotations
@@ -32,6 +39,13 @@ DAMPING_FLOOR = 2.0 ** -20
 # a chord step reusing the held LU factors is taken only if it cuts the
 # sup-norm residual at least this much
 CHORD_CONTRACTION = 0.25
+# the two-grid path: damped-Jacobi sweeps before and after the coarse
+# correction and their weight, the GMRES iterations after which it falls back
+# to the direct path, and the two-grid cycles of one chord step
+SMOOTHING_SWEEPS = 2
+JACOBI_WEIGHT = 0.7
+KRYLOV_MAX_ITER = 40
+CHORD_CYCLES = 3
 
 
 @dataclass
@@ -43,9 +57,10 @@ class SolveReport:
     residual_history: list
     converged: bool
     # one entry per Newton iteration: accepted step length t, number of
-    # halvings before it, nnz of the LU factors it solved with, whether it
-    # factored its own Jacobian (else a chord step on held factors), and its
-    # residual evaluations (a rejected chord trial included)
+    # halvings before it, nnz of the LU factors it solved with (the coarse
+    # ones on the two-grid path), whether it factored its own Jacobian,
+    # its GMRES iterations (0 on direct and chord steps), and its residual
+    # evaluations (a rejected chord trial included)
     steps: list
 
     def to_dict(self) -> dict:
@@ -163,6 +178,109 @@ def _prolong(U: np.ndarray) -> np.ndarray:
     return W
 
 
+@dataclass
+class HeldFactors:
+    """A slot for the LU factors one solve leaves to the solve of its refined
+    grid.  A solve given a slot returns with it holding the grid and its own
+    last factors (None if it factored none); while solving, it holds nothing
+    else, so at most one factorization is alive."""
+    grid: AnnulusGrid | None = None
+    lu: object = None
+
+
+def _full_weighting(centers: np.ndarray, n: int) -> sp.csr_matrix:
+    """Rows of weights (1/4, 1/2, 1/4) at the n fine nodes centers - 1,
+    centers, centers + 1 (indices mod n)."""
+    cols = (centers[:, None] + np.arange(-1, 2)) % n
+    return sp.csr_matrix((np.tile([0.25, 0.5, 0.25], len(centers)),
+                          (np.repeat(np.arange(len(centers)), 3), cols.ravel())),
+                         shape=(len(centers), n))
+
+
+class _TwoGrid:
+    """Two-grid cycles for Newton systems on `grid`, with the LU factors of a
+    Jacobian on the grid it refines (Trottenberg, Oosterlee & Schueller,
+    "Multigrid", 2001)."""
+
+    def __init__(self, grid: AnnulusGrid, lu):
+        m, n = (grid.n_r + 1) // 2, grid.n_theta // 2
+        # `_prolong` is linear and works on rows and columns apart, so it is
+        # kron(P_r, P_theta) with each factor `_prolong` of unit vectors; a
+        # correction is zero on the Dirichlet rows
+        P_r = _prolong(np.eye(m))[:, ::2][1:-1, 1:-1]
+        P_t = _prolong(np.eye(n))[::2].T
+        self.P = sp.kron(P_r, P_t, format="csr")
+        self.R = sp.kron(_full_weighting(2 * np.arange(m - 2) + 1, 2 * m - 3),
+                         _full_weighting(2 * np.arange(n), 2 * n), format="csr")
+        self.lu = lu
+
+    def cycle(self, J: sp.csr_matrix):
+        """b -> one cycle for J x = b from x = 0: SMOOTHING_SWEEPS damped-Jacobi
+        sweeps, the coarse correction of the full-weighted residual, and as
+        many sweeps again.  A linear map of b, so fit to precondition GMRES."""
+        w = JACOBI_WEIGHT / J.diagonal()
+
+        def apply(b):
+            x = w * b  # the first sweep, from x = 0
+            for _ in range(SMOOTHING_SWEEPS - 1):
+                x += w * (b - J @ x)
+            x += self.P @ self.lu.solve(self.R @ (b - J @ x))
+            for _ in range(SMOOTHING_SWEEPS):
+                x += w * (b - J @ x)
+            return x
+        return apply
+
+    def step(self, J: sp.csc_matrix, rhs: np.ndarray, rinf: float):
+        """Solve J step = rhs by GMRES, preconditioned with one cycle, to the
+        forcing term min(0.5, 0.1 |rhs|_inf), floored at 0.1 NEWTON_TOL /
+        |rhs|_inf so that the last step does not solve past the tolerance.
+        Return (step, GMRES iterations, the chord solve of CHORD_CYCLES
+        cycles on this J), or step None if GMRES missed the forcing term
+        within KRYLOV_MAX_ITER iterations or gave a non-finite step."""
+        J = J.tocsr()
+        M = self.cycle(J)
+        eta = max(min(0.5, 0.1 * rinf), 0.1 * NEWTON_TOL / rinf)
+        step, its = _gmres(J, M, rhs, eta)
+        if step is not None and not np.isfinite(step).all():
+            step = None
+
+        def chord(b):
+            x = M(b)
+            for _ in range(CHORD_CYCLES - 1):
+                x += M(b - J @ x)
+            return x
+        return step, its, chord
+
+
+def _gmres(A: sp.csr_matrix, M, b: np.ndarray, rtol: float):
+    """Right-preconditioned GMRES from x = 0 (Saad & Schultz, SIAM J. Sci.
+    Stat. Comput. 7, 1986), Arnoldi by classical Gram-Schmidt applied twice:
+    (x, iterations) with |b - A x|_2 <= rtol |b|_2, or (None, iterations)
+    if KRYLOV_MAX_ITER iterations do not reach it or the basis is not finite."""
+    beta = np.linalg.norm(b)
+    V = np.empty((KRYLOV_MAX_ITER + 1, b.size))  # the Arnoldi basis
+    Z = np.empty((KRYLOV_MAX_ITER, b.size))  # M of it
+    H = np.zeros((KRYLOV_MAX_ITER + 1, KRYLOV_MAX_ITER))
+    g = np.zeros(KRYLOV_MAX_ITER + 1)
+    V[0], g[0] = b / beta, beta
+    for k in range(KRYLOV_MAX_ITER):
+        Z[k] = M(V[k])
+        w = A @ Z[k]
+        for _ in range(2):
+            h = V[:k + 1] @ w
+            w -= h @ V[:k + 1]
+            H[:k + 1, k] += h
+        H[k + 1, k] = np.linalg.norm(w)
+        if not np.isfinite(H[:k + 2, k]).all():
+            return None, k + 1
+        Hk, gk = H[:k + 2, :k + 1], g[:k + 2]
+        y = np.linalg.lstsq(Hk, gk, rcond=None)[0]
+        if np.linalg.norm(gk - Hk @ y) <= rtol * beta:
+            return y @ Z[:k + 1], k + 1
+        V[k + 1] = w / H[k + 1, k]
+    return None, KRYLOV_MAX_ITER
+
+
 def _newton_step(J: sp.csc_matrix, rhs: np.ndarray, it: int):
     """Solve J step = rhs by sparse LU; return the step and the factors."""
     try:
@@ -192,7 +310,8 @@ def _trial(spec: EquationSpec, grid: AnnulusGrid, C: np.ndarray, U: np.ndarray,
 
 
 def solve_annulus(spec: EquationSpec, P: PotentialFn, grid: AnnulusGrid,
-                  start: AnnulusField | None = None) -> SolveReport:
+                  start: AnnulusField | None = None, *,
+                  held: HeldFactors | None = None) -> SolveReport:
     """Damped Newton on the stacked nodewise residual, with the Dirichlet
     data P on the two boundary rings, started from `start` or, if it is
     None, from the affine blend of that data.
@@ -205,7 +324,19 @@ def solve_annulus(spec: EquationSpec, P: PotentialFn, grid: AnnulusGrid,
     step until the sup-norm residual decreases and every interior node
     stays admissible.  The solve ends at a sup-norm residual <= NEWTON_TOL,
     or raises DidNotConverge after NEWTON_MAX_ITER iterations.
+
+    A `held` slot is emptied first.  If it held the factors of the grid
+    this one refines, the solve takes the two-grid path (module docstring)
+    with them: GMRES steps in place of factored ones, two-grid cycles on
+    the frozen Jacobian for chord steps.  A GMRES solve that misses its
+    forcing term drops those factors and factors the Jacobian, as above,
+    from then on.  On return the slot holds this grid and its last factors.
     """
+    two_grid = None
+    if held is not None:  # emptied first: a solve that raises leaves no factors
+        if held.lu is not None and held.grid.refine() == grid:
+            two_grid = _TwoGrid(grid, held.lu)
+        held.grid, held.lu = grid, None
     if spec.dim != 2 or P.dim != 2:
         raise WrongDimension("annulus solver is 2D only")
     if start is not None and start.grid != grid:
@@ -225,19 +356,28 @@ def solve_annulus(spec: EquationSpec, P: PotentialFn, grid: AnnulusGrid,
 
     history = [float(np.max(np.abs(res)))]
     steps = []
-    lu = None  # factors of the last factored Jacobian, held for chord steps
+    lu = None  # factors of the last factored Jacobian
+    chord = None  # the linear solve of a chord step: with lu, or cycles on a frozen J
     while history[-1] > NEWTON_TOL and len(steps) < NEWTON_MAX_ITER:
         it, rinf = len(steps) + 1, history[-1]
-        t, halvings, trials, new = 1.0, 0, 0, None
-        if lu is not None:
+        t, halvings, trials, krylov, new = 1.0, 0, 0, 0, None
+        if chord is not None:
             trials += 1
-            chord = lu.solve(res.ravel()).reshape(res.shape)
-            new = _trial(spec, grid, C, U, chord, lambda r: r <= CHORD_CONTRACTION * rinf)
-        factored = new is None
-        if factored:
-            lu = None
+            step = chord(res.ravel()).reshape(res.shape)
+            new = _trial(spec, grid, C, U, step, lambda r: r <= CHORD_CONTRACTION * rinf)
+        factored = False
+        if new is None:
+            chord = None
             J = _assemble_jacobian(grid, C, op.gradient(spec, H))
-            step, lu = _newton_step(J, res.ravel(), it)
+            step = None
+            if two_grid is not None:
+                step, krylov, chord = two_grid.step(J, res.ravel(), rinf)
+                if step is None:  # the direct path from here on
+                    two_grid = chord = None
+            if step is None:
+                lu = None
+                step, lu = _newton_step(J, res.ravel(), it)
+                chord, factored = lu.solve, True
             step = step.reshape(res.shape)
             while True:
                 trials += 1
@@ -251,8 +391,12 @@ def solve_annulus(spec: EquationSpec, P: PotentialFn, grid: AnnulusGrid,
                         f"damping floor reached at iteration {it}, |r|={rinf:.3g}")
         U, H, res, new_inf = new
         history.append(new_inf)
-        steps.append({"t": t, "halvings": halvings, "nnzLU": int(lu.nnz),
-                      "factored": factored, "trials": trials})
+        steps.append({"t": t, "halvings": halvings,
+                      "nnzLU": int((lu if two_grid is None else two_grid.lu).nnz),
+                      "factored": factored, "krylov": krylov, "trials": trials})
+    chord = two_grid = None
+    if held is not None:
+        held.lu = lu
     lu = None
 
     fld = AnnulusField(grid, U)
@@ -280,21 +424,27 @@ def convergence_study(spec: EquationSpec, oracle: PotentialFn,
     A grid that is `refine()` of the previous one starts Newton from the
     previous solution prolonged by `_prolong` (nested iteration); the first
     grid, any other grid, and a prolonged start that is inadmissible at some
-    node start from the affine blend of the boundary data.
+    node start from the affine blend of the boundary data.  No later grid
+    reuses the last grid's factors, so when it refines the grid before it,
+    it factors none: that grid leaves it its factors (`HeldFactors`) for
+    the two-grid path of `solve_annulus`.  The solve from an inadmissible
+    prolonged start has emptied the slot, so a cold restart is direct.
     """
     rows = []
     prev_err = None
     prev = None
-    for grid in grids:
+    held = HeldFactors() if grids[-2:-1] and grids[-1] == grids[-2].refine() else None
+    for k, grid in enumerate(grids):
+        hand = held if k >= len(grids) - 2 else None
         report = None
         if prev is not None and grid == prev.grid.refine():
             try:
                 report = solve_annulus(spec, oracle, grid,
-                                       AnnulusField(grid, _prolong(prev.values)))
+                                       AnnulusField(grid, _prolong(prev.values)), held=hand)
             except NotAdmissible:
                 pass
         if report is None:
-            report = solve_annulus(spec, oracle, grid)
+            report = solve_annulus(spec, oracle, grid, held=hand)
         exact = AnnulusField.from_potential(grid, oracle).values
         err = float(np.max(np.abs(report.field.values - exact)))
         h = grid.h_t

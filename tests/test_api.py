@@ -40,6 +40,7 @@ SCRIPT_ERRORS = [
     ("solver_convergence.py", ["--r-inner", "-1"], "r_inner"),
     ("solver_convergence.py", ["--base", "3,8"], "n_r"),
     ("oracle_sweep.py", ["--shells", "400,50,6"], "increasing"),
+    ("solver_convergence.py", ["--levels", "0"], "--levels"),
 ]
 
 

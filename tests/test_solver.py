@@ -291,10 +291,10 @@ def _spy_solves(mp):
     calls = []
     inner_solve = solver.solve_annulus
 
-    def spy(spec, P, grid, start=None):
+    def spy(spec, P, grid, start=None, *, held=None):
         call = [start, None]
         calls.append(call)
-        call[1] = inner_solve(spec, P, grid, start)
+        call[1] = inner_solve(spec, P, grid, start, held=held)
         return call[1]
 
     mp.setattr(solver, "solve_annulus", spy)
@@ -382,40 +382,117 @@ class TestChordSteps:
 
     def test_at_most_one_factorization_alive(self, monkeypatch):
         """The held factors are dropped before each new factorization and
-        when the solve returns."""
-        alive, seen = set(), []
-        splu = solver.spla.splu
-
-        class Tracked:
-            def __init__(self, lu):
-                self.lu, self.nnz = lu, lu.nnz
-                alive.add(id(self))
-
-            def solve(self, b):
-                return self.lu.solve(b)
-
-            def __del__(self):
-                alive.discard(id(self))
-
-        def tracked_splu(*args, **kw):
-            seen.append(len(alive))
-            return Tracked(splu(*args, **kw))
-
-        monkeypatch.setattr(solver.spla, "splu", tracked_splu)
+        when the solve returns; in a three-grid study the last grid holds
+        only the factors the grid before it leaves, and none outlive it."""
+        alive, seen, solving = _track_factorizations(monkeypatch)
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
-        rep = solve_annulus(MA2, builtin("ma-radial", {"c": 1.0}), grid)
+        P = builtin("ma-radial", {"c": 1.0})
+        rep = solve_annulus(MA2, P, grid)
         assert seen == [0] * sum(step["factored"] for step in rep.steps)
         assert len(seen) >= 2 and not alive
+        seen.clear()
+        calls = _spy_solves(monkeypatch)
+        convergence_study(MA2, P, [grid, grid.refine(), grid.refine().refine()])
+        assert seen == [0] * sum(step["factored"] for _, rep in calls for step in rep.steps)
+        assert any(step["krylov"] for step in calls[-1][1].steps)
+        assert max(solving) == 1 and not alive
 
     def test_one_factorization_per_refined_criterion_8_ma_grid(self, monkeypatch):
+        """The middle grid factors once; the last factors nothing and solves
+        on the middle grid's factors."""
         grids = [AnnulusGrid(1.0, 8.0, 33, 64, "uniform")]
         for _ in range(2):
             grids.append(grids[-1].refine())
         calls = _spy_solves(monkeypatch)
         convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), grids)
         assert len(calls) == 3
-        for _, rep in calls[1:]:
-            assert sum(step["factored"] for step in rep.steps) == 1
+        (_, middle), (_, last) = calls[1:]
+        assert sum(step["factored"] for step in middle.steps) == 1
+        assert sum(step["factored"] for step in last.steps) == 0
+        assert last.steps[0]["krylov"] > 0
+        assert {step["nnzLU"] for step in last.steps} == {middle.steps[-1]["nnzLU"]}
+
+
+def _track_factorizations(mp):
+    """Wrap every LU factorization: (ids of the live ones, the number alive
+    at each factorization, the number alive at each back-solve)."""
+    alive, seen, solving = set(), [], []
+    splu = solver.spla.splu
+
+    class Tracked:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+            alive.add(id(self))
+
+        def solve(self, b):
+            solving.append(len(alive))
+            return self.lu.solve(b)
+
+        def __del__(self):
+            alive.discard(id(self))
+
+    def tracked_splu(*args, **kw):
+        seen.append(len(alive))
+        return Tracked(splu(*args, **kw))
+
+    mp.setattr(solver.spla, "splu", tracked_splu)
+    return alive, seen, solving
+
+
+def _refined_start(spec, P, coarse):
+    """A HeldFactors slot filled by the solve on `coarse`, and that solution
+    prolonged onto `coarse.refine()`."""
+    held = solver.HeldFactors()
+    rep = solve_annulus(spec, P, coarse, held=held)
+    return held, AnnulusField(coarse.refine(), _prolong(rep.field.values))
+
+
+class TestTwoGrid:
+    @given(kind=st.sampled_from(["MA", "SLE", "IHH"]),
+           spacing=st.sampled_from(["uniform", "logarithmic"]),
+           base=st.sampled_from([(9, 16), (17, 32)]), s=st.floats(-1.0, 1.0))
+    @settings(max_examples=24, deadline=None)
+    def test_krylov_agrees_with_direct(self, kind, spacing, base, s):
+        """The refined grid solved by GMRES on the coarse grid's factors, with
+        no factorization of its own, ends where its direct solve ends."""
+        spec, P, r_in = _oracle_case(kind, s)
+        held, start = _refined_start(spec, P, AnnulusGrid(r_in, 8.0, *base, spacing))
+        krylov = solve_annulus(spec, P, start.grid, start, held=held)
+        direct = solve_annulus(spec, P, start.grid, start)
+        assert krylov.steps[0]["krylov"] > 0
+        assert not any(step["factored"] for step in krylov.steps) and held.lu is None
+        assert krylov.final_residual_inf <= solver.NEWTON_TOL
+        assert direct.final_residual_inf <= solver.NEWTON_TOL
+        assert np.abs(krylov.field.values - direct.field.values).max() <= 1e-9
+
+    def test_missed_forcing_falls_back_to_direct(self, monkeypatch):
+        """With a one-iteration GMRES cap the first Newton system misses its
+        forcing term: the coarse factors are dropped before the Jacobian is
+        factored, and the solve is the direct one."""
+        monkeypatch.setattr(solver, "KRYLOV_MAX_ITER", 1)
+        alive, seen, _ = _track_factorizations(monkeypatch)
+        P = builtin("ma-radial", {"c": 1.0})
+        held, start = _refined_start(MA2, P, AnnulusGrid(1.0, 8.0, 17, 32, "uniform"))
+        seen.clear()
+        rep = solve_annulus(MA2, P, start.grid, start, held=held)
+        assert rep.steps[0]["factored"] and rep.steps[0]["krylov"] == 1
+        assert all(step["krylov"] == 0 for step in rep.steps[1:])
+        assert seen == [0] * sum(step["factored"] for step in rep.steps)
+        assert len(alive) == 1 and held.lu is not None  # the slot holds the fine factors
+        held.lu = None
+        assert not alive
+        direct = solve_annulus(MA2, P, start.grid, start)
+        assert np.array_equal(rep.field.values, direct.field.values)
+        assert rep.residual_history == direct.residual_history
+
+    def test_prolongation_is_prolong(self):
+        """The two-grid prolongation is `_prolong` of a correction that is
+        zero on the Dirichlet rows."""
+        coarse = AnnulusGrid(1.0, 4.0, 9, 16)
+        E = np.zeros((coarse.n_r, coarse.n_theta))
+        E[1:-1] = np.random.default_rng(3).normal(size=(coarse.n_r - 2, coarse.n_theta))
+        fine = solver._TwoGrid(coarse.refine(), None).P @ E[1:-1].ravel()
+        assert np.abs(fine - _prolong(E)[1:-1].ravel()).max() <= 1e-15
 
 
 class TestEvaluations:
