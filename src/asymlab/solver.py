@@ -133,17 +133,18 @@ def _assemble_jacobian(grid: AnnulusGrid, C: np.ndarray, G: np.ndarray) -> sp.cs
     weight sum_ab G_ab C[k]_ab, spread over the stencil offsets."""
     nI, nT = grid.n_r - 2, grid.n_theta
     W = np.einsum("k...ab,...ab->k...", C, G)
-    node = np.arange(nI)[:, None] * nT + np.arange(nT)[None, :]
+    # int32 node numbers, the index type of the sparse matrix, so that the
+    # triplets are not copied to convert them
+    node = np.arange(nI * nT, dtype=np.int32).reshape(nI, nT)
     data, rows, cols = [], [], []
     for (di, dj), st in _STENCILS.items():
-        w = np.tensordot(st, W, axes=1)
-        ni = np.arange(nI)[:, None] + di
-        mask = np.broadcast_to((ni >= 0) & (ni <= nI - 1), w.shape)  # neighbor is unknown
-        data.append(w[mask])
-        rows.append(node[mask])
-        cols.append((ni * nT + (np.arange(nT)[None, :] + dj) % nT)[mask])
+        lo, hi = max(-di, 0), nI - max(di, 0)  # the rows whose neighbor is unknown
+        data.append(np.tensordot(st, W, axes=1)[lo:hi])
+        rows.append(node[lo:hi])
+        cols.append(np.roll(node, -dj, axis=1)[lo + di:hi + di])
     J = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate(data, axis=None),
+         (np.concatenate(rows, axis=None), np.concatenate(cols, axis=None))),
         shape=(nI * nT, nI * nT))
     return J.tocsc()
 
