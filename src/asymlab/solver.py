@@ -255,30 +255,29 @@ class _TwoGrid:
 
 def _gmres(A: sp.csr_matrix, M, b: np.ndarray, rtol: float):
     """Right-preconditioned GMRES from x = 0 (Saad & Schultz, SIAM J. Sci.
-    Stat. Comput. 7, 1986), Arnoldi by classical Gram-Schmidt applied twice:
-    (x, iterations) with |b - A x|_2 <= rtol |b|_2, or (None, iterations)
-    if KRYLOV_MAX_ITER iterations do not reach it or the basis is not finite."""
+    Stat. Comput. 7, 1986), Arnoldi by modified Gram-Schmidt: (x, iterations)
+    with |b - A x|_2 <= rtol |b|_2, or (None, iterations) if KRYLOV_MAX_ITER
+    iterations do not reach it or the basis is not finite.  The basis grows
+    one vector per iteration, so its memory is what the iterations use."""
     beta = np.linalg.norm(b)
-    V = np.empty((KRYLOV_MAX_ITER + 1, b.size))  # the Arnoldi basis
-    Z = np.empty((KRYLOV_MAX_ITER, b.size))  # M of it
+    V, Z = [b / beta], []  # the Arnoldi basis, and M of it
     H = np.zeros((KRYLOV_MAX_ITER + 1, KRYLOV_MAX_ITER))
     g = np.zeros(KRYLOV_MAX_ITER + 1)
-    V[0], g[0] = b / beta, beta
+    g[0] = beta
     for k in range(KRYLOV_MAX_ITER):
-        Z[k] = M(V[k])
+        Z.append(M(V[k]))
         w = A @ Z[k]
-        for _ in range(2):
-            h = V[:k + 1] @ w
-            w -= h @ V[:k + 1]
-            H[:k + 1, k] += h
+        for i, v in enumerate(V):
+            H[i, k] = v @ w
+            w -= H[i, k] * v
         H[k + 1, k] = np.linalg.norm(w)
         if not np.isfinite(H[:k + 2, k]).all():
             return None, k + 1
         Hk, gk = H[:k + 2, :k + 1], g[:k + 2]
         y = np.linalg.lstsq(Hk, gk, rcond=None)[0]
         if np.linalg.norm(gk - Hk @ y) <= rtol * beta:
-            return y @ Z[:k + 1], k + 1
-        V[k + 1] = w / H[k + 1, k]
+            return sum(yi * z for yi, z in zip(y, Z)), k + 1
+        V.append(w / H[k + 1, k])
     return None, KRYLOV_MAX_ITER
 
 
@@ -368,7 +367,7 @@ def solve_annulus(spec: EquationSpec, P: PotentialFn, grid: AnnulusGrid,
             new = _trial(spec, grid, C, U, step, lambda r: r <= CHORD_CONTRACTION * rinf)
         factored = False
         if new is None:
-            chord = None
+            chord = lu = None  # dropped before the next Jacobian is assembled
             J = _assemble_jacobian(grid, C, op.gradient(spec, H))
             step = None
             if two_grid is not None:
@@ -376,7 +375,6 @@ def solve_annulus(spec: EquationSpec, P: PotentialFn, grid: AnnulusGrid,
                 if step is None:  # the direct path from here on
                     two_grid = chord = None
             if step is None:
-                lu = None
                 step, lu = _newton_step(J, res.ravel(), it)
                 chord, factored = lu.solve, True
             step = step.reshape(res.shape)
