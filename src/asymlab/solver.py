@@ -432,7 +432,7 @@ def convergence_study(spec: EquationSpec, oracle: PotentialFn,
     rows = []
     prev_err = None
     prev = None
-    held = HeldFactors() if grids[-2:-1] and grids[-1] == grids[-2].refine() else None
+    held = HeldFactors() if len(grids) > 1 and grids[-1] == grids[-2].refine() else None
     for k, grid in enumerate(grids):
         hand = held if k >= len(grids) - 2 else None
         report = None
