@@ -6,13 +6,15 @@ Solves the Monge-Ampere and special-Lagrangian Dirichlet problems on
 reports max-norm errors and h-halving ratios over three grids.
 
 The `iters` column counts Newton steps per grid, chord steps included.
-The first grid starts from the affine blend of the boundary data (11 steps
-on the defaults, 2 of them factored); each later grid refines the one
-before and starts from its solution, prolonged by cubic interpolation.
-On the defaults the middle grid takes 3-5 steps, of which only the first
-factors its Jacobian, and the last grid, 3 steps that factor nothing: it
-solves its Newton systems by GMRES preconditioned with a two-grid cycle on
-the middle grid's factors, and takes its chord steps with such cycles.
+The first grid is solved after its coarsenings (on the defaults one,
+17x32, from the affine blend of the boundary data), and starts from the
+last of them prolonged by cubic interpolation (3-7 steps on the defaults,
+the first factored); each later grid refines the one before and starts
+from its solution, prolonged the same way.  On the defaults the middle
+grid takes 3-5 steps, of which only the first factors its Jacobian, and
+the last grid, 3 steps that factor nothing: it solves its Newton systems
+by GMRES preconditioned with a two-grid cycle on the middle grid's
+factors, and takes its chord steps with such cycles.
 """
 import argparse
 import math

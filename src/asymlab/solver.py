@@ -11,18 +11,18 @@ factors are kept for chord (simplified Newton) steps while the residual
 contracts, the frozen-Jacobian test of Deuflhard, "Newton Methods for
 Nonlinear Problems" (Springer 2004, sec. 2.1).
 
-A solve handed the factors of the grid it refines (`HeldFactors`, as the
-last grid of `convergence_study` is) factors nothing: it is inexact
-Newton-Krylov (Knoll & Keyes, J. Comput. Phys. 193, 2004), each Newton
-system solved by GMRES to the forcing term of Eisenstat & Walker (SIAM J.
-Sci. Comput. 17, 1996), right-preconditioned by one two-grid cycle on those
-factors; its chord steps are CHORD_CYCLES such cycles on the frozen Jacobian.
+Every solve is nested iteration (`_nested`), and its last grid factors
+nothing: inexact Newton-Krylov (Knoll & Keyes, J. Comput. Phys. 193, 2004),
+each Newton system solved by GMRES to the forcing term of Eisenstat & Walker
+(SIAM J. Sci. Comput. 17, 1996), right-preconditioned by one two-grid cycle
+on the factors the level below leaves; its chord steps are CHORD_CYCLES
+such cycles on the frozen Jacobian.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -179,14 +179,14 @@ def _prolong(U: np.ndarray) -> np.ndarray:
     return W
 
 
-@dataclass
-class HeldFactors:
-    """A slot for the LU factors one solve leaves to the solve of its refined
-    grid.  A solve given a slot returns with it holding the grid and its own
-    last factors (None if it factored none); while solving, it holds nothing
-    else, so at most one factorization is alive."""
-    grid: AnnulusGrid | None = None
-    lu: object = None
+def _coarsenings(grid: AnnulusGrid) -> list[AnnulusGrid]:
+    """The grids `_nested` solves before `grid`, each refining to the next: it
+    coarsens while n_r is odd and 4 divides n_theta, to n_theta 32 and n_r 4."""
+    chain = []
+    while grid.n_r % 2 and grid.n_theta % 4 == 0 and grid.n_theta >= 64 and grid.n_r >= 7:
+        grid = replace(grid, n_r=(grid.n_r + 1) // 2, n_theta=grid.n_theta // 2)
+        chain.insert(0, grid)
+    return chain
 
 
 def _full_weighting(centers: np.ndarray, n: int) -> sp.csr_matrix:
@@ -309,12 +309,11 @@ def _trial(spec: EquationSpec, grid: AnnulusGrid, C: np.ndarray, U: np.ndarray,
     return None
 
 
-def solve_annulus(spec: EquationSpec, P: PotentialFn, grid: AnnulusGrid,
-                  start: AnnulusField | None = None, *,
-                  held: HeldFactors | None = None) -> SolveReport:
-    """Damped Newton on the stacked nodewise residual, with the Dirichlet
-    data P on the two boundary rings, started from `start` or, if it is
-    None, from the affine blend of that data.
+def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusField | None,
+                 handoff: list, keep: bool) -> SolveReport:
+    """Damped Newton on the stacked nodewise residual of one grid with the
+    Dirichlet data `rings` (inner, outer), from `start` or, if it is None,
+    from the affine blend of that data.
 
     Each iteration first tries a chord step: a full step solved with the
     held LU factors of the last factored Jacobian, kept if every interior
@@ -325,27 +324,14 @@ def solve_annulus(spec: EquationSpec, P: PotentialFn, grid: AnnulusGrid,
     stays admissible.  The solve ends at a sup-norm residual <= NEWTON_TOL,
     or raises DidNotConverge after NEWTON_MAX_ITER iterations.
 
-    A `held` slot is emptied first.  If it held the factors of the grid
-    this one refines, the solve takes the two-grid path (module docstring)
-    with them: GMRES steps in place of factored ones, two-grid cycles on
-    the frozen Jacobian for chord steps.  A GMRES solve that misses its
-    forcing term drops those factors and factors the Jacobian, as above,
-    from then on.  On return the slot holds this grid and its last factors.
+    If `handoff` holds the LU factors of the grid this one refines, the
+    solve removes them from it and takes the two-grid path on them (module
+    docstring) until a GMRES solve misses its forcing term.  If `keep`,
+    `handoff` holds this solve's last factors on return.
     """
-    two_grid = None
-    if held is not None:  # emptied first: a solve that raises leaves no factors
-        if held.lu is not None and held.grid.refine() == grid:
-            two_grid = _TwoGrid(grid, held.lu)
-        held.grid, held.lu = grid, None
-    if spec.dim != 2 or P.dim != 2:
-        raise WrongDimension("annulus solver is 2D only")
-    if start is not None and start.grid != grid:
-        raise BadParams(f"start is on {start.grid}, not on the solve's grid {grid}")
-    inner, outer = boundary_data_from(P, grid)
-    if not (np.isfinite(inner).all() and np.isfinite(outer).all()):
-        raise BadParams("boundary data must be finite")
-    U = _blend_initial(grid, inner, outer) if start is None else start.values.copy()
-    U[0], U[-1] = inner, outer  # the Dirichlet rows; no step changes them
+    two_grid = _TwoGrid(grid, handoff.pop()) if handoff else None
+    U = _blend_initial(grid, *rings) if start is None else start.values.copy()
+    U[0], U[-1] = rings  # the Dirichlet rows; no step changes them
 
     op = OPERATORS[spec.kind]
     C = _hessian_coefficients(grid)
@@ -393,18 +379,71 @@ def solve_annulus(spec: EquationSpec, P: PotentialFn, grid: AnnulusGrid,
         steps.append({"t": t, "halvings": halvings,
                       "nnzLU": int((lu if two_grid is None else two_grid.lu).nnz),
                       "factored": factored, "krylov": krylov, "trials": trials})
-    chord = two_grid = None
-    if held is not None:
-        held.lu = lu
-    lu = None
-
-    fld = AnnulusField(grid, U)
-    report = SolveReport(len(steps), history[-1], sum(s["halvings"] for s in steps), fld,
-                         history, history[-1] <= NEWTON_TOL, steps)
+    if keep and lu is not None:
+        handoff.append(lu)
+    chord = two_grid = lu = None
+    report = SolveReport(len(steps), history[-1], sum(s["halvings"] for s in steps),
+                         AnnulusField(grid, U), history, history[-1] <= NEWTON_TOL, steps)
     if not report.converged:
         raise DidNotConverge(
             f"|r|_inf = {history[-1]:.3g} after {len(steps)} iterations", report)
     return report
+
+
+def solve_annulus(spec: EquationSpec, P: PotentialFn, grid: AnnulusGrid,
+                  start: AnnulusField | None = None) -> SolveReport:
+    """Solve on `grid` with the Dirichlet data P on its boundary rings, by
+    `_nested`: the report describes the Newton iterations on `grid` alone."""
+    return _nested(spec, P, [grid], start)[0]
+
+
+def _nested(spec: EquationSpec, P: PotentialFn, grids: list[AnnulusGrid],
+            start: AnnulusField | None = None) -> list[SolveReport]:
+    """The reports of `grids`, solved in order by nested iteration (Brandt,
+    Math. Comp. 31, 1977).  The first grid starts from `start` if it is
+    given; a grid that refines the one before it starts from its solution
+    prolonged; any other grid first solves its `_coarsenings` so, on its own
+    data at every other node (every fourth, ...), the coarsest from the
+    blend.  The level before the last grid leaves it its LU factors if the
+    last grid refines it.  A numerical failure on a coarsening or from a
+    prolonged start leaves the grid to be solved from the blend, direct.
+    """
+    if spec.dim != 2 or P.dim != 2:
+        raise WrongDimension("annulus solver is 2D only")
+    if start is not None and start.grid != grids[0]:
+        raise BadParams(f"start is on {start.grid}, not on the solve's grid {grids[0]}")
+    rings = [boundary_data_from(P, grid) for grid in grids]
+    if not all(np.isfinite(ring).all() for pair in rings for ring in pair):
+        raise BadParams("boundary data must be finite")
+    levels = []  # (grid, the index in `grids` of the grid it serves, its node stride there)
+    for k, grid in enumerate(grids):
+        nested = start is not None if k == 0 else grid == grids[k - 1].refine()
+        chain = [grid] if nested else _coarsenings(grid) + [grid]
+        levels += [(g, k, 2 ** (len(chain) - 1 - m)) for m, g in enumerate(chain)]
+    reports, handoff, prev, dropped = [], [], None, None
+    for i, (grid, k, stride) in enumerate(levels):
+        if stride > 1 and k == dropped:
+            continue
+        keep = i == len(levels) - 2 and levels[-1][0] == grid.refine()
+        warm = prev is not None and grid == prev.grid.refine()
+        first = AnnulusField(grid, _prolong(prev.values)) if warm else start if i == 0 else None
+        data = tuple(ring[::stride] for ring in rings[k])
+        report = None
+        try:
+            report = _solve_level(spec, grid, data, first, handoff, keep)
+        except (NotAdmissible, InadmissibleIterate, SingularJacobian, DidNotConverge):
+            if stride == 1 and not warm:
+                raise
+            handoff.clear()
+        if report is None:  # out of the except clause, which holds the failed level's frame
+            prev, dropped = None, k
+            if stride > 1:
+                continue
+            report = _solve_level(spec, grid, data, None, handoff, keep)
+        prev = report.field
+        if stride == 1:
+            reports.append(report)
+    return reports
 
 
 def boundary_data_from(P: PotentialFn, grid: AnnulusGrid):
@@ -417,39 +456,15 @@ def boundary_data_from(P: PotentialFn, grid: AnnulusGrid):
 
 def convergence_study(spec: EquationSpec, oracle: PotentialFn,
                       grids: list[AnnulusGrid]):
-    """Solve with oracle boundary data on nested grids; report per-grid max
-    nodal error against the oracle and successive error ratios.
-
-    A grid that is `refine()` of the previous one starts Newton from the
-    previous solution prolonged by `_prolong` (nested iteration); the first
-    grid, any other grid, and a prolonged start that is inadmissible at some
-    node start from the affine blend of the boundary data.  No later grid
-    reuses the last grid's factors, so when it refines the grid before it,
-    it factors none: that grid leaves it its factors (`HeldFactors`) for
-    the two-grid path of `solve_annulus`.  The solve from an inadmissible
-    prolonged start has emptied the slot, so a cold restart is direct.
-    """
+    """Solve with oracle boundary data on nested grids by `_nested`; report
+    per-grid max nodal error against the oracle and successive error ratios."""
     rows = []
     prev_err = None
-    prev = None
-    held = HeldFactors() if len(grids) > 1 and grids[-1] == grids[-2].refine() else None
-    for k, grid in enumerate(grids):
-        hand = held if k >= len(grids) - 2 else None
-        report = None
-        if prev is not None and grid == prev.grid.refine():
-            try:
-                report = solve_annulus(spec, oracle, grid,
-                                       AnnulusField(grid, _prolong(prev.values)), held=hand)
-            except NotAdmissible:
-                pass
-        if report is None:
-            report = solve_annulus(spec, oracle, grid, held=hand)
+    for grid, report in zip(grids, _nested(spec, oracle, grids)):
         exact = AnnulusField.from_potential(grid, oracle).values
         err = float(np.max(np.abs(report.field.values - exact)))
-        h = grid.h_t
         ratio = (prev_err / err) if (prev_err is not None and err > 1e-13) else math.nan
-        rows.append({"h": h, "maxError": err, "ratio": ratio,
+        rows.append({"h": grid.h_t, "maxError": err, "ratio": ratio,
                      "iterations": report.iterations})
         prev_err = err
-        prev = report.field
     return rows

@@ -18,8 +18,8 @@ from asymlab import (
 )
 from asymlab import solver
 from asymlab.equations import OPERATORS
-from asymlab.errors import (BadParams, DidNotConverge, NotAdmissible, SingularJacobian,
-                            WrongDimension)
+from asymlab.errors import (BadParams, DidNotConverge, InadmissibleIterate, NotAdmissible,
+                            SingularJacobian, WrongDimension)
 from asymlab.oracle2d import builtin
 from asymlab.solver import _prolong, boundary_data_from, convergence_study
 
@@ -30,6 +30,13 @@ SLE2 = EquationSpec("SLE", 2, theta=math.pi / 2)
 def _grid_hessians(fld):
     """Cartesian Hessians at the interior nodes, (n_r - 2, n_theta, 2, 2)."""
     return solver._hessians(fld.grid, fld.values, solver._hessian_coefficients(fld.grid))
+
+
+def _direct(spec, P, grid):
+    """The damped-Newton solve on `grid` alone from the affine blend of the
+    boundary data: no coarse levels and no factors handed down."""
+    blend = solver._blend_initial(grid, *boundary_data_from(P, grid))
+    return solve_annulus(spec, P, grid, AnnulusField(grid, blend))
 
 
 def _exact_error(rep, grid, P):
@@ -103,6 +110,17 @@ class TestSolveMA:
         P = builtin("quadratic", {"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0], "c": 0.0})
         with pytest.raises(NotAdmissible):
             solve_annulus(MA2, P, grid)
+
+    def test_concave_data_on_a_grid_that_coarsens(self, monkeypatch):
+        """The coarse level fails first; the grid's own cold start then
+        raises the same NotAdmissible a grid that does not coarsen raises."""
+        grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
+        P = builtin("quadratic", {"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0], "c": 0.0})
+        calls = _spy_levels(monkeypatch)
+        with pytest.raises(NotAdmissible, match="initial iterate is inadmissible"):
+            solve_annulus(MA2, P, grid)
+        assert [(g.n_r, start, rep) for g, start, rep in calls] == [(17, None, None),
+                                                                  (33, None, None)]
 
     def test_report_to_dict(self):
         grid = AnnulusGrid(1.0, 4.0, 17, 32, "uniform")
@@ -182,7 +200,7 @@ class TestNewtonRecord:
         factors after one trial; a later factored step counts its rejected
         chord trial besides its line-search trials."""
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
-        rep = solve_annulus(MA2, builtin("ma-radial", {"c": 1.0}), grid)
+        rep = _direct(MA2, builtin("ma-radial", {"c": 1.0}), grid)
         assert rep.steps[0]["factored"]
         assert not all(s["factored"] for s in rep.steps)
         nnz = None
@@ -200,7 +218,7 @@ class TestNewtonRecord:
         J^T + J, which fills less than SuperLU's default COLAMD."""
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
         P = builtin("ma-radial", {"c": 1.0})
-        rep = solve_annulus(MA2, P, grid)
+        rep = _direct(MA2, P, grid)
         inner, outer = boundary_data_from(P, grid)
         C = solver._hessian_coefficients(grid)
         H = solver._hessians(grid, solver._blend_initial(grid, inner, outer), C)
@@ -286,18 +304,18 @@ class TestProlong:
             assert 13.0 <= a / b <= 20.0
 
 
-def _spy_solves(mp):
-    """Record (start, report or None) of every `solve_annulus` call."""
+def _spy_levels(mp):
+    """Record [grid, start, report or None] of every level `_nested` solves."""
     calls = []
-    inner_solve = solver.solve_annulus
+    inner_solve = solver._solve_level
 
-    def spy(spec, P, grid, start=None, *, held=None):
-        call = [start, None]
+    def spy(spec, grid, rings, start, handoff, keep):
+        call = [grid, start, None]
         calls.append(call)
-        call[1] = inner_solve(spec, P, grid, start, held=held)
-        return call[1]
+        call[2] = inner_solve(spec, grid, rings, start, handoff, keep)
+        return call[2]
 
-    mp.setattr(solver, "solve_annulus", spy)
+    mp.setattr(solver, "_solve_level", spy)
     return calls
 
 
@@ -319,9 +337,9 @@ class TestWarmStart:
         fine = coarse.refine()
         spec, P, _ = _oracle_case(kind, s)
         with pytest.MonkeyPatch.context() as mp:
-            calls = _spy_solves(mp)
+            calls = _spy_levels(mp)
             convergence_study(spec, P, [coarse, fine])
-        (start0, _), (start1, warm) = calls
+        (_, start0, _), (_, start1, warm) = calls
         assert start0 is None and isinstance(start1, AnnulusField)
         cold = solve_annulus(spec, P, fine)
         assert warm.final_residual_inf <= 1e-10
@@ -331,9 +349,9 @@ class TestWarmStart:
     def test_non_nested_sequence_starts_cold(self, monkeypatch):
         g0 = AnnulusGrid(1.0, 8.0, 9, 16, "uniform")
         g1 = AnnulusGrid(1.0, 8.0, 17, 32, "logarithmic")  # not g0.refine()
-        calls = _spy_solves(monkeypatch)
+        calls = _spy_levels(monkeypatch)
         convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), [g0, g1, g1.refine()])
-        starts = [start for start, _ in calls]
+        starts = [start for _, start, _ in calls]
         assert starts[:2] == [None, None]
         assert isinstance(starts[2], AnnulusField)
 
@@ -345,9 +363,9 @@ class TestWarmStart:
         P = builtin("ma-radial", {"c": 1.0})
         cold = convergence_study(MA2, P, grids[1:])
         monkeypatch.setattr(solver, "_prolong", lambda U: -_prolong(U))
-        calls = _spy_solves(monkeypatch)
+        calls = _spy_levels(monkeypatch)
         rows = convergence_study(MA2, P, grids)
-        (_, _), (warm_start, warm), (cold_start, _) = calls
+        _, (_, warm_start, warm), (_, cold_start, _) = calls
         assert isinstance(warm_start, AnnulusField) and warm is None  # NotAdmissible
         assert cold_start is None
         assert rows[1]["maxError"] == cold[0]["maxError"]
@@ -382,31 +400,38 @@ class TestChordSteps:
 
     def test_at_most_one_factorization_alive(self, monkeypatch):
         """The held factors are dropped before each new factorization and
-        when the solve returns; in a three-grid study the last grid holds
-        only the factors the grid before it leaves, and none outlive it."""
+        when the solve returns; in a nested solve and in a three-grid study
+        the last grid holds only the factors the level before it leaves,
+        and none outlive the solve."""
         alive, seen, solving = _track_factorizations(monkeypatch)
+        calls = _spy_levels(monkeypatch)
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
         P = builtin("ma-radial", {"c": 1.0})
-        rep = solve_annulus(MA2, P, grid)
+        rep = _direct(MA2, P, grid)
         assert seen == [0] * sum(step["factored"] for step in rep.steps)
         assert len(seen) >= 2 and not alive
-        seen.clear()
-        calls = _spy_solves(monkeypatch)
-        convergence_study(MA2, P, [grid, grid.refine(), grid.refine().refine()])
-        assert seen == [0] * sum(step["factored"] for _, rep in calls for step in rep.steps)
-        assert any(step["krylov"] for step in calls[-1][1].steps)
-        assert max(solving) == 1 and not alive
+        for solve in (lambda: solve_annulus(MA2, P, grid),
+                      lambda: convergence_study(MA2, P, [grid, grid.refine(),
+                                                         grid.refine().refine()])):
+            seen.clear()
+            calls.clear()
+            solving.clear()
+            solve()
+            assert seen == [0] * sum(step["factored"] for *_, rep in calls for step in rep.steps)
+            assert any(step["krylov"] for step in calls[-1][2].steps)
+            assert max(solving) == 1 and not alive
 
     def test_one_factorization_per_refined_criterion_8_ma_grid(self, monkeypatch):
-        """The middle grid factors once; the last factors nothing and solves
-        on the middle grid's factors."""
+        """The first grid is solved from its coarsening; the middle grid
+        factors once; the last factors nothing and solves on the middle
+        grid's factors."""
         grids = [AnnulusGrid(1.0, 8.0, 33, 64, "uniform")]
         for _ in range(2):
             grids.append(grids[-1].refine())
-        calls = _spy_solves(monkeypatch)
+        calls = _spy_levels(monkeypatch)
         convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), grids)
-        assert len(calls) == 3
-        (_, middle), (_, last) = calls[1:]
+        assert [grid for grid, *_ in calls] == [AnnulusGrid(1.0, 8.0, 17, 32, "uniform"), *grids]
+        (*_, middle), (*_, last) = calls[2:]
         assert sum(step["factored"] for step in middle.steps) == 1
         assert sum(step["factored"] for step in last.steps) == 0
         assert last.steps[0]["krylov"] > 0
@@ -439,12 +464,16 @@ def _track_factorizations(mp):
     return alive, seen, solving
 
 
-def _refined_start(spec, P, coarse):
-    """A HeldFactors slot filled by the solve on `coarse`, and that solution
-    prolonged onto `coarse.refine()`."""
-    held = solver.HeldFactors()
-    rep = solve_annulus(spec, P, coarse, held=held)
-    return held, AnnulusField(coarse.refine(), _prolong(rep.field.values))
+def _refined_solve(spec, P, coarse):
+    """(prolonged start, report) of the last grid of a study on `coarse`
+    and its refinement, solved on the factors `coarse` leaves, and whether
+    a factorization outlived the study."""
+    with pytest.MonkeyPatch.context() as mp:
+        alive, _, _ = _track_factorizations(mp)
+        calls = _spy_levels(mp)
+        convergence_study(spec, P, [coarse, coarse.refine()])
+        _, start, report = calls[-1]
+        return start, report, bool(alive)
 
 
 class TestTwoGrid:
@@ -456,32 +485,32 @@ class TestTwoGrid:
         """The refined grid solved by GMRES on the coarse grid's factors, with
         no factorization of its own, ends where its direct solve ends."""
         spec, P, r_in = _oracle_case(kind, s)
-        held, start = _refined_start(spec, P, AnnulusGrid(r_in, 8.0, *base, spacing))
-        krylov = solve_annulus(spec, P, start.grid, start, held=held)
+        start, krylov, leaked = _refined_solve(spec, P, AnnulusGrid(r_in, 8.0, *base, spacing))
         direct = solve_annulus(spec, P, start.grid, start)
         assert krylov.steps[0]["krylov"] > 0
-        assert not any(step["factored"] for step in krylov.steps) and held.lu is None
+        assert not any(step["factored"] for step in krylov.steps) and not leaked
         assert krylov.final_residual_inf <= solver.NEWTON_TOL
         assert direct.final_residual_inf <= solver.NEWTON_TOL
         assert np.abs(krylov.field.values - direct.field.values).max() <= 1e-9
 
     def test_missed_forcing_falls_back_to_direct(self, monkeypatch):
-        """With a one-iteration GMRES cap the first Newton system misses its
-        forcing term: the coarse factors are dropped before the Jacobian is
-        factored, and the solve is the direct one."""
+        """With a one-iteration GMRES cap the first Newton system of a
+        nested solve misses its forcing term: the coarse factors are
+        dropped before the Jacobian is factored, and the solve is the
+        direct one from the same start."""
         monkeypatch.setattr(solver, "KRYLOV_MAX_ITER", 1)
         alive, seen, _ = _track_factorizations(monkeypatch)
+        calls = _spy_levels(monkeypatch)
         P = builtin("ma-radial", {"c": 1.0})
-        held, start = _refined_start(MA2, P, AnnulusGrid(1.0, 8.0, 17, 32, "uniform"))
-        seen.clear()
-        rep = solve_annulus(MA2, P, start.grid, start, held=held)
+        grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
+        rep = solve_annulus(MA2, P, grid)
+        (_, _, coarse), (_, start, last) = calls
+        assert last is rep
         assert rep.steps[0]["factored"] and rep.steps[0]["krylov"] == 1
         assert all(step["krylov"] == 0 for step in rep.steps[1:])
-        assert seen == [0] * sum(step["factored"] for step in rep.steps)
-        assert len(alive) == 1 and held.lu is not None  # the slot holds the fine factors
-        held.lu = None
+        assert seen == [0] * sum(step["factored"] for step in coarse.steps + rep.steps)
         assert not alive
-        direct = solve_annulus(MA2, P, start.grid, start)
+        direct = solve_annulus(MA2, P, grid, start)
         assert np.array_equal(rep.field.values, direct.field.values)
         assert rep.residual_history == direct.residual_history
 
@@ -493,6 +522,80 @@ class TestTwoGrid:
         E[1:-1] = np.random.default_rng(3).normal(size=(coarse.n_r - 2, coarse.n_theta))
         fine = solver._TwoGrid(coarse.refine(), None).P @ E[1:-1].ravel()
         assert np.abs(fine - _prolong(E)[1:-1].ravel()).max() <= 1e-15
+
+
+class TestNested:
+    @pytest.mark.parametrize("shape, spacing, chain", [
+        ((65, 128), "uniform", [(17, 32), (33, 64), (65, 128)]),
+        ((33, 64), "uniform", [(17, 32), (33, 64)]),
+        ((33, 64), "logarithmic", [(17, 32), (33, 64)]),
+        ((17, 32), "uniform", [(17, 32)]),  # the coarse n_theta would be 16
+        ((34, 64), "uniform", [(34, 64)]),  # even n_r
+        ((33, 66), "uniform", [(33, 66)]),  # n_theta = 2 mod 4
+        ((5, 128), "uniform", [(5, 128)]),  # the coarse n_r would be 3
+    ])
+    def test_coarsening_chain(self, monkeypatch, shape, spacing, chain):
+        """A solve with no start solves exactly its coarsenings first, the
+        coarsest from the blend and each later level from the one before it
+        prolonged, on the grid's own data at every other node."""
+        grid = AnnulusGrid(1.0, 8.0, *shape, spacing)
+        P = builtin("ma-radial", {"c": 1.0})
+        calls = _spy_levels(monkeypatch)
+        rep = solve_annulus(MA2, P, grid)
+        assert [(g.n_r, g.n_theta) for g, *_ in calls] == chain
+        assert all((g.r_inner, g.r_outer, g.spacing) == (1.0, 8.0, spacing) for g, *_ in calls)
+        assert calls[0][1] is None and calls[-1][2] is rep
+        inner, outer = boundary_data_from(P, grid)
+        for (coarse, _, report), (fine, start, _) in zip(calls, calls[1:]):
+            assert coarse.refine() == fine
+            assert np.array_equal(start.values, _prolong(report.field.values))
+            stride = grid.n_theta // coarse.n_theta
+            assert np.array_equal(report.field.values[0], inner[::stride])
+            assert np.array_equal(report.field.values[-1], outer[::stride])
+
+    def test_given_start_runs_no_chain(self, monkeypatch):
+        grid = AnnulusGrid(1.0, 8.0, 65, 128, "uniform")
+        P = builtin("ma-radial", {"c": 1.0})
+        start = AnnulusField.from_potential(grid, P)
+        calls = _spy_levels(monkeypatch)
+        rep = solve_annulus(MA2, P, grid, start)
+        assert calls == [[grid, start, rep]]
+        assert rep.steps[0]["factored"] and not any(step["krylov"] for step in rep.steps)
+
+    @pytest.mark.parametrize("error", [NotAdmissible, InadmissibleIterate,
+                                       SingularJacobian, DidNotConverge])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_failed_level_leaves_the_direct_solve(self, monkeypatch, error, level):
+        """A numerical failure on a coarsening of a 65x128 grid (level 0, or
+        level 1, which holds its factors for the grid), or on the grid's own
+        prolonged start (level 2), drops that level and its factors: the
+        grid is solved as a grid that does not coarsen is, from the blend
+        and with no factors handed down, bit for bit."""
+        grid = AnnulusGrid(1.0, 8.0, 65, 128, "uniform")
+        P = builtin("ma-radial", {"c": 1.0})
+        failing = [*solver._coarsenings(grid), grid][level]
+        direct = _direct(MA2, P, grid)
+        alive, seen, _ = _track_factorizations(monkeypatch)
+        inner_solve = solver._solve_level
+
+        def fail(spec, g, rings, start, handoff, keep):
+            if g != failing or start is None and level == 2:
+                return inner_solve(spec, g, rings, start, handoff, keep)
+            if error is not DidNotConverge:
+                raise error("injected")
+            with pytest.MonkeyPatch.context() as mp:  # a real one, after a first step
+                mp.setattr(solver, "NEWTON_MAX_ITER", 1)
+                return inner_solve(spec, g, rings, start, handoff, keep)
+
+        monkeypatch.setattr(solver, "_solve_level", fail)
+        calls = _spy_levels(monkeypatch)
+        rep = solve_annulus(MA2, P, grid)
+        assert [g.n_r for g, *_ in calls] == [17, 33, 65][:level + 1] + [65]
+        assert calls[level][2] is None and calls[-1][1] is None
+        assert set(seen) == {0} and not alive
+        assert np.array_equal(rep.field.values, direct.field.values)
+        assert rep.residual_history == direct.residual_history
+        assert rep.steps == direct.steps
 
 
 class TestEvaluations:
@@ -509,7 +612,7 @@ class TestEvaluations:
 
         monkeypatch.setattr(solver, "_hessians", counted)
         grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
-        rep = solve_annulus(MA2, builtin("ma-radial", {"c": 1.0}), grid)
+        rep = _direct(MA2, builtin("ma-radial", {"c": 1.0}), grid)
         assert rep.damping_events > 0
         assert len(calls) == 1 + sum(s["trials"] for s in rep.steps)
 
