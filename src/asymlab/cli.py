@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="Newton solve on a polar annulus")
     common(sp)
-    sp.add_argument("--grid", default="1,8,64,128",
+    sp.add_argument("--grid", default="1,8,65,128",
                     help="rInner,rOuter,nR,nTheta")
     sp.add_argument("--spacing", choices=["uniform", "logarithmic"],
                     default="logarithmic")

@@ -4,19 +4,21 @@ The discrete unknown is the potential at interior radial rows (theta is
 periodic, the two radial boundary rows carry Dirichlet data).  Cartesian
 Hessians are H = sum_k C_k S_k U: stencil sums of second-order centered
 differences in the (log-)radial and angular coordinates times the polar
-chain-rule coefficients; the Jacobian contracts the same C_k with dF/dM.
-Each Jacobian is factored by SuperLU under the minimum-degree ordering of
-J^T + J, which suits the structurally symmetric 9-point stencil.  The
-factors are kept for chord (simplified Newton) steps while the residual
-contracts, the frozen-Jacobian test of Deuflhard, "Newton Methods for
-Nonlinear Problems" (Springer 2004, sec. 2.1).
+chain-rule coefficients; the Jacobian contracts the same C_k with dF/dM,
+written straight into CSR order with closed-form column indices.  The
+direct path factors its CSC copy by SuperLU under the minimum-degree
+ordering of J^T + J, which suits the structurally symmetric 9-point
+stencil.  The factors are kept for chord (simplified Newton) steps while
+the residual contracts, the frozen-Jacobian test of Deuflhard, "Newton
+Methods for Nonlinear Problems" (Springer 2004, sec. 2.1).
 
 Every solve is nested iteration (`_nested`), and its last grid factors
 nothing: inexact Newton-Krylov (Knoll & Keyes, J. Comput. Phys. 193, 2004),
 each Newton system solved by GMRES to the forcing term of Eisenstat & Walker
 (SIAM J. Sci. Comput. 17, 1996), right-preconditioned by one two-grid cycle
-on the factors the level below leaves; its chord steps are CHORD_CYCLES
-such cycles on the frozen Jacobian.
+on the factors the level below leaves, on the CSR Jacobian and with
+matrix-free transfers; its chord steps are CHORD_CYCLES such cycles on the
+frozen Jacobian.
 """
 
 from __future__ import annotations
@@ -88,13 +90,16 @@ _STENCILS = {
     (-1, 1): (0.0, -1.0, 0.0, 0.0, 0.0),
     (-1, -1): (0.0, 1.0, 0.0, 0.0, 0.0),
 }
+# the same weights as a (9, 5) table, its rows in (di, dj) order
+_STENCIL_TABLE = np.array([_STENCILS[di, dj] for di in (-1, 0, 1) for dj in (-1, 0, 1)])
 
 
 def _stencil_sums(grid: AnnulusGrid, U: np.ndarray) -> np.ndarray:
     """S U at interior rows, shape (5, n_r - 2, n_theta), from _STENCILS."""
     S = np.zeros((5, grid.n_r - 2, grid.n_theta))
+    Up = np.concatenate([U[:, -1:], U, U[:, :1]], axis=1)  # theta padded by one node
     for (di, dj), st in _STENCILS.items():
-        V = np.roll(U[1 + di:grid.n_r - 1 + di], -dj, axis=1)  # V[i, j] = U[i + di, j + dj]
+        V = Up[1 + di:grid.n_r - 1 + di, 1 + dj:1 + dj + grid.n_theta]  # V[i, j] = U[i + di, j + dj]
         for k in np.flatnonzero(st):
             S[k] += st[k] * V
     return S
@@ -128,25 +133,27 @@ def _hessians(grid: AnnulusGrid, U: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.einsum("k...ab,k...->...ab", C, _stencil_sums(grid, U))
 
 
-def _assemble_jacobian(grid: AnnulusGrid, C: np.ndarray, G: np.ndarray) -> sp.csc_matrix:
+def _assemble_jacobian(grid: AnnulusGrid, C: np.ndarray, G: np.ndarray) -> sp.csr_matrix:
     """dF/dU from G = dF/dM (n_r - 2, n_theta, 2, 2): S_k U enters F with
-    weight sum_ab G_ab C[k]_ab, spread over the stencil offsets."""
+    weight sum_ab G_ab C[k]_ab, spread over the stencil offsets.  Written in
+    CSR order with sorted column indices, so nothing is sorted."""
     nI, nT = grid.n_r - 2, grid.n_theta
     W = np.einsum("k...ab,...ab->k...", C, G)
-    # int32 node numbers, the index type of the sparse matrix, so that the
-    # triplets are not copied to convert them
-    node = np.arange(nI * nT, dtype=np.int32).reshape(nI, nT)
-    data, rows, cols = [], [], []
-    for (di, dj), st in _STENCILS.items():
-        lo, hi = max(-di, 0), nI - max(di, 0)  # the rows whose neighbor is unknown
-        data.append(np.tensordot(st, W, axes=1)[lo:hi])
-        rows.append(node[lo:hi])
-        cols.append(np.roll(node, -dj, axis=1)[lo + di:hi + di])
-    J = sp.coo_matrix(
-        (np.concatenate(data, axis=None),
-         (np.concatenate(rows, axis=None), np.concatenate(cols, axis=None))),
-        shape=(nI * nT, nI * nT))
-    return J.tocsc()
+    # A[i, j, di + 1, b]: the entry of node (i, j) at its neighbor in row
+    # i + di and in the b-th smallest of the columns j - 1, j, j + 1 (mod
+    # n_theta), which are in offset order except where theta wraps
+    A = np.tensordot(W, _STENCIL_TABLE, axes=(0, 1)).reshape(nI, nT, 3, 3)
+    A[:, 0] = A[:, 0][..., [1, 2, 0]]
+    A[:, -1] = A[:, -1][..., [2, 0, 1]]
+    col = np.sort((np.arange(nT, dtype=np.int32)[:, None] + np.arange(-1, 2, dtype=np.int32)) % nT)
+    row = (np.arange(nI, dtype=np.int32)[:, None] + np.arange(-1, 2, dtype=np.int32)) * nT
+    ind = row[:, None, :, None] + col[:, None, :]
+    # the first and last interior rows have no unknown neighbor below or above
+    data = np.concatenate([A[0, :, 1:], A[1:-1], A[-1, :, :2]], axis=None)
+    indices = np.concatenate([ind[0, :, 1:], ind[1:-1], ind[-1, :, :2]], axis=None)
+    node = np.arange(nI * nT + 1, dtype=np.int32)
+    indptr = 9 * node - 3 * np.minimum(node, nT) - 3 * np.maximum(node - (nI - 1) * nT, 0)
+    return sp.csr_matrix((data, indices, indptr), shape=(nI * nT, nI * nT))
 
 
 def _blend_initial(grid: AnnulusGrid, inner, outer) -> np.ndarray:
@@ -189,31 +196,30 @@ def _coarsenings(grid: AnnulusGrid) -> list[AnnulusGrid]:
     return chain
 
 
-def _full_weighting(centers: np.ndarray, n: int) -> sp.csr_matrix:
-    """Rows of weights (1/4, 1/2, 1/4) at the n fine nodes centers - 1,
-    centers, centers + 1 (indices mod n)."""
-    cols = (centers[:, None] + np.arange(-1, 2)) % n
-    return sp.csr_matrix((np.tile([0.25, 0.5, 0.25], len(centers)),
-                          (np.repeat(np.arange(len(centers)), 3), cols.ravel())),
-                         shape=(len(centers), n))
-
-
 class _TwoGrid:
     """Two-grid cycles for Newton systems on `grid`, with the LU factors of a
     Jacobian on the grid it refines (Trottenberg, Oosterlee & Schueller,
-    "Multigrid", 2001)."""
+    "Multigrid", 2001).  Both transfers are stencils applied by slicing:
+    prolongation is `_prolong` of a correction padded with its zero Dirichlet
+    rows, restriction is (1/4, 1/2, 1/4) full weighting in theta, then
+    radially, onto the coarse nodes."""
 
     def __init__(self, grid: AnnulusGrid, lu):
-        m, n = (grid.n_r + 1) // 2, grid.n_theta // 2
-        # `_prolong` is linear and works on rows and columns apart, so it is
-        # kron(P_r, P_theta) with each factor `_prolong` of unit vectors; a
-        # correction is zero on the Dirichlet rows
-        P_r = _prolong(np.eye(m))[:, ::2][1:-1, 1:-1]
-        P_t = _prolong(np.eye(n))[::2].T
-        self.P = sp.kron(P_r, P_t, format="csr")
-        self.R = sp.kron(_full_weighting(2 * np.arange(m - 2) + 1, 2 * m - 3),
-                         _full_weighting(2 * np.arange(n), 2 * n), format="csr")
+        self.m, self.n = (grid.n_r + 1) // 2, grid.n_theta // 2  # the coarse grid's
         self.lu = lu
+
+    def prolong(self, e: np.ndarray) -> np.ndarray:
+        """A correction at the coarse interior nodes onto the fine ones."""
+        E = np.zeros((self.m, self.n))
+        E[1:-1] = e.reshape(self.m - 2, self.n)
+        return _prolong(E)[1:-1].ravel()
+
+    def restrict(self, r: np.ndarray) -> np.ndarray:
+        """A residual at the fine interior nodes onto the coarse ones."""
+        r = r.reshape(-1, 2 * self.n)
+        odd = r[:, 1::2]  # column j lies between coarse columns j and j + 1
+        r = 0.5 * r[:, ::2] + 0.25 * (np.roll(odd, 1, axis=1) + odd)
+        return (0.5 * r[1::2] + 0.25 * (r[:-1:2] + r[2::2])).ravel()
 
     def cycle(self, J: sp.csr_matrix):
         """b -> one cycle for J x = b from x = 0: SMOOTHING_SWEEPS damped-Jacobi
@@ -225,20 +231,19 @@ class _TwoGrid:
             x = w * b  # the first sweep, from x = 0
             for _ in range(SMOOTHING_SWEEPS - 1):
                 x += w * (b - J @ x)
-            x += self.P @ self.lu.solve(self.R @ (b - J @ x))
+            x += self.prolong(self.lu.solve(self.restrict(b - J @ x)))
             for _ in range(SMOOTHING_SWEEPS):
                 x += w * (b - J @ x)
             return x
         return apply
 
-    def step(self, J: sp.csc_matrix, rhs: np.ndarray, rinf: float):
+    def step(self, J: sp.csr_matrix, rhs: np.ndarray, rinf: float):
         """Solve J step = rhs by GMRES, preconditioned with one cycle, to the
         forcing term min(0.5, 0.1 |rhs|_inf), floored at 0.1 NEWTON_TOL /
         |rhs|_inf so that the last step does not solve past the tolerance.
         Return (step, GMRES iterations, the chord solve of CHORD_CYCLES
         cycles on this J), or step None if GMRES missed the forcing term
         within KRYLOV_MAX_ITER iterations or gave a non-finite step."""
-        J = J.tocsr()
         M = self.cycle(J)
         eta = max(min(0.5, 0.1 * rinf), 0.1 * NEWTON_TOL / rinf)
         step, its = _gmres(J, M, rhs, eta)
@@ -361,7 +366,7 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
                 if step is None:  # the direct path from here on
                     two_grid = chord = None
             if step is None:
-                step, lu = _newton_step(J, res.ravel(), it)
+                step, lu = _newton_step(J.tocsc(), res.ravel(), it)
                 chord, factored = lu.solve, True
             step = step.reshape(res.shape)
             while True:

@@ -241,6 +241,16 @@ class TestSolveCommand:
         header = (tmp_path / "field.csv").read_text().splitlines()[0]
         assert header == "i,j,r,theta,x1,x2,u"
 
+    def test_default_grid_takes_the_two_grid_path(self, tmp_path):
+        """The default grid coarsens, so its first Newton step is a GMRES
+        solve on the coarse level's factors and no step factors."""
+        r = run(["solve", "--solution", "builtin:ma-radial", "--equation", "ma",
+                 "--outputs", str(tmp_path)])
+        assert r.returncode == 0, r.stderr
+        steps = json.loads((tmp_path / "report.json").read_text())["steps"]
+        assert steps[0]["krylov"] > 0
+        assert not any(step["factored"] for step in steps)
+
     def test_three_dimensional_solution_is_wrong_dimension(self, tmp_path):
         r = run(["solve", "--solution", "builtin:warren3d", "--equation", "ma",
                  "--grid", "1,2,9,16", "--outputs", str(tmp_path)])

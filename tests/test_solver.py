@@ -223,7 +223,7 @@ class TestNewtonRecord:
         C = solver._hessian_coefficients(grid)
         H = solver._hessians(grid, solver._blend_initial(grid, inner, outer), C)
         J = solver._assemble_jacobian(grid, C, OPERATORS["MA"].gradient(MA2, H))
-        assert rep.steps[0]["nnzLU"] < solver.spla.splu(J).nnz
+        assert rep.steps[0]["nnzLU"] < solver.spla.splu(J.tocsc()).nnz
 
 
 class TestFailureNames:
@@ -514,14 +514,46 @@ class TestTwoGrid:
         assert np.array_equal(rep.field.values, direct.field.values)
         assert rep.residual_history == direct.residual_history
 
-    def test_prolongation_is_prolong(self):
-        """The two-grid prolongation is `_prolong` of a correction that is
-        zero on the Dirichlet rows."""
-        coarse = AnnulusGrid(1.0, 4.0, 9, 16)
-        E = np.zeros((coarse.n_r, coarse.n_theta))
-        E[1:-1] = np.random.default_rng(3).normal(size=(coarse.n_r - 2, coarse.n_theta))
-        fine = solver._TwoGrid(coarse.refine(), None).P @ E[1:-1].ravel()
-        assert np.abs(fine - _prolong(E)[1:-1].ravel()).max() <= 1e-15
+    @pytest.mark.parametrize("shape", [(17, 32), (65, 128), (129, 256)])
+    def test_transfers_match_kron(self, shape):
+        """The matrix-free transfers are kron(P_r, P_theta), with each factor
+        `_prolong` of unit vectors and a correction zero on the Dirichlet
+        rows, and kron(FW_r, FW_theta) of (1/4, 1/2, 1/4) full weighting."""
+        grid = AnnulusGrid(1.0, 4.0, *shape)
+        m, n = (grid.n_r + 1) // 2, grid.n_theta // 2
+        P = sp.kron(_prolong(np.eye(m))[:, ::2][1:-1, 1:-1], _prolong(np.eye(n))[::2].T)
+        R = sp.kron(_full_weighting(2 * np.arange(m - 2) + 1, 2 * m - 3),
+                    _full_weighting(2 * np.arange(n), 2 * n))
+        two_grid = solver._TwoGrid(grid, None)
+        rng = np.random.default_rng(3)
+        e = rng.uniform(-1.0, 1.0, P.shape[1])
+        r = rng.uniform(-1.0, 1.0, R.shape[1])
+        assert np.abs(two_grid.prolong(e) - P @ e).max() <= 1e-15
+        assert np.abs(two_grid.restrict(r) - R @ r).max() <= 1e-15
+
+
+def _full_weighting(centers, n):
+    """Rows of weights (1/4, 1/2, 1/4) at the n nodes centers - 1, centers,
+    centers + 1 (indices mod n)."""
+    cols = (centers[:, None] + np.arange(-1, 2)) % n
+    return sp.csr_matrix((np.tile([0.25, 0.5, 0.25], len(centers)),
+                          (np.repeat(np.arange(len(centers)), 3), cols.ravel())),
+                         shape=(len(centers), n))
+
+
+@pytest.mark.filterwarnings("error::scipy.sparse.SparseEfficiencyWarning")
+@pytest.mark.parametrize("krylov_max_iter", [solver.KRYLOV_MAX_ITER, 1])
+def test_no_sparse_format_conversion(monkeypatch, krylov_max_iter):
+    """A nested solve hands SuperLU CSC and the two-grid path CSR, so no
+    sparse format is converted behind a warning: on the coarse level, which
+    factors, and on the grid, by GMRES or, with a one-iteration cap, by the
+    direct fallback."""
+    monkeypatch.setattr(solver, "KRYLOV_MAX_ITER", krylov_max_iter)
+    calls = _spy_levels(monkeypatch)
+    rep = solve_annulus(MA2, builtin("ma-radial", {"c": 1.0}), AnnulusGrid(1.0, 8.0, 33, 64))
+    assert any(step["factored"] for step in calls[0][2].steps)
+    assert rep.steps[0]["krylov"] > 0
+    assert rep.steps[0]["factored"] == (krylov_max_iter == 1)
 
 
 class TestNested:
@@ -596,6 +628,62 @@ class TestNested:
         assert np.array_equal(rep.field.values, direct.field.values)
         assert rep.residual_history == direct.residual_history
         assert rep.steps == direct.steps
+
+
+def _coo_jacobian(grid, C, G):
+    """The Jacobian as COO triplets, one block per stencil offset, converted
+    to CSC: the reference the CSR assembly must reproduce bit for bit."""
+    nI, nT = grid.n_r - 2, grid.n_theta
+    W = np.einsum("k...ab,...ab->k...", C, G)
+    node = np.arange(nI * nT, dtype=np.int32).reshape(nI, nT)
+    data, rows, cols = [], [], []
+    for (di, dj), st in solver._STENCILS.items():
+        lo, hi = max(-di, 0), nI - max(di, 0)  # the rows whose neighbor is unknown
+        data.append(np.tensordot(st, W, axes=1)[lo:hi])
+        rows.append(node[lo:hi])
+        cols.append(np.roll(node, -dj, axis=1)[lo + di:hi + di])
+    J = sp.coo_matrix(
+        (np.concatenate(data, axis=None),
+         (np.concatenate(rows, axis=None), np.concatenate(cols, axis=None))),
+        shape=(nI * nT, nI * nT))
+    return J.tocsc()
+
+
+def _rolled_stencil_sums(grid, U):
+    """S U from one rolled copy of U per stencil offset."""
+    S = np.zeros((5, grid.n_r - 2, grid.n_theta))
+    for (di, dj), st in solver._STENCILS.items():
+        V = np.roll(U[1 + di:grid.n_r - 1 + di], -dj, axis=1)
+        for k in np.flatnonzero(st):
+            S[k] += st[k] * V
+    return S
+
+
+class TestAssembly:
+    @given(n_r=st.integers(4, 40), half_n_theta=st.integers(4, 32),
+           spacing=st.sampled_from(["uniform", "logarithmic"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_csr_assembly_is_the_coo_one(self, n_r, half_n_theta, spacing, seed):
+        """The CSR Jacobian has sorted column indices and, as CSC, the
+        reference's indptr, indices and data, dtypes and bytes; the stencil
+        sums from the theta-padded copy are the rolled ones, bit for bit."""
+        grid = AnnulusGrid(1.0, 8.0, n_r, 2 * half_n_theta, spacing)
+        rng = np.random.default_rng(seed)
+        C = solver._hessian_coefficients(grid)
+        G = rng.normal(size=(n_r - 2, grid.n_theta, 2, 2))
+        J = solver._assemble_jacobian(grid, C, G)
+        assert J.format == "csr"
+        steps = np.diff(J.indices)
+        steps[J.indptr[1:-1] - 1] = 1  # from the last entry of a row to the next row's first
+        assert (steps > 0).all()
+        ref = _coo_jacobian(grid, C, G)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(J.tocsc(), name), getattr(ref, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        U = rng.normal(size=(n_r, grid.n_theta))
+        assert solver._stencil_sums(grid, U).tobytes() == _rolled_stencil_sums(grid, U).tobytes()
 
 
 class TestEvaluations:
