@@ -525,7 +525,7 @@ class TestTwoGrid:
         R = sp.kron(_full_weighting(2 * np.arange(m - 2) + 1, 2 * m - 3),
                     _full_weighting(2 * np.arange(n), 2 * n))
         two_grid = solver._TwoGrid(grid, None)
-        rng = np.random.default_rng(3)
+        rng = np.random.default_rng(3)  # entries in [-1, 1]: the bound is a few ulps
         e = rng.uniform(-1.0, 1.0, P.shape[1])
         r = rng.uniform(-1.0, 1.0, R.shape[1])
         assert np.abs(two_grid.prolong(e) - P @ e).max() <= 1e-15
