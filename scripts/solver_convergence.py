@@ -10,11 +10,12 @@ The first grid is solved after its coarsenings (on the defaults one,
 17x32, from the affine blend of the boundary data), and starts from the
 last of them prolonged by cubic interpolation (3-7 steps on the defaults,
 the first factored); each later grid refines the one before and starts
-from its solution, prolonged the same way.  On the defaults the middle
-grid takes 3-5 steps, of which only the first factors its Jacobian, and
-the last grid, 3 steps that factor nothing: it solves its Newton systems
-by GMRES preconditioned with a two-grid cycle on the middle grid's
-factors, and takes its chord steps with such cycles.
+from its solution, prolonged the same way.  On the defaults only the
+first grid and its coarsening factor.  The middle and last grids take 2-4
+steps that factor nothing: they solve their Newton systems by GMRES
+preconditioned with one multigrid cycle, on the first grid's factors for
+the middle grid and a V-cycle through the middle grid's last Jacobian
+down to them for the last, and take their chord steps with such cycles.
 """
 import argparse
 import math

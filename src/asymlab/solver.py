@@ -12,13 +12,17 @@ stencil.  The factors are kept for chord (simplified Newton) steps while
 the residual contracts, the frozen-Jacobian test of Deuflhard, "Newton
 Methods for Nonlinear Problems" (Springer 2004, sec. 2.1).
 
-Every solve is nested iteration (`_nested`), and its last grid factors
-nothing: inexact Newton-Krylov (Knoll & Keyes, J. Comput. Phys. 193, 2004),
-each Newton system solved by GMRES to the forcing term of Eisenstat & Walker
-(SIAM J. Sci. Comput. 17, 1996), right-preconditioned by one two-grid cycle
-on the factors the level below leaves, on the CSR Jacobian and with
-matrix-free transfers; its chord steps are CHORD_CYCLES such cycles on the
-frozen Jacobian.
+Every solve is nested iteration (`_nested`), and only its small levels
+factor.  The last level and every level above FACTOR_MAX_UNKNOWNS unknowns,
+if it refines the level before, run inexact Newton-Krylov (Knoll & Keyes,
+J. Comput. Phys. 193, 2004), each Newton system solved by GMRES to the
+forcing term of Eisenstat & Walker (SIAM J. Sci. Comput. 17, 1996),
+right-preconditioned by one multigrid cycle on the CSR Jacobian with
+matrix-free transfers.  Its coarse solve is
+the LU factors of the level below or one cycle of that level on its last
+Jacobian: a V-cycle down to the largest level that factored.  Chord steps
+are CHORD_CYCLES such cycles on the frozen Jacobian, more on a V-cycle's
+levels while they pay.
 """
 
 from __future__ import annotations
@@ -41,13 +45,26 @@ DAMPING_FLOOR = 2.0 ** -20
 # a chord step reusing the held LU factors is taken only if it cuts the
 # sup-norm residual at least this much
 CHORD_CONTRACTION = 0.25
-# the two-grid path: damped-Jacobi sweeps before and after the coarse
+# the multigrid path: damped-Jacobi sweeps before and after the coarse
 # correction and their weight, the GMRES iterations after which it falls back
-# to the direct path, and the two-grid cycles of one chord step
+# to the direct path, and the cycles of one chord step
 SMOOTHING_SWEEPS = 2
 JACOBI_WEIGHT = 0.7
 KRYLOV_MAX_ITER = 40
 CHORD_CYCLES = 3
+# on a V-cycle's levels a chord step goes on, up to CHORD_MAX_CYCLES cycles,
+# while the last cut |b - J x|_2 by CHORD_CYCLE_CUT: the criterion-8 MA
+# study's 65x128 then takes 3 Newton steps, not 4, and 129x256 2, not 4.  On
+# the last level of two they did not pay (medians of 41 interleaved runs):
+# MA 65x128 took 3 steps, not 4, in 11% more time, IHH 33x64 10 in 30% more
+CHORD_MAX_CYCLES = 8
+CHORD_CYCLE_CUT = 0.5
+# a level other than the last that `_nested` solves factors its Jacobian
+# only with at most this many unknowns (33x64 has 1984); any larger one
+# cycles down to the factors below it.  Medians of 21 interleaved studies:
+# SLE 33x64 took 14.5 ms cycled on the 17x32 factors, 12.6 ms factored; MA
+# 65x128 took 18.7 ms cycled on the 33x64 factors, 32.3 ms factored
+FACTOR_MAX_UNKNOWNS = 2048
 
 
 @dataclass
@@ -59,10 +76,10 @@ class SolveReport:
     residual_history: list
     converged: bool
     # one entry per Newton iteration: accepted step length t, number of
-    # halvings before it, nnz of the LU factors it solved with (the coarse
-    # ones on the two-grid path), whether it factored its own Jacobian,
-    # its GMRES iterations (0 on direct and chord steps), and its residual
-    # evaluations (a rejected chord trial included)
+    # halvings before it, nnz of the LU factors it solved with (those at the
+    # bottom of the cycle on the multigrid path), whether it factored its own
+    # Jacobian, its GMRES iterations (0 on direct and chord steps), and its
+    # residual evaluations (a rejected chord trial included)
     steps: list
 
     def to_dict(self) -> dict:
@@ -196,17 +213,26 @@ def _coarsenings(grid: AnnulusGrid) -> list[AnnulusGrid]:
     return chain
 
 
-class _TwoGrid:
-    """Two-grid cycles for Newton systems on `grid`, with the LU factors of a
-    Jacobian on the grid it refines (Trottenberg, Oosterlee & Schueller,
-    "Multigrid", 2001).  Both transfers are stencils applied by slicing:
-    prolongation is `_prolong` of a correction padded with its zero Dirichlet
-    rows, restriction is (1/4, 1/2, 1/4) full weighting in theta, then
-    radially, onto the coarse nodes."""
+class _Cycle:
+    """Multigrid cycles for Newton systems on `grid` (Trottenberg, Oosterlee &
+    Schueller, "Multigrid", 2001).  The coarse solve is `coarse`: the LU
+    factors of a Jacobian on the grid `grid` refines, or that grid's own
+    _Cycle, which applies one of its cycles on its last Jacobian, so that
+    a chain of them is a V-cycle down to the factors.  Both transfers are
+    stencils applied by slicing: prolongation is `_prolong` of a correction
+    padded with its zero Dirichlet rows, restriction is (1/4, 1/2, 1/4) full
+    weighting in theta, then radially, onto the coarse nodes."""
 
-    def __init__(self, grid: AnnulusGrid, lu):
+    def __init__(self, grid: AnnulusGrid, coarse, hands_on: bool):
         self.m, self.n = (grid.n_r + 1) // 2, grid.n_theta // 2  # the coarse grid's
-        self.lu = lu
+        self.coarse = coarse
+        self.J = self.w = None  # the Jacobian of the last `step`, and the Jacobi weights on it
+        # chord steps go on past CHORD_CYCLES on the levels of a V-cycle:
+        # one that hands its cycle on, and one that cycles on such a level
+        self.max_cycles = (CHORD_MAX_CYCLES if hands_on or isinstance(coarse, _Cycle)
+                           else CHORD_CYCLES)
+
+    nnz = property(lambda self: self.coarse.nnz)  # of the factors at the bottom of the cycle
 
     def prolong(self, e: np.ndarray) -> np.ndarray:
         """A correction at the coarse interior nodes onto the fine ones."""
@@ -221,41 +247,50 @@ class _TwoGrid:
         r = 0.5 * r[:, ::2] + 0.25 * (np.roll(odd, 1, axis=1) + odd)
         return (0.5 * r[1::2] + 0.25 * (r[:-1:2] + r[2::2])).ravel()
 
-    def cycle(self, J: sp.csr_matrix):
-        """b -> one cycle for J x = b from x = 0: SMOOTHING_SWEEPS damped-Jacobi
-        sweeps, the coarse correction of the full-weighted residual, and as
-        many sweeps again.  A linear map of b, so fit to precondition GMRES."""
-        w = JACOBI_WEIGHT / J.diagonal()
-
-        def apply(b):
-            x = w * b  # the first sweep, from x = 0
-            for _ in range(SMOOTHING_SWEEPS - 1):
-                x += w * (b - J @ x)
-            x += self.prolong(self.lu.solve(self.restrict(b - J @ x)))
-            for _ in range(SMOOTHING_SWEEPS):
-                x += w * (b - J @ x)
-            return x
-        return apply
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """One cycle for J x = b from x = 0, J the last step's Jacobian:
+        SMOOTHING_SWEEPS damped-Jacobi sweeps, the coarse correction of the
+        full-weighted residual, and as many sweeps again.  A linear map of
+        b, so fit to precondition GMRES and to be the coarse solve above."""
+        J, w = self.J, self.w
+        x = w * b  # the first sweep, from x = 0
+        for _ in range(SMOOTHING_SWEEPS - 1):
+            x += w * (b - J @ x)
+        x += self.prolong(self.coarse.solve(self.restrict(b - J @ x)))
+        for _ in range(SMOOTHING_SWEEPS):
+            x += w * (b - J @ x)
+        return x
 
     def step(self, J: sp.csr_matrix, rhs: np.ndarray, rinf: float):
         """Solve J step = rhs by GMRES, preconditioned with one cycle, to the
-        forcing term min(0.5, 0.1 |rhs|_inf), floored at 0.1 NEWTON_TOL /
-        |rhs|_inf so that the last step does not solve past the tolerance.
-        Return (step, GMRES iterations, the chord solve of CHORD_CYCLES
-        cycles on this J), or step None if GMRES missed the forcing term
+        forcing term `_forcing(rinf)`.  Return (step, GMRES iterations, the
+        chord solve on this J), or step None if GMRES missed the forcing term
         within KRYLOV_MAX_ITER iterations or gave a non-finite step."""
-        M = self.cycle(J)
-        eta = max(min(0.5, 0.1 * rinf), 0.1 * NEWTON_TOL / rinf)
-        step, its = _gmres(J, M, rhs, eta)
+        self.J, self.w = J, JACOBI_WEIGHT / J.diagonal()
+        step, its = _gmres(J, self.solve, rhs, _forcing(rinf))
         if step is not None and not np.isfinite(step).all():
             step = None
+        return step, its, self.chord
 
-        def chord(b):
-            x = M(b)
-            for _ in range(CHORD_CYCLES - 1):
-                x += M(b - J @ x)
-            return x
-        return step, its, chord
+    def chord(self, b: np.ndarray) -> np.ndarray:
+        """CHORD_CYCLES cycles for J x = b on the frozen J, then, up to
+        max_cycles, more while the last one cut |b - J x|_2 by the factor
+        CHORD_CYCLE_CUT and left it above the forcing term."""
+        x, norms = self.solve(b), [np.linalg.norm(b)]
+        eta = _forcing(float(np.max(np.abs(b))))
+        for k in range(1, self.max_cycles):
+            r = b - self.J @ x
+            norms.append(np.linalg.norm(r))
+            if k >= CHORD_CYCLES and not CHORD_CYCLE_CUT * norms[-2] >= norms[-1] > eta * norms[0]:
+                break
+            x += self.solve(r)
+        return x
+
+
+def _forcing(rinf: float) -> float:
+    """The forcing term at sup-norm residual rinf: min(0.5, 0.1 rinf), floored
+    at 0.1 NEWTON_TOL / rinf so that the last step does not solve past it."""
+    return max(min(0.5, 0.1 * rinf), 0.1 * NEWTON_TOL / rinf)
 
 
 def _gmres(A: sp.csr_matrix, M, b: np.ndarray, rtol: float):
@@ -329,12 +364,13 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
     stays admissible.  The solve ends at a sup-norm residual <= NEWTON_TOL,
     or raises DidNotConverge after NEWTON_MAX_ITER iterations.
 
-    If `handoff` holds the LU factors of the grid this one refines, the
-    solve removes them from it and takes the two-grid path on them (module
-    docstring) until a GMRES solve misses its forcing term.  If `keep`,
-    `handoff` holds this solve's last factors on return.
+    If `handoff` holds the coarse solve of the grid this one refines (its LU
+    factors, or its `_Cycle` on its last Jacobian), the solve removes it
+    and takes the multigrid path on it (module docstring) until a GMRES
+    solve misses its forcing term.  If `keep`, `handoff` holds this solve's
+    own on return: its last factors, or its `_Cycle`.
     """
-    two_grid = _TwoGrid(grid, handoff.pop()) if handoff else None
+    cycle = _Cycle(grid, handoff.pop(), keep) if handoff else None
     U = _blend_initial(grid, *rings) if start is None else start.values.copy()
     U[0], U[-1] = rings  # the Dirichlet rows; no step changes them
 
@@ -361,10 +397,10 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
             chord = lu = None  # dropped before the next Jacobian is assembled
             J = _assemble_jacobian(grid, C, op.gradient(spec, H))
             step = None
-            if two_grid is not None:
-                step, krylov, chord = two_grid.step(J, res.ravel(), rinf)
+            if cycle is not None:
+                step, krylov, chord = cycle.step(J, res.ravel(), rinf)
                 if step is None:  # the direct path from here on
-                    two_grid = chord = None
+                    cycle = chord = None
             if step is None:
                 step, lu = _newton_step(J.tocsc(), res.ravel(), it)
                 chord, factored = lu.solve, True
@@ -382,11 +418,11 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
         U, H, res, new_inf = new
         history.append(new_inf)
         steps.append({"t": t, "halvings": halvings,
-                      "nnzLU": int((lu if two_grid is None else two_grid.lu).nnz),
+                      "nnzLU": int((lu if cycle is None else cycle).nnz),
                       "factored": factored, "krylov": krylov, "trials": trials})
-    if keep and lu is not None:
-        handoff.append(lu)
-    chord = two_grid = lu = None
+    if keep and steps:
+        handoff.append(lu if cycle is None else cycle)
+    chord = cycle = lu = None
     report = SolveReport(len(steps), history[-1], sum(s["halvings"] for s in steps),
                          AnnulusField(grid, U), history, history[-1] <= NEWTON_TOL, steps)
     if not report.converged:
@@ -409,9 +445,10 @@ def _nested(spec: EquationSpec, P: PotentialFn, grids: list[AnnulusGrid],
     given; a grid that refines the one before it starts from its solution
     prolonged; any other grid first solves its `_coarsenings` so, on its own
     data at every other node (every fourth, ...), the coarsest from the
-    blend.  The level before the last grid leaves it its LU factors if the
-    last grid refines it.  A numerical failure on a coarsening or from a
-    prolonged start leaves the grid to be solved from the blend, direct.
+    blend.  A level leaves the next its coarse solve if the next refines it
+    and is the last level or has more than FACTOR_MAX_UNKNOWNS unknowns.  A
+    numerical failure on a coarsening or from a prolonged start leaves the
+    grid to be solved from the blend, direct.
     """
     if spec.dim != 2 or P.dim != 2:
         raise WrongDimension("annulus solver is 2D only")
@@ -429,7 +466,9 @@ def _nested(spec: EquationSpec, P: PotentialFn, grids: list[AnnulusGrid],
     for i, (grid, k, stride) in enumerate(levels):
         if stride > 1 and k == dropped:
             continue
-        keep = i == len(levels) - 2 and levels[-1][0] == grid.refine()
+        nxt = levels[i + 1][0] if i + 1 < len(levels) else None
+        keep = nxt == grid.refine() and (
+            i + 2 == len(levels) or (nxt.n_r - 2) * nxt.n_theta > FACTOR_MAX_UNKNOWNS)
         warm = prev is not None and grid == prev.grid.refine()
         first = AnnulusField(grid, _prolong(prev.values)) if warm else start if i == 0 else None
         data = tuple(ring[::stride] for ring in rings[k])

@@ -422,20 +422,21 @@ class TestChordSteps:
             assert max(solving) == 1 and not alive
 
     def test_one_factorization_per_refined_criterion_8_ma_grid(self, monkeypatch):
-        """The first grid is solved from its coarsening; the middle grid
-        factors once; the last factors nothing and solves on the middle
-        grid's factors."""
+        """The first grid is solved from its coarsening and factors once; the
+        two grids above the factoring floor factor nothing and solve by
+        cycles down to the first grid's factors."""
         grids = [AnnulusGrid(1.0, 8.0, 33, 64, "uniform")]
         for _ in range(2):
             grids.append(grids[-1].refine())
         calls = _spy_levels(monkeypatch)
         convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), grids)
         assert [grid for grid, *_ in calls] == [AnnulusGrid(1.0, 8.0, 17, 32, "uniform"), *grids]
-        (*_, middle), (*_, last) = calls[2:]
-        assert sum(step["factored"] for step in middle.steps) == 1
-        assert sum(step["factored"] for step in last.steps) == 0
-        assert last.steps[0]["krylov"] > 0
-        assert {step["nnzLU"] for step in last.steps} == {middle.steps[-1]["nnzLU"]}
+        (*_, first), *cycled = calls[1:]
+        assert sum(step["factored"] for step in first.steps) == 1
+        for *_, report in cycled:
+            assert sum(step["factored"] for step in report.steps) == 0
+            assert report.steps[0]["krylov"] > 0
+            assert {step["nnzLU"] for step in report.steps} == {first.steps[-1]["nnzLU"]}
 
 
 def _track_factorizations(mp):
@@ -493,6 +494,34 @@ class TestTwoGrid:
         assert direct.final_residual_inf <= solver.NEWTON_TOL
         assert np.abs(krylov.field.values - direct.field.values).max() <= 1e-9
 
+    @given(kind=st.sampled_from(["MA", "SLE", "IHH"]),
+           spacing=st.sampled_from(["uniform", "logarithmic"]), s=st.floats(-1.0, 1.0))
+    @settings(max_examples=12, deadline=None)
+    def test_v_cycle_agrees_with_direct(self, kind, spacing, s):
+        """With the factoring floor lowered so that only 9x16 factors, 17x32
+        cycles on its factors and 33x64 on three-level V-cycles; 33x64 ends
+        where its direct solve ends, and no factors outlive the study."""
+        spec, P, r_in = _oracle_case(kind, s)
+        grids = [AnnulusGrid(r_in, 8.0, 9, 16, spacing)]
+        for _ in range(2):
+            grids.append(grids[-1].refine())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "FACTOR_MAX_UNKNOWNS", 7 * 16)
+            alive, seen, _ = _track_factorizations(mp)
+            calls = _spy_levels(mp)
+            convergence_study(spec, P, grids)
+        (*_, base), *cycled = calls
+        assert len(seen) == sum(step["factored"] for step in base.steps) and not alive
+        for *_, report in cycled:
+            assert not any(step["factored"] for step in report.steps)
+            assert {step["nnzLU"] for step in report.steps} == {base.steps[-1]["nnzLU"]}
+        _, start, vcycle = calls[-1]
+        direct = solve_annulus(spec, P, grids[-1], start)
+        assert vcycle.steps[0]["krylov"] > 0
+        assert vcycle.final_residual_inf <= solver.NEWTON_TOL
+        assert direct.final_residual_inf <= solver.NEWTON_TOL
+        assert np.abs(vcycle.field.values - direct.field.values).max() <= 1e-9
+
     def test_missed_forcing_falls_back_to_direct(self, monkeypatch):
         """With a one-iteration GMRES cap the first Newton system of a
         nested solve misses its forcing term: the coarse factors are
@@ -524,7 +553,7 @@ class TestTwoGrid:
         P = sp.kron(_prolong(np.eye(m))[:, ::2][1:-1, 1:-1], _prolong(np.eye(n))[::2].T)
         R = sp.kron(_full_weighting(2 * np.arange(m - 2) + 1, 2 * m - 3),
                     _full_weighting(2 * np.arange(n), 2 * n))
-        two_grid = solver._TwoGrid(grid, None)
+        two_grid = solver._Cycle(grid, None, False)
         rng = np.random.default_rng(3)  # entries in [-1, 1]: the bound is a few ulps
         e = rng.uniform(-1.0, 1.0, P.shape[1])
         r = rng.uniform(-1.0, 1.0, R.shape[1])
