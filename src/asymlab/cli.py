@@ -202,7 +202,7 @@ def _curve_from_config(cfg: dict, kernel: SymMat | None = None):
 
 def cmd_boundary_d(args) -> int:
     P = parse_solution(args.solution, args.params)
-    spec = parse_equation(args.equation, args.dim or P.dim, args.theta, args.delta)
+    spec = _equation_for(args, P)
     curve = asymptotics.BoundaryCurve.circle(args.radius, order=args.order)
     d = asymptotics.boundary_d(spec, P, curve)
     print(f"d = {d:.12g}")
@@ -218,7 +218,7 @@ def _grid_from_config(cfg: dict) -> AnnulusGrid:
 
 def cmd_solve(args) -> int:
     P = parse_solution(args.solution, args.params)
-    spec = parse_equation(args.equation, 2, args.theta, args.delta)
+    spec = _equation_for(args, P)
     r_in, r_out, n_r, n_t = _comma_list(args.grid, "--grid", (float, float, int, int))
     grid = AnnulusGrid(r_in, r_out, n_r, n_t, args.spacing)
     report = solver.solve_annulus(spec, P, grid)

@@ -57,15 +57,8 @@ class SymMat:
         return SymMat(np.eye(dim))
 
     @staticmethod
-    def zero(dim: int) -> "SymMat":
-        return SymMat(np.zeros((dim, dim)))
-
-    @staticmethod
     def diag(*entries: float) -> "SymMat":
         return SymMat(np.diag(np.asarray(entries, dtype=float)))
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.m, dtype=dtype)
 
 
 def phase(M: SymMat) -> float:

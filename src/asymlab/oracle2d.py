@@ -123,10 +123,10 @@ def expected_profile(coeffs: LaurentCoeffs, vartheta: float) -> AsymptoticProfil
     return AsymptoticProfile(SymMat(A), b, math.nan, coeffs.am1, L, math.nan)
 
 
-def _certify_rho(probe, n_points: int = 256) -> float:
+def _certify_rho(probe) -> float:
     """Smallest radius in a geometric sweep whose full shell passes `probe`,
-    which takes the shell's points as one (n_points, 2) batch."""
-    th = np.arange(n_points) * (2 * math.pi / n_points)
+    which takes the shell's points as one (256, 2) batch."""
+    th = np.arange(256) * (2 * math.pi / 256)
     ring = np.stack([np.cos(th), np.sin(th)], axis=1)
     for rho in RHO_CANDIDATES:
         try:

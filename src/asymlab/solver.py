@@ -14,7 +14,7 @@ Methods for Nonlinear Problems" (Springer 2004, sec. 2.1).
 
 Every solve is nested iteration (`_nested`), and only its small levels
 factor.  The last level and every level above FACTOR_MAX_UNKNOWNS unknowns,
-if it refines the level before, run inexact Newton-Krylov (Knoll & Keyes,
+if a level lies below it, run inexact Newton-Krylov (Knoll & Keyes,
 J. Comput. Phys. 193, 2004), each Newton system solved by GMRES to the
 forcing term of Eisenstat & Walker (SIAM J. Sci. Comput. 17, 1996),
 right-preconditioned by one multigrid cycle on the CSR Jacobian with
@@ -431,61 +431,59 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
     return report
 
 
-def solve_annulus(spec: EquationSpec, P: PotentialFn, grid: AnnulusGrid,
-                  start: AnnulusField | None = None) -> SolveReport:
+def solve_annulus(spec: EquationSpec, P: PotentialFn, grid: AnnulusGrid) -> SolveReport:
     """Solve on `grid` with the Dirichlet data P on its boundary rings, by
     `_nested`: the report describes the Newton iterations on `grid` alone."""
-    return _nested(spec, P, [grid], start)[0]
+    return _nested(spec, P, [grid])[0]
 
 
-def _nested(spec: EquationSpec, P: PotentialFn, grids: list[AnnulusGrid],
-            start: AnnulusField | None = None) -> list[SolveReport]:
-    """The reports of `grids`, solved in order by nested iteration (Brandt,
-    Math. Comp. 31, 1977).  The first grid starts from `start` if it is
-    given; a grid that refines the one before it starts from its solution
-    prolonged; any other grid first solves its `_coarsenings` so, on its own
-    data at every other node (every fourth, ...), the coarsest from the
-    blend.  A level leaves the next its coarse solve if the next refines it
-    and is the last level or has more than FACTOR_MAX_UNKNOWNS unknowns.  A
-    numerical failure on a coarsening or from a prolonged start leaves the
-    grid to be solved from the blend, direct.
+def _nested(spec: EquationSpec, P: PotentialFn, grids: list[AnnulusGrid]) -> list[SolveReport]:
+    """The reports of `grids`, each refining the one before, solved by nested
+    iteration (Brandt, Math. Comp. 31, 1977): the first grid's `_coarsenings`,
+    the coarsest from the blend, then every level from the one before it
+    prolonged, each on the last grid's data at every other node (every
+    fourth, ...).  A level leaves the next its coarse solve if the next is
+    the last level or has more than FACTOR_MAX_UNKNOWNS unknowns.  A
+    numerical failure on a coarsening drops the rest of the chain, and one
+    from a prolonged start leaves the grid to be solved from the blend, direct.
     """
     if spec.dim != 2 or P.dim != 2:
         raise WrongDimension("annulus solver is 2D only")
-    if start is not None and start.grid != grids[0]:
-        raise BadParams(f"start is on {start.grid}, not on the solve's grid {grids[0]}")
-    rings = [boundary_data_from(P, grid) for grid in grids]
-    if not all(np.isfinite(ring).all() for pair in rings for ring in pair):
+    if not grids or any(g != f.refine() for f, g in zip(grids, grids[1:])):
+        raise BadParams("a study takes a non-empty list of grids, each the refinement "
+                        "of the one before")
+    if grids[0].r_inner < P.rho:
+        raise BadParams(f"r_inner = {grids[0].r_inner} lies inside the solution's "
+                        f"domain radius rho = {P.rho}")
+    rings = boundary_data_from(P, grids[-1])
+    if not np.isfinite(rings).all():
         raise BadParams("boundary data must be finite")
-    levels = []  # (grid, the index in `grids` of the grid it serves, its node stride there)
-    for k, grid in enumerate(grids):
-        nested = start is not None if k == 0 else grid == grids[k - 1].refine()
-        chain = [grid] if nested else _coarsenings(grid) + [grid]
-        levels += [(g, k, 2 ** (len(chain) - 1 - m)) for m, g in enumerate(chain)]
-    reports, handoff, prev, dropped = [], [], None, None
-    for i, (grid, k, stride) in enumerate(levels):
-        if stride > 1 and k == dropped:
-            continue
-        nxt = levels[i + 1][0] if i + 1 < len(levels) else None
-        keep = nxt == grid.refine() and (
+    chain = _coarsenings(grids[0])
+    levels = chain + grids
+    reports, handoff, prev = [], [], None
+    for i, grid in enumerate(levels):
+        coarse = i < len(chain)
+        if coarse and i and prev is None:
+            continue  # a coarsening failed: the rest of the chain goes
+        nxt = levels[i + 1] if i + 1 < len(levels) else None
+        keep = nxt is not None and (
             i + 2 == len(levels) or (nxt.n_r - 2) * nxt.n_theta > FACTOR_MAX_UNKNOWNS)
-        warm = prev is not None and grid == prev.grid.refine()
-        first = AnnulusField(grid, _prolong(prev.values)) if warm else start if i == 0 else None
-        data = tuple(ring[::stride] for ring in rings[k])
+        first = None if prev is None else AnnulusField(grid, _prolong(prev.values))
+        data = tuple(ring[::grids[-1].n_theta // grid.n_theta] for ring in rings)
         report = None
         try:
             report = _solve_level(spec, grid, data, first, handoff, keep)
         except (NotAdmissible, InadmissibleIterate, SingularJacobian, DidNotConverge):
-            if stride == 1 and not warm:
+            if first is None and not coarse:
                 raise
             handoff.clear()
         if report is None:  # out of the except clause, which holds the failed level's frame
-            prev, dropped = None, k
-            if stride > 1:
+            prev = None
+            if coarse:
                 continue
             report = _solve_level(spec, grid, data, None, handoff, keep)
         prev = report.field
-        if stride == 1:
+        if not coarse:
             reports.append(report)
     return reports
 

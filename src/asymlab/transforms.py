@@ -107,16 +107,15 @@ def _newton_invert(target, guess, fun, jac, what: str):
     raise InverseMapDiverged(f"{what}: no convergence in {NEWTON_MAX_ITER} iterations")
 
 
-def _sampled_spectra(P: PotentialFn, seed: int, n_samples: int = 64) -> np.ndarray:
-    """Hessian eigenvalues (ascending, one row per point) at random points
-    on three shells of P's domain: radii 1, 4 and 16 when rho < 1, so that
-    a domain radius near 0 (1e-12 for the radial builtins) is not sampled
-    where roundoff swamps the Hessian."""
+def _sampled_spectra(P: PotentialFn, seed: int) -> np.ndarray:
+    """Hessian eigenvalues (ascending, one row per point) at 21 random points
+    on each of three shells of P's domain: radii 1, 4 and 16 when rho < 1,
+    so that a domain radius near 0 (1e-12 for the radial builtins) is not
+    sampled where roundoff swamps the Hessian."""
     rng = np.random.default_rng(seed)
     radii = P.rho * np.array([1.05, 2.0, 8.0]) if P.rho >= 1 else np.array([1.0, 4.0, 16.0])
-    per_shell = n_samples // len(radii)
-    D = rng.normal(size=(len(radii) * per_shell, P.dim))
-    X = np.repeat(radii, per_shell)[:, None] * D / np.sqrt(rowdot(D, D))[:, None]
+    D = rng.normal(size=(3 * 21, P.dim))
+    X = np.repeat(radii, 21)[:, None] * D / np.sqrt(rowdot(D, D))[:, None]
     return np.linalg.eigvalsh(P.hessians(X))
 
 
@@ -173,7 +172,7 @@ def _graph_map(P: PotentialFn, a: float, b: float, c: float, d: float,
     return PotentialFn(P.dim, rho, values, grads, hessians)
 
 
-def rotate_potential(P: PotentialFn, vartheta: float, *, check: bool = True) -> PotentialFn:
+def rotate_potential(P: PotentialFn, vartheta: float) -> PotentialFn:
     """New potential of the rotated gradient graph.
 
     Evaluation at a rotated point xt inverts xt = c x + s DP(x) by damped
@@ -181,39 +180,35 @@ def rotate_potential(P: PotentialFn, vartheta: float, *, check: bool = True) -> 
     precondition D^2 P > (1 - cot vartheta) I.
     """
     c, s = _rotation_angle(vartheta)
-    if check:
-        _check_hessian_bound(P, 1.0 - c / s)
+    _check_hessian_bound(P, 1.0 - c / s)
     # distance-increase gives |xt1 - xt2| >= sin(vartheta) |x1 - x2|; the
     # image of {|x| > rho} contains an exterior set of comparable radius.
     return _graph_map(P, c, s, -s, c, P.rho * abs(s), "rotate_potential point inversion",
                       check=_rotation_check(c, s))
 
 
-def unrotate_potential(Pt: PotentialFn, vartheta: float, *, check: bool = True) -> PotentialFn:
+def unrotate_potential(Pt: PotentialFn, vartheta: float) -> PotentialFn:
     """Rotation by -vartheta: recover u from the rotated potential.
 
     Requires lambda_max(D^2 Pt) < cot(vartheta) on the evaluation set (the
     strip bound); the additive constant is fixed by the defining formula.
     """
     c, s = _rotation_angle(vartheta)
-    if check:
-        _strip_check(c, s, "sampled lambda_max")(_sampled_spectra(Pt, 11))
+    _strip_check(c, s, "sampled lambda_max")(_sampled_spectra(Pt, 11))
     return _graph_map(Pt, c, -s, s, c, Pt.rho * abs(s), "unrotate_potential point inversion",
                       check=_strip_check(c, s))
 
 
-def legendre(P: PotentialFn, *, check: bool = True) -> PotentialFn:
+def legendre(P: PotentialFn) -> PotentialFn:
     """Convex conjugate: ubar(y) = x.y - u(x) at x = (Du)^-1(y)."""
-    if check:
-        try:
-            _check_hessian_bound(P, 0.0)
-        except NotAdmissible as e:
-            raise NotConvex(str(e)) from e
+    try:
+        _check_hessian_bound(P, 0.0)
+    except NotAdmissible as e:
+        raise NotConvex(str(e)) from e
     return _graph_map(P, 0.0, 1.0, 1.0, 0.0, 0.0, "legendre point inversion")
 
 
-def legendre_lewy(P: PotentialFn, spec: EquationSpec, *,
-                  check: bool = True) -> PotentialFn:
+def legendre_lewy(P: PotentialFn, spec: EquationSpec) -> PotentialFn:
     """Shifted Legendre transform for sigma_2 solutions.
 
     With K = sqrt(2/(n(n-1))) and w = u + K|x|^2/2, returns -legendre(w);
@@ -224,12 +219,11 @@ def legendre_lewy(P: PotentialFn, spec: EquationSpec, *,
     if spec.kind != "SIGMA2":
         raise BadParams("legendre_lewy applies to SIGMA2 specs")
     K = sigma2_margin(spec.dim)
-    if check:
-        try:
-            _check_hessian_bound(P, spec.delta - K)
-        except NotAdmissible as e:
-            raise NotAdmissible(
-                f"D^2 u > (delta - K) I fails on samples: {e}") from e
+    try:
+        _check_hessian_bound(P, spec.delta - K)
+    except NotAdmissible as e:
+        raise NotAdmissible(
+            f"D^2 u > (delta - K) I fails on samples: {e}") from e
     # y = Dw(x) = K x + Du(x), with D^2 w > delta I
     return _graph_map(P, K, 1.0, -1.0, 0.0, 0.0, "legendre_lewy point inversion",
                       lambda Y: Y / (1.0 + K))

@@ -251,12 +251,32 @@ class TestSolveCommand:
         assert steps[0]["krylov"] > 0
         assert not any(step["factored"] for step in steps)
 
-    def test_three_dimensional_solution_is_wrong_dimension(self, tmp_path):
-        r = run(["solve", "--solution", "builtin:warren3d", "--equation", "ma",
+    @pytest.mark.parametrize("equation", [["ma"], ["sigma2", "--delta", "0.1"]])
+    def test_three_dimensional_solution_is_wrong_dimension(self, tmp_path, equation):
+        r = run(["solve", "--solution", "builtin:warren3d", "--equation", *equation,
                  "--grid", "1,2,9,16", "--outputs", str(tmp_path)])
         assert r.returncode == 1
         assert json.loads(r.stderr)["error"] == {"kind": "WrongDimension",
                                                  "message": "annulus solver is 2D only"}
+
+    @pytest.mark.parametrize("command", [["solve", "--grid", "1,8,17,32"],
+                                         ["boundary-d", "--radius", "3"]])
+    def test_dim_flag_against_the_solution_is_wrong_dimension(self, tmp_path, command):
+        r = run([*command, "--solution", "builtin:ma-radial", "--equation", "ma",
+                 "--dim", "3", "--outputs", str(tmp_path)])
+        assert r.returncode == 1
+        assert json.loads(r.stderr)["error"] == {
+            "kind": "WrongDimension", "message": "the equation is 3D but the solution is 2D"}
+        assert not (tmp_path / "field.csv").exists()
+
+    def test_inner_ring_inside_the_hole_is_bad_params(self, tmp_path):
+        """This IHH oracle's certified domain radius is 2, the grid's inner one 1."""
+        r = run(["solve", "--solution", "builtin:ihh-oracle", "--params",
+                 '{"a1": 0.3, "am1": 0.4}', "--equation", "ihh", "--grid", "1,8,17,32",
+                 "--outputs", str(tmp_path)])
+        assert r.returncode == 2
+        err = json.loads(r.stderr)["error"]
+        assert err["kind"] == "BadParams" and "rho = 2.0" in err["message"]
 
     def test_non_finite_boundary_data_is_config_error(self, tmp_path):
         r = run(["solve", "--solution", "builtin:quadratic", "--params",

@@ -27,7 +27,6 @@ class TestSymMat:
 
     def test_constructors(self):
         assert np.array_equal(SymMat.identity(3).m, np.eye(3))
-        assert np.array_equal(SymMat.zero(2).m, np.zeros((2, 2)))
         assert np.array_equal(SymMat.diag(1.0, 2.0).m, np.diag([1.0, 2.0]))
 
     def test_rejects_bad_dim(self):
@@ -35,10 +34,6 @@ class TestSymMat:
             SymMat(np.eye(4))
         with pytest.raises(WrongDimension):
             SymMat(np.eye(1))
-
-    def test_array_protocol(self):
-        M = SymMat.diag(2.0, 5.0)
-        assert np.trace(np.asarray(M)) == 7.0
 
 
 class TestEig:

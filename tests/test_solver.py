@@ -25,6 +25,7 @@ from asymlab.solver import _prolong, boundary_data_from, convergence_study
 
 MA2 = EquationSpec("MA", 2)
 SLE2 = EquationSpec("SLE", 2, theta=math.pi / 2)
+IHH2 = EquationSpec("IHH", 2)
 
 
 def _grid_hessians(fld):
@@ -32,11 +33,11 @@ def _grid_hessians(fld):
     return solver._hessians(fld.grid, fld.values, solver._hessian_coefficients(fld.grid))
 
 
-def _direct(spec, P, grid):
-    """The damped-Newton solve on `grid` alone from the affine blend of the
-    boundary data: no coarse levels and no factors handed down."""
-    blend = solver._blend_initial(grid, *boundary_data_from(P, grid))
-    return solve_annulus(spec, P, grid, AnnulusField(grid, blend))
+def _direct(spec, P, grid, start=None):
+    """The damped-Newton solve on `grid` alone from `start` or, if it is None,
+    from the affine blend of the boundary data: no coarse levels and no
+    factors handed down."""
+    return solver._solve_level(spec, grid, boundary_data_from(P, grid), start, [], False)
 
 
 def _exact_error(rep, grid, P):
@@ -66,6 +67,24 @@ class TestBoundaryData:
         assert np.allclose(inner, [P.value(p) for p in zip(x[0], y[0])])
         assert np.allclose(outer, [P.value(p) for p in zip(x[-1], y[-1])])
 
+    def test_study_samples_the_last_grid_only(self, monkeypatch):
+        """Every level of a study takes the last grid's rings at every
+        other node (every fourth, ...), so they are sampled once."""
+        grids = [AnnulusGrid(1.0, 8.0, 33, 64, "uniform")]
+        grids.append(grids[0].refine())
+        P = builtin("ma-radial", {"c": 1.0})
+        sampled = []
+        sample = solver.boundary_data_from
+        monkeypatch.setattr(solver, "boundary_data_from",
+                            lambda P, grid: sampled.append(grid) or sample(P, grid))
+        calls = _spy_levels(monkeypatch)
+        convergence_study(MA2, P, grids)
+        assert sampled == [grids[-1]]
+        for grid, _, report in calls:
+            inner, outer = sample(P, grid)
+            assert np.array_equal(report.field.values[0], inner)
+            assert np.array_equal(report.field.values[-1], outer)
+
 
 class TestDirichletRows:
     def test_solution_keeps_boundary_data_exactly(self):
@@ -74,8 +93,8 @@ class TestDirichletRows:
         inner, outer = boundary_data_from(P, grid)
         # a warm start with other boundary rows is overwritten by the data
         warm = AnnulusField(grid, AnnulusField.from_potential(grid, P).values + 1e-3)
-        for start in (None, warm):
-            values = solve_annulus(MA2, P, grid, start).field.values
+        for rep in (solve_annulus(MA2, P, grid), _direct(MA2, P, grid, warm)):
+            values = rep.field.values
             assert np.array_equal(values[0], inner)
             assert np.array_equal(values[-1], outer)
 
@@ -161,7 +180,7 @@ class TestPerturbationStability:
             grid = AnnulusGrid(1.0, 8.0, n_r, n_t, "uniform")
             start = AnnulusField.from_potential(grid, P)
             try:
-                rep = solve_annulus(MA2, P, grid, start)
+                rep = _direct(MA2, P, grid, start)
             except DidNotConverge as e:
                 rep = e.report
             moves.append(np.abs(rep.field.values - start.values).max())
@@ -248,12 +267,26 @@ class TestFailureNames:
             solve_annulus(MA2, dataclasses.replace(P, values_fn=values), grid)
         assert hits == [1]
 
-    def test_start_on_another_grid_is_bad_params(self):
-        grid = AnnulusGrid(1.0, 8.0, 17, 32, "uniform")
-        P = builtin("ma-radial", {"c": 1.0})
-        start = AnnulusField.from_potential(AnnulusGrid(1.0, 8.0, 9, 32, "uniform"), P)
-        with pytest.raises(BadParams, match="start is on"):
-            solve_annulus(MA2, P, grid, start)
+    @pytest.mark.parametrize("grids", [
+        [],
+        [AnnulusGrid(1.0, 8.0, 9, 16, "uniform"), AnnulusGrid(1.0, 8.0, 17, 32, "logarithmic")],
+        [AnnulusGrid(1.0, 8.0, 9, 16, "uniform"), AnnulusGrid(1.0, 8.0, 33, 64, "uniform")],
+    ], ids=["empty", "other-spacing", "skips-a-level"])
+    def test_study_needs_nested_grids(self, grids):
+        with pytest.raises(BadParams, match="each the refinement of the one before"):
+            convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), grids)
+
+    @pytest.mark.parametrize("spec, P, r_inner", [
+        (SLE2, oracle_sle(LaurentCoeffs(a1=0.1, am1=0.5), math.pi / 4), 0.5),  # rho = 1
+        (IHH2, builtin("ihh-oracle", {"a1": 0.3, "am1": 0.4}), 1.0),  # rho = 2
+    ], ids=["SLE", "IHH"])
+    def test_inner_ring_inside_the_hole_is_bad_params(self, monkeypatch, spec, P, r_inner):
+        """An inner radius below the oracle's certified domain radius is
+        refused before any ring is sampled; one equal to it solves
+        (criterion 8 and TestSolveSLE have r_inner == rho == 1)."""
+        monkeypatch.setattr(solver, "boundary_data_from", None)  # sampling would fail
+        with pytest.raises(BadParams, match=f"rho = {P.rho}"):
+            solve_annulus(spec, P, AnnulusGrid(r_inner, 8.0, 17, 32, "uniform"))
 
     def test_three_dimensional_potential_is_wrong_dimension(self):
         grid = AnnulusGrid(1.0, 2.0, 9, 16)
@@ -345,15 +378,6 @@ class TestWarmStart:
         assert warm.final_residual_inf <= 1e-10
         assert cold.final_residual_inf <= 1e-10
         assert np.abs(warm.field.values - cold.field.values).max() <= 1e-9
-
-    def test_non_nested_sequence_starts_cold(self, monkeypatch):
-        g0 = AnnulusGrid(1.0, 8.0, 9, 16, "uniform")
-        g1 = AnnulusGrid(1.0, 8.0, 17, 32, "logarithmic")  # not g0.refine()
-        calls = _spy_levels(monkeypatch)
-        convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), [g0, g1, g1.refine()])
-        starts = [start for _, start, _ in calls]
-        assert starts[:2] == [None, None]
-        assert isinstance(starts[2], AnnulusField)
 
     def test_inadmissible_prolonged_start_falls_back(self, monkeypatch):
         """A prolonged start outside the MA cone is dropped for the affine
@@ -487,7 +511,7 @@ class TestTwoGrid:
         no factorization of its own, ends where its direct solve ends."""
         spec, P, r_in = _oracle_case(kind, s)
         start, krylov, leaked = _refined_solve(spec, P, AnnulusGrid(r_in, 8.0, *base, spacing))
-        direct = solve_annulus(spec, P, start.grid, start)
+        direct = _direct(spec, P, start.grid, start)
         assert krylov.steps[0]["krylov"] > 0
         assert not any(step["factored"] for step in krylov.steps) and not leaked
         assert krylov.final_residual_inf <= solver.NEWTON_TOL
@@ -516,7 +540,7 @@ class TestTwoGrid:
             assert not any(step["factored"] for step in report.steps)
             assert {step["nnzLU"] for step in report.steps} == {base.steps[-1]["nnzLU"]}
         _, start, vcycle = calls[-1]
-        direct = solve_annulus(spec, P, grids[-1], start)
+        direct = _direct(spec, P, grids[-1], start)
         assert vcycle.steps[0]["krylov"] > 0
         assert vcycle.final_residual_inf <= solver.NEWTON_TOL
         assert direct.final_residual_inf <= solver.NEWTON_TOL
@@ -539,7 +563,7 @@ class TestTwoGrid:
         assert all(step["krylov"] == 0 for step in rep.steps[1:])
         assert seen == [0] * sum(step["factored"] for step in coarse.steps + rep.steps)
         assert not alive
-        direct = solve_annulus(MA2, P, grid, start)
+        direct = _direct(MA2, P, grid, start)
         assert np.array_equal(rep.field.values, direct.field.values)
         assert rep.residual_history == direct.residual_history
 
@@ -614,15 +638,6 @@ class TestNested:
             assert np.array_equal(report.field.values[0], inner[::stride])
             assert np.array_equal(report.field.values[-1], outer[::stride])
 
-    def test_given_start_runs_no_chain(self, monkeypatch):
-        grid = AnnulusGrid(1.0, 8.0, 65, 128, "uniform")
-        P = builtin("ma-radial", {"c": 1.0})
-        start = AnnulusField.from_potential(grid, P)
-        calls = _spy_levels(monkeypatch)
-        rep = solve_annulus(MA2, P, grid, start)
-        assert calls == [[grid, start, rep]]
-        assert rep.steps[0]["factored"] and not any(step["krylov"] for step in rep.steps)
-
     @pytest.mark.parametrize("error", [NotAdmissible, InadmissibleIterate,
                                        SingularJacobian, DidNotConverge])
     @pytest.mark.parametrize("level", [0, 1, 2])
@@ -657,6 +672,31 @@ class TestNested:
         assert np.array_equal(rep.field.values, direct.field.values)
         assert rep.residual_history == direct.residual_history
         assert rep.steps == direct.steps
+
+
+    def test_failed_coarsening_in_a_study(self, monkeypatch):
+        """A failed coarsening of a study's first grid drops it: the first
+        grid is solved from the blend, as a grid that does not coarsen is,
+        and the next from the first one prolonged."""
+        grids = [AnnulusGrid(1.0, 8.0, 33, 64, "uniform")]
+        grids.append(grids[0].refine())
+        P = builtin("ma-radial", {"c": 1.0})
+        direct = _direct(MA2, P, grids[0])
+        inner_solve = solver._solve_level
+
+        def fail(spec, g, rings, start, handoff, keep):
+            if g == solver._coarsenings(grids[0])[0]:
+                raise SingularJacobian("injected")
+            return inner_solve(spec, g, rings, start, handoff, keep)
+
+        monkeypatch.setattr(solver, "_solve_level", fail)
+        calls = _spy_levels(monkeypatch)
+        rows = convergence_study(MA2, P, grids)
+        assert [(g.n_r, start is None, rep is None) for g, start, rep in calls] == [
+            (17, True, True), (33, True, False), (65, False, False)]
+        assert np.array_equal(calls[1][2].field.values, direct.field.values)
+        assert np.array_equal(calls[2][1].values, _prolong(calls[1][2].field.values))
+        assert [row["iterations"] for row in rows] == [rep.iterations for *_, rep in calls[1:]]
 
 
 def _coo_jacobian(grid, C, G):
@@ -740,7 +780,7 @@ class _Captured(Exception):
 
 def _discrete_system(monkeypatch, spec, P, fld):
     """(F(U), J(U)) of the discrete system started at fld, with P's boundary
-    data, as `solve_annulus` hands them to the sparse LU step (a zero
+    data, as the damped-Newton solve hands them to the sparse LU step (a zero
     tolerance makes it take that step)."""
     out = []
 
@@ -752,7 +792,7 @@ def _discrete_system(monkeypatch, spec, P, fld):
         mp.setattr(solver, "_newton_step", capture)
         mp.setattr(solver, "NEWTON_TOL", 0.0)
         with pytest.raises(_Captured):
-            solve_annulus(spec, P, fld.grid, fld)
+            _direct(spec, P, fld.grid, fld)
     return out[0]
 
 

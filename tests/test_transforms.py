@@ -19,7 +19,7 @@ from asymlab import (
     unrotate_potential,
 )
 from asymlab.equations import sigma2_margin
-from asymlab.errors import BadParams, NotConvex, StripViolation
+from asymlab.errors import BadParams, NotAdmissible, NotConvex, StripViolation
 from asymlab.oracle2d import builtin
 
 from conftest import random_symmetric
@@ -35,13 +35,26 @@ class TestRotationParams:
             with pytest.raises(BadParams):
                 oracle_sle(LaurentCoeffs(a1=0.1), vt)
 
-    @pytest.mark.parametrize("check", [True, False])
     @pytest.mark.parametrize("transform", [rotate_potential, unrotate_potential])
     @pytest.mark.parametrize("vt", BAD_ANGLES)
-    def test_potential_transforms_check_angle(self, transform, vt, check):
+    def test_potential_transforms_check_angle(self, transform, vt):
         P = builtin("quadratic", {"A": [[1.0, 0.0], [0.0, 1.0]]})
         with pytest.raises(BadParams, match="vartheta"):
-            transform(P, vt, check=check)
+            transform(P, vt)
+
+
+class TestSampledPreconditions:
+    """The potential rotations always sample their precondition first."""
+
+    def test_rotate_needs_the_hessian_bound(self):
+        # log|x| has the Hessian eigenvalue -1/|x|^2 < 1 - cot(pi/4) = 0
+        with pytest.raises(NotAdmissible, match="required bound"):
+            rotate_potential(builtin("log-radial", {"dim": 2}), math.pi / 4)
+
+    def test_unrotate_needs_the_strip_bound(self):
+        P = builtin("quadratic", {"A": [[1.5, 0.0], [0.0, 0.0]]})
+        with pytest.raises(StripViolation, match="sampled lambda_max"):
+            unrotate_potential(P, math.pi / 4)
 
 
 class TestHessianRotation:
@@ -51,7 +64,7 @@ class TestHessianRotation:
         assert np.allclose(out.m, np.diag([math.tan(math.pi / 6), 0.0]), atol=1e-14)
 
     def test_zero_matrix(self):
-        out = rotate_hessian(SymMat.zero(3), math.pi / 6)
+        out = rotate_hessian(SymMat(np.zeros((3, 3))), math.pi / 6)
         assert np.allclose(out.m, -math.tan(math.pi / 6) * np.eye(3), atol=1e-15)
 
     def test_identity_by_quarter_turn(self):
@@ -238,8 +251,6 @@ class TestLegendreLewy:
         # eigenvalues of the warren3d solution's Hessian are unbounded below
         # along the x3 axis, so it is not a legendre_lewy candidate
         K = sigma2_margin(3)
-        from asymlab.errors import NotAdmissible
-
         with pytest.raises(NotAdmissible):
             legendre_lewy(builtin("warren3d"), EquationSpec("SIGMA2", 3, delta=K / 2))
 
