@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -44,7 +45,7 @@ class TestRotationParams:
 
 
 class TestSampledPreconditions:
-    """The potential rotations always sample their precondition first."""
+    """The potential transforms always sample their precondition first."""
 
     def test_rotate_needs_the_hessian_bound(self):
         # log|x| has the Hessian eigenvalue -1/|x|^2 < 1 - cot(pi/4) = 0
@@ -55,6 +56,26 @@ class TestSampledPreconditions:
         P = builtin("quadratic", {"A": [[1.5, 0.0], [0.0, 0.0]]})
         with pytest.raises(StripViolation, match="sampled lambda_max"):
             unrotate_potential(P, math.pi / 4)
+
+    @pytest.mark.parametrize("rho, radii", [(0.0, [1.0, 4.0, 16.0]),
+                                            (2.0, [2.1, 4.0, 16.0])])
+    @pytest.mark.parametrize("transform", [
+        lambda P: rotate_potential(P, math.pi / 4),
+        lambda P: unrotate_potential(P, math.pi / 4),
+        legendre,
+    ], ids=["rotate", "unrotate", "legendre"])
+    def test_samples_21_points_on_three_shells(self, transform, rho, radii):
+        """One batch of 3 x 21 points, on the shells 1.05, 2 and 8 times rho,
+        or 1, 4 and 16 when rho < 1."""
+        batches = []
+        P = builtin("quadratic", {"A": [[0.5, 0.0], [0.0, 0.5]]})
+        hessians = P.hessians_fn
+        P = dataclasses.replace(P, rho=rho,
+                                hessians_fn=lambda X: batches.append(X) or hessians(X))
+        transform(P)
+        assert len(batches) == 1 and batches[0].shape == (63, 2)
+        norms = np.sqrt((batches[0] ** 2).sum(axis=1))
+        assert np.allclose(norms, np.repeat(radii, 21), rtol=1e-14)
 
 
 class TestHessianRotation:
