@@ -128,6 +128,9 @@ def fit_profile(P: PotentialFn, spec: EquationSpec, shells: ShellSpec,
     A, _ = hessian_limit(P, shells)
     with_log = P.dim == 2
     L = log_kernel(spec, A) if with_log else SymMat.identity(P.dim)
+    w = np.linalg.eigvalsh(L.m)
+    if not w[0] > EXACT_FLOOR * w[-1]:  # nan too; else x'Lx can round to <= 0
+        raise NotAdmissible(f"log kernel L is not positive definite: eigenvalues {w.tolist()}")
 
     X = shells.points(P.dim, seed=seed)
     columns = [X, np.ones((len(X), 1))]

@@ -234,14 +234,16 @@ def _write_field_csv(fld, path: str):
     """One row per node, plain decimal floats; x1 and x2 are the products of
     the written r with math.cos and math.sin of the written theta. One write
     per ring of nodes: joining the whole file first costs ~2 MB of peak RSS
-    on a 65x128 grid for no speed."""
-    theta = fld.grid.theta.tolist()
-    trig = [(t, math.cos(t), math.sin(t)) for t in theta]
+    on a 65x128 grid for no speed. `repr` dominates, so j and theta are
+    formatted once per column, i and r once per ring."""
+    cols = [(f"{j},", f",{t!r},", math.cos(t), math.sin(t))
+            for j, t in enumerate(fld.grid.theta.tolist())]
     with open(path, "w") as f:
         f.write("i,j,r,theta,x1,x2,u\n")
         for i, (r, row) in enumerate(zip(fld.grid.r.tolist(), fld.values.tolist())):
-            f.write("".join(f"{i},{j},{r!r},{t!r},{r * c!r},{r * s!r},{u!r}\n"
-                            for j, ((t, c, s), u) in enumerate(zip(trig, row))))
+            i_, r_ = f"{i},", repr(r)
+            f.write("".join(f"{i_}{j}{r_}{t}{r * c!r},{r * s!r},{u!r}\n"
+                            for (j, t, c, s), u in zip(cols, row)))
 
 
 def cmd_experiment(args) -> int:

@@ -91,6 +91,8 @@ class EquationSpec:
         if self.kind == "SIGMA2":
             if self.delta is None or self.delta <= 0:
                 raise BadParams("SIGMA2 spec requires delta > 0")
+            if not self.delta < math.inf:  # nan too
+                raise BadParams(f"SIGMA2 spec requires a finite delta, got {self.delta}")
             if self.dim < 3:
                 raise WrongDimension("SIGMA2 requires dim >= 3")
         elif self.delta is not None:

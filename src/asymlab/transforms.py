@@ -151,10 +151,18 @@ def _graph_map(P: PotentialFn, a: float, b: float, c: float, d: float,
     The value takes G = (xt - a x)/b (b != 0 in every map) in place of Du(x):
     the form is then stationary in x, so an error in the inverted x moves it
     only at second order. The gradient keeps Du(x); taken from G it measured
-    less accurate.
+    less accurate. The callbacks share the last preimage: points of the same
+    shape and bytes (-0.0 and 0.0 can invert to different sign bits) reuse it.
     """
-    invert = _graph_preimage(P, a, b, what, guess)
+    new_preimage = _graph_preimage(P, a, b, what, guess)
     det = a * d - b * c
+    last = [None, None]  # (shape, bytes) of the last points inverted, their preimage
+
+    def invert(Xt):
+        key = (Xt.shape, Xt.tobytes())
+        if key != last[0]:
+            last[:] = key, new_preimage(Xt)  # a raise stores nothing
+        return last[1]
 
     def values(Xt):
         X = invert(Xt)

@@ -146,6 +146,12 @@ class TestFitProfile:
                                              np.geomspace(50, 400, 6))
         assert decay_exponent(samples) == pytest.approx(-1.0, abs=0.15)
 
+    def test_singular_log_kernel_is_not_admissible(self):
+        # D^2 log r averages to 0 over a circle, so the MA kernel L = A is
+        # singular and the log column is not finite (the SVD used to fail)
+        with pytest.raises(NotAdmissible, match="not positive definite: eigenvalues"):
+            fit_profile(builtin("log-radial", {"dim": 2}), MA2, ShellSpec((50.0, 100.0, 200.0)))
+
     def test_profile_to_dict_keys(self):
         P = builtin("quadratic", {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0], "c": 0.0})
         prof = fit_profile(P, MA2, ShellSpec((10.0, 20.0)))

@@ -26,7 +26,7 @@ from asymlab import (
 )
 from asymlab.core import sym_upper
 from asymlab.equations import sigma2_margin
-from asymlab.errors import (BadParams, InverseMapDiverged, SingularRotation,
+from asymlab.errors import (BadParams, InverseMapDiverged, LabError, SingularRotation,
                             StripViolation, WrongDimension)
 from asymlab.oracle2d import builtin
 from asymlab.transforms import _graph_hessians, _rotation_check, _strip_check
@@ -470,3 +470,71 @@ def test_wrong_point_shape_rejected():
         P.hessians(np.ones(3))
     with pytest.raises(WrongDimension):
         P.value([1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# the shared preimage of `_graph_map`: consecutive calls on the same points
+# invert once, and every result is bitwise a fresh potential's
+# ---------------------------------------------------------------------------
+
+SHARED = {
+    "oracle_sle": lambda: oracle_sle(SLE_CO, math.pi / 4),
+    "ihh-oracle": lambda: builtin("ihh-oracle", {"am1": 0.4, "tail": [0.2]}),
+    "rotate_oracle_sle": lambda: rotate_potential(oracle_sle(SLE_CO, math.pi / 4), math.pi / 8),
+    "legendre": lambda: legendre(builtin("ma-radial", {"c": 1.0})),
+}
+OPS = ("values", "grads", "hessians", "mutate")
+
+
+def _pool(seed):
+    """Point sets for every SHARED potential: two drawn sets, a strided view
+    of the first, a set with a row (0.0, 5) and its copy with -0.0, whose
+    gradients can differ in sign bits, and a set whose second row fails to
+    invert."""
+    A, B = (shell(3.0, 30.0)(np.random.default_rng(seed + k), 5) for k in (0, 1))
+    zero = np.vstack([B[:2], [[0.0, 5.0]]])
+    neg_zero = zero.copy()
+    neg_zero[2, 0] = -0.0
+    return [A, B, A[::2], zero, neg_zero, np.array([[3.0, 1.0], [0.0, 0.0]])]
+
+
+def _call(P, method, X):
+    """The result's bytes, or the type of what the call raised."""
+    try:
+        return getattr(P, method)(X).tobytes()
+    except LabError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+@given(seed=st.integers(0, 2 ** 16),
+       ops=st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 5)),
+                    min_size=1, max_size=14))
+@example(seed=0, ops=[("values", 3), ("grads", 4), ("hessians", 3)])
+@example(seed=0, ops=[("grads", 0), ("mutate", 0), ("grads", 0), ("hessians", 2)])
+@example(seed=0, ops=[("hessians", 1), ("values", 5), ("grads", 5), ("grads", 1)])
+@settings(max_examples=20, deadline=None)
+def test_shared_preimage_is_bitwise_a_fresh_potential(name, seed, ops):
+    pool = _pool(seed)
+    P = SHARED[name]()
+    for op, k in ops:
+        if op == "mutate":  # in place, on an array already passed in
+            pool[k][0] *= 1.25
+        else:
+            assert _call(P, op, pool[k]) == _call(SHARED[name](), op, pool[k].copy()), (op, k)
+
+
+def test_consecutive_calls_on_the_same_points_invert_once(monkeypatch):
+    from asymlab import transforms
+
+    calls = []
+    invert = transforms._newton_invert
+    monkeypatch.setattr(transforms, "_newton_invert",
+                        lambda *a: calls.append(a[-1]) or invert(*a))
+    P = oracle_sle(SLE_CO, math.pi / 4)
+    X = shell(3.0, 30.0)(np.random.default_rng(0), 8)
+    calls.clear()  # the domain-radius probes invert by themselves
+    P.values(X), P.grads(X.copy()), P.hessians(X), P.hessians(X)
+    assert len(calls) == 1
+    P.grads(X[:4]), P.grads(X)
+    assert len(calls) == 3

@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 from asymlab import cli
+from asymlab.core import AnnulusField, AnnulusGrid
 
 LAB = [sys.executable, "-m", "asymlab.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -88,6 +90,14 @@ class TestFitCommand:
         assert r.returncode == 1
         assert json.loads(r.stderr)["error"]["kind"] == "NoDecay"
 
+    def test_singular_log_kernel_is_not_admissible(self):
+        r = run(["fit", "--solution", "builtin:log-radial", "--params", '{"dim": 2}',
+                 "--equation", "ma"])
+        assert r.returncode == 1
+        err = json.loads(r.stderr)["error"]
+        assert err["kind"] == "NotAdmissible"
+        assert "log kernel L is not positive definite" in err["message"]
+
     def test_dimension_mismatch_is_wrong_dimension(self):
         r = run(["fit", "--solution", "builtin:ma-radial", "--params", '{"c": 1.0}',
                  "--equation", "ma", "--dim", "3"])
@@ -161,6 +171,14 @@ class TestEquationParameters:
         assert json.loads(r.stderr)["error"] == {"kind": "ConfigError",
                                                  "message": "SLE spec requires theta"}
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta(self, delta):
+        r = run(["residual", "--solution", "builtin:warren3d", "--equation", "sigma2",
+                 "--delta", delta])
+        assert r.returncode == 2
+        assert json.loads(r.stderr)["error"] == {
+            "kind": "ConfigError", "message": f"SIGMA2 spec requires a finite delta, got {delta}"}
+
     @pytest.mark.parametrize("solution, equation, message", [
         ("builtin:sin-exp", "sle", "SLE spec requires theta"),
         ("builtin:warren3d", "sigma2", "SIGMA2 spec requires delta > 0"),
@@ -228,6 +246,16 @@ class TestExperiment:
         r = run(["experiment", "--config", str(cfg_path)])
         assert r.returncode == 1
         assert json.loads(r.stderr)["error"]["kind"] == "WrongDimension"
+
+    def test_singular_log_kernel_is_not_admissible(self, tmp_path):
+        cfg = self._config(str(tmp_path / "out"))
+        cfg["solution"] = {"kind": "builtin", "name": "log-radial", "params": {"dim": 2}}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        r = run(["experiment", "--config", str(cfg_path)])
+        assert r.returncode == 1
+        assert json.loads(r.stderr)["error"]["kind"] == "NotAdmissible"
+        assert not (tmp_path / "out" / "summary.json").exists()
 
 
 class TestSolveCommand:
@@ -386,6 +414,40 @@ class TestOutputFiles:
             r, theta, x1, x2 = map(float, row[2:6])
             assert (i, j) == divmod(k, 16)
             assert x1 == r * math.cos(theta) and x2 == r * math.sin(theta)
+
+
+def _per_node_field_csv(fld, path):
+    """The writer `cli._write_field_csv` replaced, kept as the reference for
+    its bytes: every string of a row is formatted at every node."""
+    theta = fld.grid.theta.tolist()
+    trig = [(t, math.cos(t), math.sin(t)) for t in theta]
+    with open(path, "w") as f:
+        f.write("i,j,r,theta,x1,x2,u\n")
+        for i, (r, row) in enumerate(zip(fld.grid.r.tolist(), fld.values.tolist())):
+            f.write("".join(f"{i},{j},{r!r},{t!r},{r * c!r},{r * s!r},{u!r}\n"
+                            for j, ((t, c, s), u) in enumerate(zip(trig, row))))
+
+
+class TestFieldCsvBytes:
+    # values on both sides of repr's switch to exponent notation, and -0.0
+    SPECIAL = [1e-5, -1e-5, 1.0001e-4, 1e16, -1e16, 9999999999999998.0, -0.0, 0.0]
+
+    @pytest.mark.parametrize("grid", [
+        AnnulusGrid(1.0, 8.0, 17, 32, "uniform"),
+        # radii from 1e-6 to 1e17 put r itself on both sides of the switch
+        AnnulusGrid(1e-6, 1e17, 33, 64, "logarithmic"),
+    ], ids=["uniform-17x32", "logarithmic-33x64"])
+    def test_same_bytes_as_the_per_node_writer(self, tmp_path, grid):
+        values = np.random.default_rng(5).normal(size=(grid.n_r, grid.n_theta))
+        values *= 10.0 ** np.random.default_rng(6).integers(-8, 18, size=values.shape)
+        values.flat[:len(self.SPECIAL)] = self.SPECIAL
+        values[-1, -len(self.SPECIAL):] = self.SPECIAL
+        fld = AnnulusField(grid, values)
+        _per_node_field_csv(fld, tmp_path / "want.csv")
+        cli._write_field_csv(fld, tmp_path / "got.csv")
+        want = (tmp_path / "want.csv").read_bytes()
+        assert b"e-05" in want and b"e+16" in want and b",-0.0\n" in want
+        assert (tmp_path / "got.csv").read_bytes() == want
 
 
 class TestValidatorCache:

@@ -102,6 +102,12 @@ class TestEquationSpec:
         with pytest.raises(WrongDimension):
             EquationSpec("SIGMA2", 2, delta=K / 2)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_sigma2_delta_must_be_finite(self, delta):
+        # nan <= 0 is False, so `delta > 0` alone let nan through
+        with pytest.raises(BadParams, match="finite delta"):
+            EquationSpec("SIGMA2", 3, delta=delta)
+
 
 class TestAnnulusGrid:
     def test_radii_endpoints(self):
