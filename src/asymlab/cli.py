@@ -142,6 +142,8 @@ def _dump_json(obj, path: str | None):
 def cmd_residual(args) -> int:
     if args.points < 1:
         raise BadParams(f"--points must be at least 1, got {args.points}")
+    if args.seed < 0:
+        raise BadParams(f"--seed must be non-negative, got {args.seed}")
     P = parse_solution(args.solution, args.params)
     spec = _equation_for(args, P)
     pts = _exterior_points(P, args.points, args.seed)

@@ -23,15 +23,25 @@ def sym_upper(H: np.ndarray) -> np.ndarray:
     return S
 
 
+def _column_sum(P: np.ndarray) -> np.ndarray:
+    """P.sum(axis=-1) for a few columns, bit for bit (-0.0 included): numpy
+    adds fewer than 8 terms one by one from +0.0, and so does this, without
+    the cost of a reduction."""
+    s = P[..., 0] + 0.0
+    for k in range(1, P.shape[-1]):
+        s += P[..., k]
+    return s
+
+
 def rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dot product of each row of A with the matching row of B (or with B)."""
-    return (A * B).sum(axis=1)
+    return _column_sum(A * B)
 
 
 def matvecs(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """M @ x for every row x of X, elementwise rather than through BLAS,
     whose result for one row can depend on how many rows there are."""
-    return (X[:, None, :] * M).sum(axis=-1)
+    return _column_sum(X[:, None, :] * M)
 
 
 @dataclass(frozen=True)

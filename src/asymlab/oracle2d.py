@@ -17,6 +17,7 @@ import numpy as np
 
 from .asymptotics import log_kernel
 from .core import AsymptoticProfile, EquationSpec, PotentialFn, SymMat, matvecs, rowdot
+from .equations import eigvals
 from .errors import BadParams, InverseMapDiverged, StripViolation, UnknownName
 from .transforms import (_graph_map, _graph_preimage, _rotation_angle, _strip_check,
                          unrotate_hessian)
@@ -155,7 +156,7 @@ def oracle_sle(coeffs: LaurentCoeffs, vartheta: float) -> PotentialFn:
     strip_tol = c / s - 1e-6
 
     def probe(X):
-        if (np.linalg.eigvalsh(ht.hessians_fn(preimage(X)))[:, -1] >= strip_tol).any():
+        if (eigvals(ht.hessians_fn(preimage(X)))[:, -1] >= strip_tol).any():
             raise StripViolation("validation shell hits the strip bound")
 
     return _graph_map(ht, c, -s, s, c, _certify_rho(probe), what, guess, _strip_check(c, s))
@@ -276,7 +277,7 @@ def _ihh_oracle(params: dict) -> PotentialFn:
     invert = _graph_preimage(harm, 0.5, 1.0, what, guess)
 
     def probe(X):
-        w = np.linalg.eigvalsh(0.5 * np.eye(2) + harm.hessians_fn(invert(X)))
+        w = eigvals(0.5 * np.eye(2) + harm.hessians_fn(invert(X)))
         if (w[:, 0] <= 1e-9).any() or (w[:, -1] >= 1.0 - 1e-9).any():
             raise StripViolation("dual Hessian leaves (0, I) on validation shell")
 

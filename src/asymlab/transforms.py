@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .core import EquationSpec, PotentialFn, SymMat, rowdot, sym_upper
+from .equations import eigvals, sigma2_margin
 from .errors import (BadParams, InverseMapDiverged, NotAdmissible, NotConvex,
                      SingularRotation, StripViolation)
 
@@ -29,7 +30,7 @@ def _graph_hessians(H: np.ndarray, a: float, b: float, c: float, d: float,
     """(cI + dH)(aI + bH)^-1 for each stacked symmetric H (N, n, n); the two
     factors commute. `check(w)` sees H's ascending eigenvalues first."""
     if check is not None:
-        check(np.linalg.eigvalsh(H))
+        check(eigvals(H))
     eye = np.eye(H.shape[-1])
     return sym_upper(np.linalg.solve(a * eye + b * H, c * eye + d * H))
 
@@ -76,32 +77,57 @@ def _newton_invert(target, guess, fun, jac, what: str):
     the residual. Each row has its own convergence test and step length, so
     its iterates do not depend on the other rows; any row that stalls or
     runs out of iterations fails the call. Floating-point warnings are off:
-    the line search rejects non-finite trial residuals."""
-    p = np.array(guess, dtype=float)
-    g = fun(p) - target
+    the line search rejects non-finite trial residuals.
+
+    The live rows (original indices `rows`, ascending) are kept as compact
+    arrays, gathered again only on an iteration where some row converges,
+    whose solution goes into `out` then; the line search runs on the whole
+    arrays until some row accepts a step. Updating `p` in place may write
+    into `out` (they start as one array), but only rows not yet converged."""
+    out = np.array(guess, dtype=float)
+    g = fun(out) - target
     nrm = np.sqrt(rowdot(g, g))
     tol = NEWTON_TOL * (1.0 + np.sqrt(rowdot(target, target)))
-    rows = np.arange(len(p))
+    rows, p, tgt = np.arange(len(out)), out, target
     for _ in range(NEWTON_MAX_ITER):
-        rows = rows[~(nrm[rows] <= tol[rows])]
+        done = nrm <= tol
+        if done.any():
+            out[rows[done]] = p[done]
+            live = ~done
+            rows, p, g, nrm, tol, tgt = (a[live] for a in (rows, p, g, nrm, tol, tgt))
         if not rows.size:
-            return p
+            return out
         try:
-            step = np.linalg.solve(jac(p[rows]), g[rows][..., None])[..., 0]
+            step = np.linalg.solve(jac(p), g[..., None])[..., 0]
         except np.linalg.LinAlgError as e:
             raise InverseMapDiverged(f"{what}: singular Jacobian") from e
+        # every row searches until the first trial some row accepts
         t = 1.0
-        todo = np.arange(rows.size)  # positions in `rows` still searching
+        while True:
+            if t <= 2.0 ** -30:
+                raise InverseMapDiverged(f"{what}: line search stalled at |g|={nrm[0]:.3g}")
+            p_new = p - t * step
+            g_new = fun(p_new) - tgt
+            n_new = np.sqrt(rowdot(g_new, g_new))
+            ok = n_new < nrm
+            t *= 0.5
+            if ok.any():
+                break
+        if ok.all():
+            p, g, nrm = p_new, g_new, n_new
+            continue
+        p[ok], g[ok], nrm[ok] = p_new[ok], g_new[ok], n_new[ok]
+        todo = np.flatnonzero(~ok)  # positions still searching
         while todo.size:
             if t <= 2.0 ** -30:
                 raise InverseMapDiverged(
-                    f"{what}: line search stalled at |g|={nrm[rows[todo[0]]]:.3g}")
-            k = rows[todo]
-            p_new = p[k] - t * step[todo]
-            g_new = fun(p_new) - target[k]
+                    f"{what}: line search stalled at |g|={nrm[todo[0]]:.3g}")
+            p_new = p[todo] - t * step[todo]
+            g_new = fun(p_new) - tgt[todo]
             n_new = np.sqrt(rowdot(g_new, g_new))
-            ok = n_new < nrm[k]
-            p[k[ok]], g[k[ok]], nrm[k[ok]] = p_new[ok], g_new[ok], n_new[ok]
+            ok = n_new < nrm[todo]
+            k = todo[ok]
+            p[k], g[k], nrm[k] = p_new[ok], g_new[ok], n_new[ok]
             todo = todo[~ok]
             t *= 0.5
     raise InverseMapDiverged(f"{what}: no convergence in {NEWTON_MAX_ITER} iterations")
@@ -116,7 +142,7 @@ def _sampled_spectra(P: PotentialFn, seed: int) -> np.ndarray:
     radii = P.rho * np.array([1.05, 2.0, 8.0]) if P.rho >= 1 else np.array([1.0, 4.0, 16.0])
     D = rng.normal(size=(3 * 21, P.dim))
     X = np.repeat(radii, 21)[:, None] * D / np.sqrt(rowdot(D, D))[:, None]
-    return np.linalg.eigvalsh(P.hessians(X))
+    return eigvals(P.hessians(X))
 
 
 def _check_hessian_bound(P: PotentialFn, lower: float):
@@ -222,8 +248,6 @@ def legendre_lewy(P: PotentialFn, spec: EquationSpec) -> PotentialFn:
     With K = sqrt(2/(n(n-1))) and w = u + K|x|^2/2, returns -legendre(w);
     the output Hessian is -(D^2 u + K I)^-1, pinched in (-I/delta, 0).
     """
-    from .equations import sigma2_margin
-
     if spec.kind != "SIGMA2":
         raise BadParams("legendre_lewy applies to SIGMA2 specs")
     K = sigma2_margin(spec.dim)

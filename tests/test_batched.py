@@ -538,3 +538,125 @@ def test_consecutive_calls_on_the_same_points_invert_once(monkeypatch):
     assert len(calls) == 1
     P.grads(X[:4]), P.grads(X)
     assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# the compacted Newton inversion is bitwise the row-gathering one it replaced
+# ---------------------------------------------------------------------------
+
+def gathering_newton_invert(target, guess, fun, jac, what):
+    """The reference: `_newton_invert` as it was before it kept its live rows
+    as compact arrays, gathering them from the full arrays on every trial."""
+    def rowdot(A, B):
+        return (A * B).sum(axis=1)
+
+    with np.errstate(all="ignore"):
+        p = np.array(guess, dtype=float)
+        g = fun(p) - target
+        nrm = np.sqrt(rowdot(g, g))
+        tol = 1e-12 * (1.0 + np.sqrt(rowdot(target, target)))
+        rows = np.arange(len(p))
+        for _ in range(100):
+            rows = rows[~(nrm[rows] <= tol[rows])]
+            if not rows.size:
+                return p
+            try:
+                step = np.linalg.solve(jac(p[rows]), g[rows][..., None])[..., 0]
+            except np.linalg.LinAlgError as e:
+                raise InverseMapDiverged(f"{what}: singular Jacobian") from e
+            t = 1.0
+            todo = np.arange(rows.size)
+            while todo.size:
+                if t <= 2.0 ** -30:
+                    raise InverseMapDiverged(
+                        f"{what}: line search stalled at |g|={nrm[rows[todo[0]]]:.3g}")
+                k = rows[todo]
+                p_new = p[k] - t * step[todo]
+                g_new = fun(p_new) - target[k]
+                n_new = np.sqrt(rowdot(g_new, g_new))
+                ok = n_new < nrm[k]
+                p[k[ok]], g[k[ok]], nrm[k[ok]] = p_new[ok], g_new[ok], n_new[ok]
+                todo = todo[~ok]
+                t *= 0.5
+        raise InverseMapDiverged(f"{what}: no convergence in 100 iterations")
+
+
+def cubic(P):
+    """p - |p|^2 p / 4: invertible near 0, its Jacobian exactly singular at
+    (2, 0), and |F(p)| at most 4/(3 sqrt 3) along any ray from 0."""
+    return P - (0.25 * (P * P).sum(axis=1))[:, None] * P
+
+
+def cubic_jac(P):
+    return ((1.0 - 0.25 * (P * P).sum(axis=1))[:, None, None] * np.eye(2)
+            - 0.5 * P[:, :, None] * P[:, None, :])
+
+
+# (target, guess) rows whose line search stalls: the first after some steps,
+# at |g| = 0.137, the other two on their first step, at |g| = 0.57 and 1.07,
+# from a guess where the Jacobian is singular to roundoff (|p| = 2/sqrt 3);
+# the Jacobian at SINGULAR's guess is exactly singular
+R_CRIT = 2.0 / math.sqrt(3.0)
+STALLS = (((0.9, 0.1), (0.5, 0.5)), ((0.2, 0.0), (R_CRIT, 0.0)), ((0.0, -0.3), (0.0, R_CRIT)))
+SINGULAR = ((0.3, 0.2), (2.0, 0.0))
+coord = st.floats(-0.6, 0.6)
+point = st.tuples(coord, coord)
+inversion_row = st.one_of(
+    st.tuples(point, point),  # most converge, in more iterations the farther the guess
+    point.map(lambda x: (tuple(cubic(np.array([x]))[0]), x)),  # solved by its guess
+    st.sampled_from(STALLS), st.just(SINGULAR))
+
+
+def _inversion(invert, rows):
+    """The bytes of the preimage, or the type and message of the error."""
+    T, G = (np.array([r[i] for r in rows], dtype=float).reshape(-1, 2) for i in (0, 1))
+    try:
+        return invert(T, G, cubic, cubic_jac, "test inversion").tobytes()
+    except InverseMapDiverged as e:
+        return type(e), str(e)
+
+
+@given(rows=st.lists(inversion_row, max_size=12))
+@example(rows=[])
+@example(rows=[((0.5, 0.1), (-0.6, 0.6)), ((0.1, 0.0), (0.1, 0.0)), ((0.0, 0.5), (0.5, 0.0))])
+@example(rows=[((0.5, 0.1), (-0.6, 0.6)), ((0.1, 0.0), (0.1, 0.0)), STALLS[0]])
+@example(rows=[((0.5, 0.1), (0.4, 0.0)), STALLS[1], STALLS[2]])  # a row accepts first
+@example(rows=[STALLS[2], STALLS[1]])  # no row accepts
+@example(rows=[((0.5, 0.1), (0.0, 0.0)), SINGULAR, STALLS[0]])
+@settings(max_examples=80, deadline=None)
+def test_compacted_inversion_is_bitwise_the_gathering_one(rows):
+    from asymlab.transforms import _newton_invert
+
+    assert _inversion(_newton_invert, rows) == _inversion(gathering_newton_invert, rows)
+
+
+def test_inversion_rows_converge_at_different_iterations():
+    from asymlab import transforms
+
+    rows = [((0.5, 0.1), (-0.6, 0.6)), ((0.1, 0.0), (0.1, 0.0)), ((0.0, 0.5), (0.5, 0.0))]
+    T, G = (np.array([r[i] for r in rows]) for i in (0, 1))
+    sizes = []
+    transforms._newton_invert(T, G, cubic, lambda P: sizes.append(len(P)) or cubic_jac(P),
+                              "test inversion")
+    assert sizes[0] == 3 and 1 in sizes and len(sizes) > 2, sizes
+
+
+# ---------------------------------------------------------------------------
+# empty batches
+# ---------------------------------------------------------------------------
+
+EMPTY = {
+    "oracle_sle": lambda: oracle_sle(SLE_CO, math.pi / 4),
+    "ihh-oracle": lambda: builtin("ihh-oracle", {"am1": 0.4, "tail": [0.2]}),
+    "rotate_potential": lambda: rotate_potential(oracle_sle(SLE_CO, math.pi / 4), math.pi / 8),
+    "unrotate_potential": lambda: unrotate_potential(harmonic_potential(HARM_CO), math.pi / 4),
+    "legendre": lambda: legendre(builtin("ma-radial", {"c": 1.0})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY))
+def test_empty_batch(name):
+    P, X = EMPTY[name](), np.zeros((0, 2))
+    assert P.values(X).shape == (0,)
+    assert P.grads(X).shape == (0, 2)
+    assert P.hessians(X).shape == (0, 2, 2)

@@ -60,6 +60,13 @@ class TestResidualCommand:
         assert r.returncode == 2
         assert json.loads(r.stderr)["error"]["kind"] == "BadParams"
 
+    def test_negative_seed_is_config_error(self):
+        r = run(["residual", "--solution", "builtin:ma-radial",
+                 "--equation", "ma", "--seed", "-1"])
+        assert r.returncode == 2
+        err = json.loads(r.stderr)["error"]
+        assert err["kind"] == "BadParams" and "--seed" in err["message"]
+
     @pytest.mark.parametrize("solution,dim", [("builtin:ma-radial", "3"),
                                               ("builtin:warren3d", "2")])
     def test_dimension_mismatch_is_wrong_dimension(self, solution, dim):

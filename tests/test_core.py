@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from asymlab import (
     AnnulusField,
@@ -13,6 +14,7 @@ from asymlab import (
     WrongDimension,
     phase,
 )
+from asymlab.core import matvecs, rowdot
 from asymlab.equations import eigvals
 from asymlab.oracle2d import builtin
 
@@ -59,6 +61,38 @@ class TestEig:
                 E = random_symmetric(rng, base.dim, scale=0.01)
                 vals = eigvals((base.m + E.m)[None])[0]
                 assert np.all(np.abs(vals - vals0) < 0.05)
+
+
+signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150))
+
+
+class TestRowSums:
+    """`rowdot` and `matvecs` add their few columns one by one; bit for bit,
+    signed zeros included, that is what the `.sum` forms give."""
+
+    @given(dim=st.sampled_from([2, 3]), n=st.integers(0, 12), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_the_sum_forms(self, dim, n, data):
+        A, B = (data.draw(hnp.arrays(np.float64, (n, dim), elements=signed)) for _ in "AB")
+        b = data.draw(hnp.arrays(np.float64, (dim,), elements=signed))  # as in flux_identity
+        M = data.draw(hnp.arrays(np.float64, (dim, dim), elements=signed))
+        assert rowdot(A, B).tobytes() == (A * B).sum(axis=1).tobytes()
+        assert rowdot(A, b).tobytes() == (A * b).sum(axis=1).tobytes()
+        assert matvecs(M, A).tobytes() == (A[:, None, :] * M).sum(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equal_the_sum_forms_on_random_mantissas(self, rng, dim):
+        A, B = rng.normal(size=(2, 1000, dim)) * 10.0 ** rng.integers(-3, 4, (2, 1000, dim))
+        M = rng.normal(size=(dim, dim))
+        assert rowdot(A, B).tobytes() == (A * B).sum(axis=1).tobytes()
+        assert rowdot(A, B[0]).tobytes() == (A * B[0]).sum(axis=1).tobytes()
+        assert matvecs(M, A).tobytes() == (A[:, None, :] * M).sum(axis=-1).tobytes()
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        A = np.array([[-0.0, -0.0, -0.0], [-1.0, 1.0, -0.0]])
+        assert np.signbit((A * A[:1]).sum(axis=1)).tolist() == [False, False]
+        assert rowdot(A, A[:1]).tobytes() == (A * A[:1]).sum(axis=1).tobytes()
+        assert rowdot(A[:, :2], A[0, :2]).tobytes() == np.zeros(2).tobytes()
 
 
 class TestPhase:
@@ -145,6 +179,20 @@ class TestAnnulusGrid:
         x, y = g.nodes_xy()
         assert x.shape == y.shape == (5, 12)
         assert np.allclose(np.hypot(x[0], y[0]), 1.0)
+
+    @given(r_inner=st.floats(1e-6, 1e6), ratio=st.floats(1.0, 1e6, exclude_min=True),
+           n_r=st.integers(4, 200), half_n_theta=st.integers(4, 300),
+           spacing=st.sampled_from(["uniform", "logarithmic"]))
+    @settings(max_examples=150, deadline=None)
+    def test_nodes_are_the_refined_nodes_subsampled(self, r_inner, ratio, n_r,
+                                                    half_n_theta, spacing):
+        """Bit for bit, which lets a study evaluate its oracle on the last
+        grid alone and the solver take coarse data from the last grid's."""
+        r_outer = r_inner * ratio
+        assume(r_outer > r_inner)
+        g = AnnulusGrid(r_inner, r_outer, n_r, 2 * half_n_theta, spacing)
+        for coarse, fine in zip(g.nodes_xy(), g.refine().nodes_xy()):
+            assert coarse.tobytes() == fine[::2, ::2].tobytes()
 
 
 class TestAnnulusField:

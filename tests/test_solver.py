@@ -199,6 +199,30 @@ class TestConvergenceStudy:
             assert 3.0 <= row["ratio"] <= 5.0
         assert [r["h"] for r in rows] == sorted((r["h"] for r in rows), reverse=True)
 
+    @given(spacing=st.sampled_from(["uniform", "logarithmic"]), s=st.floats(-1.0, 1.0))
+    @settings(max_examples=8, deadline=None)
+    def test_rows_are_bitwise_per_grid_evaluations(self, spacing, s):
+        """The study evaluates the oracle once, on the last grid; its rows are
+        bitwise the ones from evaluating it on every grid of the study."""
+        spec, P, r_in = _oracle_case("SLE", s)
+        grids = [AnnulusGrid(r_in, 8.0, 9, 16, spacing)]
+        for _ in range(2):
+            grids.append(grids[-1].refine())
+        reports = []
+        with pytest.MonkeyPatch.context() as mp:
+            nested = solver._nested
+            mp.setattr(solver, "_nested", lambda *a: reports.extend(nested(*a)) or reports)
+            rows = convergence_study(spec, P, grids)
+        want, prev = [], None
+        for grid, report in zip(grids, reports):
+            exact = AnnulusField.from_potential(grid, P).values
+            err = float(np.max(np.abs(report.field.values - exact)))
+            want.append({"h": grid.h_t, "maxError": err,
+                         "ratio": prev / err if prev is not None and err > 1e-13 else math.nan,
+                         "iterations": report.iterations})
+            prev = err
+        assert repr(rows) == repr(want)
+
 
 class TestNewtonRecord:
     def test_one_deterministic_entry_per_iteration(self):
