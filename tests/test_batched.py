@@ -29,7 +29,8 @@ from asymlab.equations import sigma2_margin
 from asymlab.errors import (BadParams, InverseMapDiverged, LabError, SingularRotation,
                             StripViolation, WrongDimension)
 from asymlab.oracle2d import builtin
-from asymlab.transforms import _graph_hessians, _rotation_check, _strip_check
+from asymlab.transforms import (NEWTON_MAX_ITER, NEWTON_TOL, _graph_hessians, _newton_invert,
+                                _rotation_check, _strip_check)
 
 from test_transforms import perturbed_quadratic
 
@@ -554,9 +555,9 @@ def gathering_newton_invert(target, guess, fun, jac, what):
         p = np.array(guess, dtype=float)
         g = fun(p) - target
         nrm = np.sqrt(rowdot(g, g))
-        tol = 1e-12 * (1.0 + np.sqrt(rowdot(target, target)))
+        tol = NEWTON_TOL * (1.0 + np.sqrt(rowdot(target, target)))
         rows = np.arange(len(p))
-        for _ in range(100):
+        for _ in range(NEWTON_MAX_ITER):
             rows = rows[~(nrm[rows] <= tol[rows])]
             if not rows.size:
                 return p
@@ -578,12 +579,12 @@ def gathering_newton_invert(target, guess, fun, jac, what):
                 p[k[ok]], g[k[ok]], nrm[k[ok]] = p_new[ok], g_new[ok], n_new[ok]
                 todo = todo[~ok]
                 t *= 0.5
-        raise InverseMapDiverged(f"{what}: no convergence in 100 iterations")
+        raise InverseMapDiverged(f"{what}: no convergence in {NEWTON_MAX_ITER} iterations")
 
 
 def cubic(P):
     """p - |p|^2 p / 4: invertible near 0, its Jacobian exactly singular at
-    (2, 0), and |F(p)| at most 4/(3 sqrt 3) along any ray from 0."""
+    (2, 0), and |F(p)| at most 4/(3 sqrt 3) while |p| <= 2."""
     return P - (0.25 * (P * P).sum(axis=1))[:, None] * P
 
 
@@ -625,19 +626,16 @@ def _inversion(invert, rows):
 @example(rows=[((0.5, 0.1), (0.0, 0.0)), SINGULAR, STALLS[0]])
 @settings(max_examples=80, deadline=None)
 def test_compacted_inversion_is_bitwise_the_gathering_one(rows):
-    from asymlab.transforms import _newton_invert
-
     assert _inversion(_newton_invert, rows) == _inversion(gathering_newton_invert, rows)
 
 
 def test_inversion_rows_converge_at_different_iterations():
-    from asymlab import transforms
-
+    """The Jacobian sees the live rows only: an explicit example above
+    shrinks from 3 rows to 1 before it converges."""
     rows = [((0.5, 0.1), (-0.6, 0.6)), ((0.1, 0.0), (0.1, 0.0)), ((0.0, 0.5), (0.5, 0.0))]
     T, G = (np.array([r[i] for r in rows]) for i in (0, 1))
     sizes = []
-    transforms._newton_invert(T, G, cubic, lambda P: sizes.append(len(P)) or cubic_jac(P),
-                              "test inversion")
+    _newton_invert(T, G, cubic, lambda P: sizes.append(len(P)) or cubic_jac(P), "test inversion")
     assert sizes[0] == 3 and 1 in sizes and len(sizes) > 2, sizes
 
 
