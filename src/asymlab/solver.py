@@ -112,13 +112,25 @@ _STENCIL_TABLE = np.array([_STENCILS[di, dj] for di in (-1, 0, 1) for dj in (-1,
 
 
 def _stencil_sums(grid: AnnulusGrid, U: np.ndarray) -> np.ndarray:
-    """S U at interior rows, shape (5, n_r - 2, n_theta), from _STENCILS."""
-    S = np.zeros((5, grid.n_r - 2, grid.n_theta))
+    """S U at interior rows, shape (5, n_r - 2, n_theta): each sum adds its
+    _STENCILS terms in their order to +0.0, in place."""
+    n_r, n_t = grid.n_r, grid.n_theta
     Up = np.concatenate([U[:, -1:], U, U[:, :1]], axis=1)  # theta padded by one node
-    for (di, dj), st in _STENCILS.items():
-        V = Up[1 + di:grid.n_r - 1 + di, 1 + dj:1 + dj + grid.n_theta]  # V[i, j] = U[i + di, j + dj]
-        for k in np.flatnonzero(st):
-            S[k] += st[k] * V
+    # V[di, dj][i, j] = U[i + di, j + dj] at the interior rows
+    V = {(di, dj): Up[1 + di:n_r - 1 + di, 1 + dj:1 + dj + n_t] for di, dj in _STENCILS}
+    S = np.empty((5, n_r - 2, n_t))
+    for k, first in enumerate((V[1, 0], V[1, 1], V[0, 1], V[1, 0], V[0, 1])):
+        np.add(0.0, first, out=S[k])
+    twice = 2.0 * V[0, 0]
+    S[0] += V[-1, 0]
+    S[0] -= twice
+    S[1] -= V[1, -1]
+    S[1] -= V[-1, 1]
+    S[1] += V[-1, -1]
+    S[2] += V[0, -1]
+    S[2] -= twice
+    S[3] -= V[-1, 0]
+    S[4] -= V[0, -1]
     return S
 
 
@@ -150,10 +162,30 @@ def _hessians(grid: AnnulusGrid, U: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.einsum("k...ab,k...->...ab", C, _stencil_sums(grid, U))
 
 
-def _assemble_jacobian(grid: AnnulusGrid, C: np.ndarray, G: np.ndarray) -> sp.csr_matrix:
+def _csr_pattern(grid: AnnulusGrid):
+    """The column indices and row pointers of the Jacobians that
+    `_assemble_jacobian` writes on `grid`, and the positions of their diagonal."""
+    nI, nT = grid.n_r - 2, grid.n_theta
+    col = np.sort((np.arange(nT, dtype=np.int32)[:, None] + np.arange(-1, 2, dtype=np.int32)) % nT)
+    # node (i, j)'s columns in rows i + di: (i + di) nT + col[j], summed over
+    # contiguous (n_theta, 3, 3) blocks, which numpy broadcasts fast
+    ind = (np.arange(nI, dtype=np.int32)[:, None, None, None] * nT
+           + (np.arange(-1, 2, dtype=np.int32)[:, None] * nT + col[:, None, :]))
+    # the first and last interior rows have no unknown neighbor below or above
+    indices = np.concatenate([ind[0, :, 1:], ind[1:-1], ind[-1, :, :2]], axis=None)
+    node = np.arange(nI * nT + 1, dtype=np.int32)
+    indptr = 9 * node - 3 * np.minimum(node, nT) - 3 * np.maximum(node - (nI - 1) * nT, 0)
+    # node (i, j)'s diagonal: after its entries in row i - 1, at column j's place in col[j]
+    diag = (indptr[:-1].reshape(nI, nT) + 3 * (np.arange(nI) > 0)[:, None]
+            + np.sum(col < np.arange(nT)[:, None], axis=1))
+    return indices, indptr, diag.ravel()
+
+
+def _assemble_jacobian(grid: AnnulusGrid, C: np.ndarray, G: np.ndarray,
+                       indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
     """dF/dU from G = dF/dM (n_r - 2, n_theta, 2, 2): S_k U enters F with
     weight sum_ab G_ab C[k]_ab, spread over the stencil offsets.  Written in
-    CSR order with sorted column indices, so nothing is sorted."""
+    the CSR order of `_csr_pattern`, with sorted column indices."""
     nI, nT = grid.n_r - 2, grid.n_theta
     W = np.einsum("k...ab,...ab->k...", C, G)
     # A[i, j, di + 1, b]: the entry of node (i, j) at its neighbor in row
@@ -162,14 +194,7 @@ def _assemble_jacobian(grid: AnnulusGrid, C: np.ndarray, G: np.ndarray) -> sp.cs
     A = np.tensordot(W, _STENCIL_TABLE, axes=(0, 1)).reshape(nI, nT, 3, 3)
     A[:, 0] = A[:, 0][..., [1, 2, 0]]
     A[:, -1] = A[:, -1][..., [2, 0, 1]]
-    col = np.sort((np.arange(nT, dtype=np.int32)[:, None] + np.arange(-1, 2, dtype=np.int32)) % nT)
-    row = (np.arange(nI, dtype=np.int32)[:, None] + np.arange(-1, 2, dtype=np.int32)) * nT
-    ind = row[:, None, :, None] + col[:, None, :]
-    # the first and last interior rows have no unknown neighbor below or above
     data = np.concatenate([A[0, :, 1:], A[1:-1], A[-1, :, :2]], axis=None)
-    indices = np.concatenate([ind[0, :, 1:], ind[1:-1], ind[-1, :, :2]], axis=None)
-    node = np.arange(nI * nT + 1, dtype=np.int32)
-    indptr = 9 * node - 3 * np.minimum(node, nT) - 3 * np.maximum(node - (nI - 1) * nT, 0)
     return sp.csr_matrix((data, indices, indptr), shape=(nI * nT, nI * nT))
 
 
@@ -190,10 +215,10 @@ def _prolong(U: np.ndarray) -> np.ndarray:
     Dirichlet rows, so the error is O(h^4) everywhere.
     """
     n_r, n_t = U.shape
+    Up = np.concatenate([U[:, -1:], U, U[:, :2]], axis=1)  # Up[:, j + 1] = U[:, j mod n_t]
     V = np.empty((n_r, 2 * n_t))
     V[:, ::2] = U
-    V[:, 1::2] = (9.0 * (U + np.roll(U, -1, axis=1))
-                  - np.roll(U, 1, axis=1) - np.roll(U, -2, axis=1)) / 16.0
+    V[:, 1::2] = (9.0 * (U + Up[:, 2:-1]) - Up[:, :-3] - Up[:, 3:]) / 16.0
     W = np.empty((2 * n_r - 1, 2 * n_t))
     W[::2] = V
     mid = W[1::2]  # a view: row k lies between coarse rows k and k + 1
@@ -243,8 +268,9 @@ class _Cycle:
     def restrict(self, r: np.ndarray) -> np.ndarray:
         """A residual at the fine interior nodes onto the coarse ones."""
         r = r.reshape(-1, 2 * self.n)
-        odd = r[:, 1::2]  # column j lies between coarse columns j and j + 1
-        r = 0.5 * r[:, ::2] + 0.25 * (np.roll(odd, 1, axis=1) + odd)
+        rp = np.concatenate([r[:, -1:], r], axis=1)  # rp[:, j + 1] = r[:, j mod 2n]
+        # coarse column j: fine column 2j between the odd ones 2j - 1 and 2j + 1
+        r = 0.5 * rp[:, 1::2] + 0.25 * (rp[:, :-1:2] + rp[:, 2::2])
         return (0.5 * r[1::2] + 0.25 * (r[:-1:2] + r[2::2])).ravel()
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -254,19 +280,22 @@ class _Cycle:
         b, so fit to precondition GMRES and to be the coarse solve above."""
         J, w = self.J, self.w
         x = w * b  # the first sweep, from x = 0
-        for _ in range(SMOOTHING_SWEEPS - 1):
-            x += w * (b - J @ x)
-        x += self.prolong(self.coarse.solve(self.restrict(b - J @ x)))
-        for _ in range(SMOOTHING_SWEEPS):
-            x += w * (b - J @ x)
+        for k in range(2 * SMOOTHING_SWEEPS):
+            r = J @ x
+            np.subtract(b, r, out=r)  # b - J x, in place
+            if k == SMOOTHING_SWEEPS - 1:  # the coarse correction between the sweeps
+                x += self.prolong(self.coarse.solve(self.restrict(r)))
+            else:  # a damped-Jacobi sweep
+                x += np.multiply(w, r, out=r)
         return x
 
-    def step(self, J: sp.csr_matrix, rhs: np.ndarray, rinf: float):
+    def step(self, J: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray, rinf: float):
         """Solve J step = rhs by GMRES, preconditioned with one cycle, to the
         forcing term `_forcing(rinf)`.  Return (step, GMRES iterations, the
         chord solve on this J), or step None if GMRES missed the forcing term
         within KRYLOV_MAX_ITER iterations or gave a non-finite step."""
-        self.J, self.w = J, JACOBI_WEIGHT / J.diagonal()
+        # J.diagonal(), which adds each entry to +0.0, from its positions `diag`
+        self.J, self.w = J, JACOBI_WEIGHT / (0.0 + J.data[diag])
         step, its = _gmres(J, self.solve, rhs, _forcing(rinf))
         if step is not None and not np.isfinite(step).all():
             step = None
@@ -344,7 +373,7 @@ def _trial(spec: EquationSpec, grid: AnnulusGrid, C: np.ndarray, U: np.ndarray,
     H_new = _hessians(grid, U_new, C)
     res_new = op.residual(spec, H_new)
     new_inf = float(np.max(np.abs(res_new)))
-    if accept(new_inf) and op.admissible(spec, H_new).all():
+    if accept(new_inf) and op.admits(spec, H_new, res_new).all():
         return U_new, H_new, res_new, new_inf
     return None
 
@@ -376,9 +405,10 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
 
     op = OPERATORS[spec.kind]
     C = _hessian_coefficients(grid)
+    indices, indptr, diag = _csr_pattern(grid)
     H = _hessians(grid, U, C)
     res = op.residual(spec, H)
-    if not op.admissible(spec, H).all():
+    if not op.admits(spec, H, res).all():
         raise NotAdmissible("initial iterate is inadmissible at some node")
 
     history = [float(np.max(np.abs(res)))]
@@ -395,10 +425,10 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
         factored = False
         if new is None:
             chord = lu = None  # dropped before the next Jacobian is assembled
-            J = _assemble_jacobian(grid, C, op.gradient(spec, H))
+            J = _assemble_jacobian(grid, C, op.gradient(spec, H), indices, indptr)
             step = None
             if cycle is not None:
-                step, krylov, chord = cycle.step(J, res.ravel(), rinf)
+                step, krylov, chord = cycle.step(J, diag, res.ravel(), rinf)
                 if step is None:  # the direct path from here on
                     cycle = chord = None
             if step is None:

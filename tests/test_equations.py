@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from asymlab import EquationSpec, SymMat, phase
+from hypothesis.extra.numpy import arrays
+
 from asymlab.equations import (
     OPERATORS,
+    _phase,
+    eigvals,
     eigvals_2x2,
     residual,
     residual_many,
@@ -73,11 +77,14 @@ class TestResidual:
 @given(st.sampled_from(["SLE", "MA", "IHH"]), st.floats(1.1, 5.0), st.floats(-5.0, 5.0),
        st.floats(0.0, math.pi), st.floats(0.1, 1.0))
 @settings(max_examples=200, deadline=None)
+@example("SLE", 2.00001, -2.0, 1.0, 0.1)  # tr = 1e-5 from terms of size 2
 def test_div_form_vanishes_exactly_on_solutions(kind, lam, mu, angle, t):
     """The table's weights give lw tr + cw det - aw = 0 on 2x2 matrices that
     solve the operator (eigenvalues (mu, lam) at Theta = their phase for SLE,
     (1/lam, lam) for MA, (lam/(lam - 1), lam) for IHH), and not on M + tI,
-    whose eigenvalues all grow and so leave the solution set."""
+    whose eigenvalues all grow and so leave the solution set.  The roundoff
+    bound scales with the magnitudes of the terms, not of tr and det, which
+    can cancel."""
     w = {"SLE": (mu, lam), "MA": (1.0 / lam, lam), "IHH": (lam / (lam - 1.0), lam)}[kind]
     c, s = math.cos(angle), math.sin(angle)
     Q = np.array([[c, -s], [s, c]])
@@ -89,7 +96,7 @@ def test_div_form_vanishes_exactly_on_solutions(kind, lam, mu, angle, t):
     def form(H):
         return lw * np.trace(H) + cw * np.linalg.det(H) - aw
 
-    scale = abs(lw * np.trace(M.m)) + abs(cw * np.linalg.det(M.m)) + abs(aw)
+    scale = abs(lw) * (abs(w[0]) + abs(w[1])) + abs(cw * w[0] * w[1]) + abs(aw)
     assert abs(form(M.m)) <= 1e-12 * scale
     assert abs(form(M.m + t * np.eye(2))) > 1e-6 * scale
 
@@ -191,3 +198,75 @@ def test_sle_admissible_matches_solver_window(a, b, c, theta):
     M = SymMat(np.array([[a, b], [b, c]]))
     assume(abs(abs(phase(M) - theta) - math.pi / 2) > 1e-9)
     assert admissible(spec, M) == (abs(phase(M) - theta) < math.pi / 2)
+
+
+# symmetric stacks with signed zeros and entries large enough that the
+# eigenvalues overflow to +-inf, where arctan is +-pi/2
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]),
+                     st.floats(-1e300, 1e300), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def _symmetric_stacks(draw, dim):
+    H = draw(arrays(np.float64, (draw(st.integers(1, 12)), dim, dim), elements=_ENTRIES))
+    return np.triu(H) + np.swapaxes(np.triu(H, 1), -1, -2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestStackFreeRows:
+    """The 2D rows read eigvals_2x2's two planes; the SLE trial takes its
+    admissibility from the residual.  Both keep the stacked results' bytes."""
+
+    @given(_symmetric_stacks(2))
+    @settings(max_examples=150, deadline=None)
+    def test_2d_phase_and_least_eigenvalue_are_the_stacked_ones(self, H):
+        assert _phase(H).tobytes() == np.sum(np.arctan(eigvals(H)), axis=-1).tobytes()
+        for kind, floor in (("MA", 0.0), ("IHH", 1.0)):
+            got = OPERATORS[kind].admissible(EquationSpec(kind, 2), H)
+            assert got.tobytes() == (eigvals(H)[..., 0] > floor).tobytes()
+
+    @given(_symmetric_stacks(3))
+    @settings(max_examples=50, deadline=None)
+    def test_3d_rows_are_lapack(self, H):
+        w = np.linalg.eigvalsh(H)
+        assert _phase(H).tobytes() == np.sum(np.arctan(w), axis=-1).tobytes()
+        assert OPERATORS["MA"].admissible(EquationSpec("MA", 3), H).tobytes() == (
+            (w[..., 0] > 0.0).tobytes())
+
+    @given(_symmetric_stacks(2), _symmetric_stacks(3), st.floats(-3.1, 3.1))
+    @settings(max_examples=150, deadline=None)
+    def test_sle_admissibility_from_the_residual(self, H2, H3, theta):
+        """On a supercritical (2D, theta != 0), the critical (2D, theta = 0)
+        and a subcritical spec (3D, |theta| < pi/2), admits is admissible."""
+        op = OPERATORS["SLE"]
+        for spec, H in ((EquationSpec("SLE", 2, theta=theta), H2),
+                        (EquationSpec("SLE", 2, theta=0.0), H2),
+                        (EquationSpec("SLE", 3, theta=theta / 2.0), H3)):
+            got = op.admits(spec, H, op.residual(spec, H))
+            assert got.tobytes() == op.admissible(spec, H).tobytes()
+
+    def test_sle_window_edges(self):
+        """Phases within a few ulps of Theta +- pi/2, some exactly on the
+        edge, where the open window |res| < pi/2 excludes them: admits,
+        admissible and the window on the stacked phase agree."""
+        op = OPERATORS["SLE"]
+        H = np.random.default_rng(5).normal(size=(40, 2, 2))
+        H = H + np.swapaxes(H, -1, -2)
+        stacked = np.sum(np.arctan(eigvals(H)), axis=-1)
+        on_edge = 0
+        for ph in _phase(H):
+            for edge in (math.pi / 2, -math.pi / 2):
+                theta = ph - edge
+                if not 0 < abs(theta) < math.pi:
+                    continue
+                for _ in range(8):
+                    theta = np.nextafter(theta, math.inf)
+                for _ in range(16):
+                    spec = EquationSpec("SLE", 2, theta=float(theta))
+                    res = op.residual(spec, H)
+                    got = op.admits(spec, H, res)
+                    assert got.tobytes() == op.admissible(spec, H).tobytes()
+                    assert np.array_equal(got, np.abs(stacked - spec.theta) < math.pi / 2)
+                    on_edge += int(np.sum(np.abs(res) == math.pi / 2))
+                    theta = np.nextafter(theta, -math.inf)
+        assert on_edge > 0

@@ -2,11 +2,13 @@ import cmath
 import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from asymlab import (
     AnnulusField,
@@ -265,7 +267,8 @@ class TestNewtonRecord:
         inner, outer = boundary_data_from(P, grid)
         C = solver._hessian_coefficients(grid)
         H = solver._hessians(grid, solver._blend_initial(grid, inner, outer), C)
-        J = solver._assemble_jacobian(grid, C, OPERATORS["MA"].gradient(MA2, H))
+        J = solver._assemble_jacobian(grid, C, OPERATORS["MA"].gradient(MA2, H),
+                                      *solver._csr_pattern(grid)[:2])
         assert rep.steps[0]["nnzLU"] < solver.spla.splu(J.tocsc()).nnz
 
 
@@ -618,6 +621,84 @@ def _full_weighting(centers, n):
                          shape=(len(centers), n))
 
 
+def _rolled_prolong(U):
+    """`_prolong` written with np.roll: the reference for its bytes."""
+    n_r, n_t = U.shape
+    V = np.empty((n_r, 2 * n_t))
+    V[:, ::2] = U
+    V[:, 1::2] = (9.0 * (U + np.roll(U, -1, axis=1))
+                  - np.roll(U, 1, axis=1) - np.roll(U, -2, axis=1)) / 16.0
+    W = np.empty((2 * n_r - 1, 2 * n_t))
+    W[::2] = V
+    mid = W[1::2]
+    mid[1:-1] = (9.0 * (V[1:-2] + V[2:-1]) - V[:-3] - V[3:]) / 16.0
+    mid[0] = (5.0 * V[0] + 15.0 * V[1] - 5.0 * V[2] + V[3]) / 16.0
+    mid[-1] = (V[-4] - 5.0 * V[-3] + 15.0 * V[-2] + 5.0 * V[-1]) / 16.0
+    return W
+
+
+def _rolled_restrict(cycle, r):
+    """`_Cycle.restrict` written with np.roll."""
+    r = r.reshape(-1, 2 * cycle.n)
+    odd = r[:, 1::2]
+    r = 0.5 * r[:, ::2] + 0.25 * (np.roll(odd, 1, axis=1) + odd)
+    return (0.5 * r[1::2] + 0.25 * (r[:-1:2] + r[2::2])).ravel()
+
+
+def _out_of_place_solve(cycle, b):
+    """`_Cycle.solve` with a new array per operation."""
+    J, w = cycle.J, cycle.w
+    x = w * b
+    for _ in range(solver.SMOOTHING_SWEEPS - 1):
+        x += w * (b - J @ x)
+    x += cycle.prolong(cycle.coarse.solve(cycle.restrict(b - J @ x)))
+    for _ in range(solver.SMOOTHING_SWEEPS):
+        x += w * (b - J @ x)
+    return x
+
+
+# signed zeros, and entries large enough to test the order of the operations
+# yet far from overflow
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]),
+                     st.floats(-1e300, 1e300), st.floats(-1.0, 1.0))
+
+
+class TestBitwiseKernels:
+    """The roll-free transfers and the in-place smoother keep the bytes of
+    the forms they replace, on shapes down to the smallest coarse grid."""
+
+    @given(st.integers(4, 12), st.integers(2, 24), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_prolong_is_the_rolled_one(self, n_r, n_t, data):
+        U = data.draw(arrays(np.float64, (n_r, n_t), elements=_ENTRIES))
+        assert _prolong(U).tobytes() == _rolled_prolong(U).tobytes()
+
+    @given(st.integers(4, 12), st.integers(4, 24), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_restrict_is_the_rolled_one(self, m, n, data):
+        cycle = solver._Cycle(AnnulusGrid(1.0, 8.0, 2 * m - 1, 2 * n), None, False)
+        r = data.draw(arrays(np.float64, (2 * m - 3) * 2 * n, elements=_ENTRIES))
+        assert cycle.restrict(r).tobytes() == _rolled_restrict(cycle, r).tobytes()
+
+    @given(st.integers(4, 10), st.integers(4, 24), st.sampled_from(["uniform", "logarithmic"]),
+           st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_in_place_solve_is_the_out_of_place_one(self, m, n, spacing, seed, data):
+        """One cycle on an elliptic Jacobian (G = I + noise), its coarse
+        solve a fixed linear map, from right-hand sides with signed zeros
+        and large entries."""
+        grid = AnnulusGrid(1.0, 8.0, 2 * m - 1, 2 * n, spacing)
+        rng = np.random.default_rng(seed)
+        G = np.eye(2) + 0.1 * rng.normal(size=(grid.n_r - 2, grid.n_theta, 2, 2))
+        indices, indptr, diag = solver._csr_pattern(grid)
+        J = solver._assemble_jacobian(grid, solver._hessian_coefficients(grid), G,
+                                      indices, indptr)
+        cycle = solver._Cycle(grid, types.SimpleNamespace(solve=lambda b: -0.5 * b), False)
+        cycle.J, cycle.w = J, solver.JACOBI_WEIGHT / J.diagonal()
+        b = data.draw(arrays(np.float64, J.shape[0], elements=_ENTRIES))
+        assert cycle.solve(b).tobytes() == _out_of_place_solve(cycle, b).tobytes()
+
+
 @pytest.mark.filterwarnings("error::scipy.sparse.SparseEfficiencyWarning")
 @pytest.mark.parametrize("krylov_max_iter", [solver.KRYLOV_MAX_ITER, 1])
 def test_no_sparse_format_conversion(monkeypatch, krylov_max_iter):
@@ -760,12 +841,14 @@ class TestAssembly:
     def test_csr_assembly_is_the_coo_one(self, n_r, half_n_theta, spacing, seed):
         """The CSR Jacobian has sorted column indices and, as CSC, the
         reference's indptr, indices and data, dtypes and bytes; the stencil
-        sums from the theta-padded copy are the rolled ones, bit for bit."""
+        sums from the theta-padded copy are the rolled ones, bit for bit, and
+        the gathered diagonal is J.diagonal()."""
         grid = AnnulusGrid(1.0, 8.0, n_r, 2 * half_n_theta, spacing)
         rng = np.random.default_rng(seed)
         C = solver._hessian_coefficients(grid)
         G = rng.normal(size=(n_r - 2, grid.n_theta, 2, 2))
-        J = solver._assemble_jacobian(grid, C, G)
+        indices, indptr, diag = solver._csr_pattern(grid)
+        J = solver._assemble_jacobian(grid, C, G, indices, indptr)
         assert J.format == "csr"
         steps = np.diff(J.indices)
         steps[J.indptr[1:-1] - 1] = 1  # from the last entry of a row to the next row's first
@@ -776,7 +859,17 @@ class TestAssembly:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
         U = rng.normal(size=(n_r, grid.n_theta))
+        zero = rng.integers(3, size=U.shape)  # signed zeros, for the sums' +0.0 start
+        U[zero == 1], U[zero == 2] = 0.0, -0.0
         assert solver._stencil_sums(grid, U).tobytes() == _rolled_stencil_sums(grid, U).tobytes()
+        # the Jacobi weights gather J.diagonal(), which adds each entry to
+        # +0.0, from closed-form positions: a -0.0 on the diagonal included
+        J.data[diag[::3]] = -0.0
+        with pytest.MonkeyPatch.context() as mp, np.errstate(divide="ignore"):
+            mp.setattr(solver, "_gmres", lambda *a: (None, 0))
+            cycle = solver._Cycle(grid, None, False)
+            cycle.step(J, diag, np.ones(J.shape[0]), 1.0)
+            assert cycle.w.tobytes() == (solver.JACOBI_WEIGHT / J.diagonal()).tobytes()
 
 
 class TestEvaluations:
