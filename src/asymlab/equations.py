@@ -42,11 +42,17 @@ def eigvals_2x2(h11, h12, h22):
     return mean - rad, mean + rad
 
 
+def _spectrum(H: np.ndarray):
+    """Ascending eigenvalues of each stacked symmetric matrix, one array per
+    rank: eigvals_2x2's two planes in 2D, LAPACK's columns in 3D."""
+    if H.shape[-1] == 3:
+        return np.moveaxis(np.linalg.eigvalsh(H), -1, 0)
+    return eigvals_2x2(H[..., 0, 0], H[..., 0, 1], H[..., 1, 1])
+
+
 def eigvals(H: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each stacked symmetric matrix."""
-    if H.shape[-1] == 3:
-        return np.linalg.eigvalsh(H)
-    return np.stack(eigvals_2x2(H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]), axis=-1)
+    return np.stack(_spectrum(H), axis=-1)
 
 
 def _det(H: np.ndarray) -> np.ndarray:
@@ -66,17 +72,9 @@ def _inv(H: np.ndarray) -> np.ndarray:
     return _adj(H) / _det(H)[..., None, None]
 
 
-def _least_eigval(H: np.ndarray) -> np.ndarray:
-    if H.shape[-1] == 3:
-        return eigvals(H)[..., 0]
-    return eigvals_2x2(H[..., 0, 0], H[..., 0, 1], H[..., 1, 1])[0]
-
-
 def _phase(H: np.ndarray) -> np.ndarray:
-    if H.shape[-1] == 3:
-        return np.sum(np.arctan(eigvals(H)), axis=-1)
-    lo, hi = eigvals_2x2(H[..., 0, 0], H[..., 0, 1], H[..., 1, 1])
-    return np.arctan(lo) + np.arctan(hi)  # the stacked sum from +0.0: hi is never -0.0
+    # from +0.0 in rank order, as np.sum adds the few terms of a stacked row
+    return sum(np.arctan(w) for w in _spectrum(H))
 
 
 def _sigma2(w: np.ndarray) -> np.ndarray:
@@ -94,14 +92,15 @@ def _ihh_residual(spec: EquationSpec, H: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """F(M), dF/dM and the admissible set as fn(spec, H) on stacked Hessians.
-    `branch` is the solution branch as fn(spec, H) where it is wider than the
-    admissible set (SLE: the phase window, without the supercritical
-    condition the solver needs); None means the admissible set. The 2D kinds
-    also give the kernel L(A) of the log term (d/2) log(x'Lx) as fn(spec, A),
-    and the weights (lw, cw, aw) of the algebraic form
-    lw tr M + cw det M - aw = 0 of the equation as fn(spec). `admissible_res`
-    is the admissible set as fn(spec, res = F(H)) where res decides it (SLE)."""
+    """F(M), dF/dM and the admissible set on stacked Hessians: the first two
+    as fn(spec, H), the set as fn(spec, H, res) given res = F(H), which only
+    SLE reads (the MA, SIGMA2 and IHH rows take res None where it is not at
+    hand). `branch` is the solution branch as fn(spec, H) where it is wider
+    than the admissible set (SLE: the phase window, without the
+    supercritical condition the solver needs); None means the admissible
+    set. The 2D kinds also give the kernel L(A) of the log term
+    (d/2) log(x'Lx) as fn(spec, A), and the weights (lw, cw, aw) of the
+    algebraic form lw tr M + cw det M - aw = 0 of the equation as fn(spec)."""
 
     residual: Callable
     gradient: Callable
@@ -109,44 +108,37 @@ class Operator:
     branch: Callable | None = None
     log_kernel: Callable | None = None
     div_form: Callable | None = None
-    admissible_res: Callable | None = None
 
     def in_branch(self, spec, H) -> np.ndarray:
-        return (self.branch or self.admissible)(spec, H)
-
-    def admits(self, spec, H, res) -> np.ndarray:
-        """The admissible set at H, given its residual res = F(H)."""
-        return (self.admissible(spec, H) if self.admissible_res is None
-                else self.admissible_res(spec, res))
-
-
-def _sle_admissible(spec, res):  # the branch window from res = phase - Theta
-    return spec.supercritical & (np.abs(res) < math.pi / 2)
+        if self.branch is None:
+            return self.admissible(spec, H, None)
+        return self.branch(spec, H)
 
 
 OPERATORS = {
-    # the branch kept is the supercritical one, phase in (Theta - pi/2, Theta + pi/2)
+    # the branch kept is the supercritical one, phase in (Theta - pi/2, Theta + pi/2),
+    # where res = phase - Theta
     "SLE": Operator(lambda spec, H: _phase(H) - spec.theta,
                     lambda spec, H: _inv(np.eye(H.shape[-1]) + H @ H),
-                    lambda spec, H: _sle_admissible(spec, _phase(H) - spec.theta),
+                    lambda spec, H, res: spec.supercritical & (np.abs(res) < math.pi / 2),
                     branch=lambda spec, H: np.abs(_phase(H) - spec.theta) < math.pi / 2,
                     log_kernel=lambda spec, A: np.eye(A.shape[-1]) + A @ A,
                     div_form=lambda spec: (math.cos(spec.theta), math.sin(spec.theta),
-                                           math.sin(spec.theta)),
-                    admissible_res=_sle_admissible),
+                                           math.sin(spec.theta))),
     "MA": Operator(lambda spec, H: _det(H) - 1.0,
                    lambda spec, H: _adj(H),
-                   lambda spec, H: _least_eigval(H) > 0.0,
+                   lambda spec, H, res: _spectrum(H)[0] > 0.0,
                    log_kernel=lambda spec, A: A,
                    div_form=lambda spec: (0.0, 1.0, 1.0)),
     "SIGMA2": Operator(lambda spec, H: _sigma2(eigvals(H)) - 1.0,
                        lambda spec, H: (np.trace(H, axis1=-2, axis2=-1)[..., None, None]
                                         * np.eye(H.shape[-1]) - H),
-                       lambda spec, H: _least_eigval(H) > spec.delta - sigma2_margin(spec.dim)),
+                       lambda spec, H, res: (_spectrum(H)[0]
+                                             > spec.delta - sigma2_margin(spec.dim))),
     # dF/dM = -M^-2 is negative definite; in 2D, 1/l1 + 1/l2 = 1 is tr = det
     "IHH": Operator(_ihh_residual,
                     lambda spec, H: -np.linalg.matrix_power(_inv(H), 2),
-                    lambda spec, H: _least_eigval(H) > 1.0,
+                    lambda spec, H, res: _spectrum(H)[0] > 1.0,
                     log_kernel=lambda spec, A: A @ A,
                     div_form=lambda spec: (-1.0, 1.0, 0.0)),
 }

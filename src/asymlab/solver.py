@@ -112,25 +112,18 @@ _STENCIL_TABLE = np.array([_STENCILS[di, dj] for di in (-1, 0, 1) for dj in (-1,
 
 
 def _stencil_sums(grid: AnnulusGrid, U: np.ndarray) -> np.ndarray:
-    """S U at interior rows, shape (5, n_r - 2, n_theta): each sum adds its
-    _STENCILS terms in their order to +0.0, in place."""
-    n_r, n_t = grid.n_r, grid.n_theta
+    """S U at interior rows, shape (5, n_r - 2, n_theta), from _STENCILS: each
+    sum adds its terms in table order to +0.0, in place."""
+    S = np.empty((5, grid.n_r - 2, grid.n_theta))
+    started = [False] * 5
     Up = np.concatenate([U[:, -1:], U, U[:, :1]], axis=1)  # theta padded by one node
-    # V[di, dj][i, j] = U[i + di, j + dj] at the interior rows
-    V = {(di, dj): Up[1 + di:n_r - 1 + di, 1 + dj:1 + dj + n_t] for di, dj in _STENCILS}
-    S = np.empty((5, n_r - 2, n_t))
-    for k, first in enumerate((V[1, 0], V[1, 1], V[0, 1], V[1, 0], V[0, 1])):
-        np.add(0.0, first, out=S[k])
-    twice = 2.0 * V[0, 0]
-    S[0] += V[-1, 0]
-    S[0] -= twice
-    S[1] -= V[1, -1]
-    S[1] -= V[-1, 1]
-    S[1] += V[-1, -1]
-    S[2] += V[0, -1]
-    S[2] -= twice
-    S[3] -= V[-1, 0]
-    S[4] -= V[0, -1]
+    for (di, dj), st in _STENCILS.items():
+        V = Up[1 + di:grid.n_r - 1 + di, 1 + dj:1 + dj + grid.n_theta]  # V[i, j] = U[i + di, j + dj]
+        for k, w in enumerate(st):
+            if w:  # a + w V as a +- |w| V, which is exact, with no temporary for |w| = 1
+                term = V if abs(w) == 1.0 else abs(w) * V
+                (np.add if w > 0 else np.subtract)(S[k] if started[k] else 0.0, term, out=S[k])
+                started[k] = True
     return S
 
 
@@ -164,7 +157,7 @@ def _hessians(grid: AnnulusGrid, U: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 def _csr_pattern(grid: AnnulusGrid):
     """The column indices and row pointers of the Jacobians that
-    `_assemble_jacobian` writes on `grid`, and the positions of their diagonal."""
+    `_assemble_jacobian` writes on `grid`."""
     nI, nT = grid.n_r - 2, grid.n_theta
     col = np.sort((np.arange(nT, dtype=np.int32)[:, None] + np.arange(-1, 2, dtype=np.int32)) % nT)
     # node (i, j)'s columns in rows i + di: (i + di) nT + col[j], summed over
@@ -175,10 +168,7 @@ def _csr_pattern(grid: AnnulusGrid):
     indices = np.concatenate([ind[0, :, 1:], ind[1:-1], ind[-1, :, :2]], axis=None)
     node = np.arange(nI * nT + 1, dtype=np.int32)
     indptr = 9 * node - 3 * np.minimum(node, nT) - 3 * np.maximum(node - (nI - 1) * nT, 0)
-    # node (i, j)'s diagonal: after its entries in row i - 1, at column j's place in col[j]
-    diag = (indptr[:-1].reshape(nI, nT) + 3 * (np.arange(nI) > 0)[:, None]
-            + np.sum(col < np.arange(nT)[:, None], axis=1))
-    return indices, indptr, diag.ravel()
+    return indices, indptr
 
 
 def _assemble_jacobian(grid: AnnulusGrid, C: np.ndarray, G: np.ndarray,
@@ -289,13 +279,12 @@ class _Cycle:
                 x += np.multiply(w, r, out=r)
         return x
 
-    def step(self, J: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray, rinf: float):
+    def step(self, J: sp.csr_matrix, rhs: np.ndarray, rinf: float):
         """Solve J step = rhs by GMRES, preconditioned with one cycle, to the
         forcing term `_forcing(rinf)`.  Return (step, GMRES iterations, the
         chord solve on this J), or step None if GMRES missed the forcing term
         within KRYLOV_MAX_ITER iterations or gave a non-finite step."""
-        # J.diagonal(), which adds each entry to +0.0, from its positions `diag`
-        self.J, self.w = J, JACOBI_WEIGHT / (0.0 + J.data[diag])
+        self.J, self.w = J, JACOBI_WEIGHT / J.diagonal()
         step, its = _gmres(J, self.solve, rhs, _forcing(rinf))
         if step is not None and not np.isfinite(step).all():
             step = None
@@ -373,7 +362,7 @@ def _trial(spec: EquationSpec, grid: AnnulusGrid, C: np.ndarray, U: np.ndarray,
     H_new = _hessians(grid, U_new, C)
     res_new = op.residual(spec, H_new)
     new_inf = float(np.max(np.abs(res_new)))
-    if accept(new_inf) and op.admits(spec, H_new, res_new).all():
+    if accept(new_inf) and op.admissible(spec, H_new, res_new).all():
         return U_new, H_new, res_new, new_inf
     return None
 
@@ -405,10 +394,10 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
 
     op = OPERATORS[spec.kind]
     C = _hessian_coefficients(grid)
-    indices, indptr, diag = _csr_pattern(grid)
+    indices, indptr = _csr_pattern(grid)
     H = _hessians(grid, U, C)
     res = op.residual(spec, H)
-    if not op.admits(spec, H, res).all():
+    if not op.admissible(spec, H, res).all():
         raise NotAdmissible("initial iterate is inadmissible at some node")
 
     history = [float(np.max(np.abs(res)))]
@@ -428,7 +417,7 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
             J = _assemble_jacobian(grid, C, op.gradient(spec, H), indices, indptr)
             step = None
             if cycle is not None:
-                step, krylov, chord = cycle.step(J, diag, res.ravel(), rinf)
+                step, krylov, chord = cycle.step(J, res.ravel(), rinf)
                 if step is None:  # the direct path from here on
                     cycle = chord = None
             if step is None:

@@ -33,7 +33,8 @@ SPECS = [
 
 def admissible(spec, M: SymMat) -> bool:
     """The table's admissible set at one matrix, as a one-row batch."""
-    return bool(OPERATORS[spec.kind].admissible(spec, M.m[None])[0])
+    op, H = OPERATORS[spec.kind], M.m[None]
+    return bool(op.admissible(spec, H, op.residual(spec, H))[0])
 
 
 def test_sigma2_margin_value():
@@ -126,7 +127,7 @@ class TestAdmissibility:
         the solver, but a harmonic one is on the solution branch."""
         spec = EquationSpec("SLE", 2, theta=0.0)
         H = SymMat.diag(-3.0, 3.0).m[None]
-        assert not OPERATORS["SLE"].admissible(spec, H)[0]
+        assert not admissible(spec, SymMat.diag(-3.0, 3.0))
         assert OPERATORS["SLE"].in_branch(spec, H)[0]
         assert not OPERATORS["SLE"].in_branch(spec, SymMat.diag(5.0, 5.0).m[None])[0]
 
@@ -212,47 +213,58 @@ def _symmetric_stacks(draw, dim):
     return np.triu(H) + np.swapaxes(np.triu(H, 1), -1, -2)
 
 
+def _stacked_phase(H):
+    return np.sum(np.arctan(eigvals(H)), axis=-1)
+
+
+def _stacked_sle_admissible(spec, H):
+    """SLE admissibility from the phase of the stacked eigenvalues."""
+    return spec.supercritical & (np.abs(_stacked_phase(H) - spec.theta) < math.pi / 2)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestStackFreeRows:
-    """The 2D rows read eigvals_2x2's two planes; the SLE trial takes its
-    admissibility from the residual.  Both keep the stacked results' bytes."""
+    """The rows read eigvals_2x2's two planes or LAPACK's columns; SLE
+    admissibility comes from the residual.  All keep the stacked results'
+    bytes."""
 
     @given(_symmetric_stacks(2))
     @settings(max_examples=150, deadline=None)
     def test_2d_phase_and_least_eigenvalue_are_the_stacked_ones(self, H):
-        assert _phase(H).tobytes() == np.sum(np.arctan(eigvals(H)), axis=-1).tobytes()
+        assert _phase(H).tobytes() == _stacked_phase(H).tobytes()
         for kind, floor in (("MA", 0.0), ("IHH", 1.0)):
-            got = OPERATORS[kind].admissible(EquationSpec(kind, 2), H)
+            got = OPERATORS[kind].admissible(EquationSpec(kind, 2), H, None)
             assert got.tobytes() == (eigvals(H)[..., 0] > floor).tobytes()
 
     @given(_symmetric_stacks(3))
     @settings(max_examples=50, deadline=None)
     def test_3d_rows_are_lapack(self, H):
         w = np.linalg.eigvalsh(H)
+        assert eigvals(H).tobytes() == w.tobytes()
         assert _phase(H).tobytes() == np.sum(np.arctan(w), axis=-1).tobytes()
-        assert OPERATORS["MA"].admissible(EquationSpec("MA", 3), H).tobytes() == (
+        assert OPERATORS["MA"].admissible(EquationSpec("MA", 3), H, None).tobytes() == (
             (w[..., 0] > 0.0).tobytes())
 
     @given(_symmetric_stacks(2), _symmetric_stacks(3), st.floats(-3.1, 3.1))
     @settings(max_examples=150, deadline=None)
     def test_sle_admissibility_from_the_residual(self, H2, H3, theta):
         """On a supercritical (2D, theta != 0), the critical (2D, theta = 0)
-        and a subcritical spec (3D, |theta| < pi/2), admits is admissible."""
+        and a subcritical spec (3D, |theta| < pi/2), admissibility from the
+        residual is the window on the stacked phase."""
         op = OPERATORS["SLE"]
         for spec, H in ((EquationSpec("SLE", 2, theta=theta), H2),
                         (EquationSpec("SLE", 2, theta=0.0), H2),
                         (EquationSpec("SLE", 3, theta=theta / 2.0), H3)):
-            got = op.admits(spec, H, op.residual(spec, H))
-            assert got.tobytes() == op.admissible(spec, H).tobytes()
+            got = op.admissible(spec, H, op.residual(spec, H))
+            assert got.tobytes() == _stacked_sle_admissible(spec, H).tobytes()
 
     def test_sle_window_edges(self):
         """Phases within a few ulps of Theta +- pi/2, some exactly on the
-        edge, where the open window |res| < pi/2 excludes them: admits,
-        admissible and the window on the stacked phase agree."""
+        edge, where the open window |res| < pi/2 excludes them: admissibility
+        from the residual is the window on the stacked phase."""
         op = OPERATORS["SLE"]
         H = np.random.default_rng(5).normal(size=(40, 2, 2))
         H = H + np.swapaxes(H, -1, -2)
-        stacked = np.sum(np.arctan(eigvals(H)), axis=-1)
         on_edge = 0
         for ph in _phase(H):
             for edge in (math.pi / 2, -math.pi / 2):
@@ -264,9 +276,8 @@ class TestStackFreeRows:
                 for _ in range(16):
                     spec = EquationSpec("SLE", 2, theta=float(theta))
                     res = op.residual(spec, H)
-                    got = op.admits(spec, H, res)
-                    assert got.tobytes() == op.admissible(spec, H).tobytes()
-                    assert np.array_equal(got, np.abs(stacked - spec.theta) < math.pi / 2)
+                    got = op.admissible(spec, H, res)
+                    assert got.tobytes() == _stacked_sle_admissible(spec, H).tobytes()
                     on_edge += int(np.sum(np.abs(res) == math.pi / 2))
                     theta = np.nextafter(theta, -math.inf)
         assert on_edge > 0

@@ -268,7 +268,7 @@ class TestNewtonRecord:
         C = solver._hessian_coefficients(grid)
         H = solver._hessians(grid, solver._blend_initial(grid, inner, outer), C)
         J = solver._assemble_jacobian(grid, C, OPERATORS["MA"].gradient(MA2, H),
-                                      *solver._csr_pattern(grid)[:2])
+                                      *solver._csr_pattern(grid))
         assert rep.steps[0]["nnzLU"] < solver.spla.splu(J.tocsc()).nnz
 
 
@@ -690,9 +690,8 @@ class TestBitwiseKernels:
         grid = AnnulusGrid(1.0, 8.0, 2 * m - 1, 2 * n, spacing)
         rng = np.random.default_rng(seed)
         G = np.eye(2) + 0.1 * rng.normal(size=(grid.n_r - 2, grid.n_theta, 2, 2))
-        indices, indptr, diag = solver._csr_pattern(grid)
         J = solver._assemble_jacobian(grid, solver._hessian_coefficients(grid), G,
-                                      indices, indptr)
+                                      *solver._csr_pattern(grid))
         cycle = solver._Cycle(grid, types.SimpleNamespace(solve=lambda b: -0.5 * b), False)
         cycle.J, cycle.w = J, solver.JACOBI_WEIGHT / J.diagonal()
         b = data.draw(arrays(np.float64, J.shape[0], elements=_ENTRIES))
@@ -841,14 +840,12 @@ class TestAssembly:
     def test_csr_assembly_is_the_coo_one(self, n_r, half_n_theta, spacing, seed):
         """The CSR Jacobian has sorted column indices and, as CSC, the
         reference's indptr, indices and data, dtypes and bytes; the stencil
-        sums from the theta-padded copy are the rolled ones, bit for bit, and
-        the gathered diagonal is J.diagonal()."""
+        sums from the theta-padded copy are the rolled ones, bit for bit."""
         grid = AnnulusGrid(1.0, 8.0, n_r, 2 * half_n_theta, spacing)
         rng = np.random.default_rng(seed)
         C = solver._hessian_coefficients(grid)
         G = rng.normal(size=(n_r - 2, grid.n_theta, 2, 2))
-        indices, indptr, diag = solver._csr_pattern(grid)
-        J = solver._assemble_jacobian(grid, C, G, indices, indptr)
+        J = solver._assemble_jacobian(grid, C, G, *solver._csr_pattern(grid))
         assert J.format == "csr"
         steps = np.diff(J.indices)
         steps[J.indptr[1:-1] - 1] = 1  # from the last entry of a row to the next row's first
@@ -862,14 +859,6 @@ class TestAssembly:
         zero = rng.integers(3, size=U.shape)  # signed zeros, for the sums' +0.0 start
         U[zero == 1], U[zero == 2] = 0.0, -0.0
         assert solver._stencil_sums(grid, U).tobytes() == _rolled_stencil_sums(grid, U).tobytes()
-        # the Jacobi weights gather J.diagonal(), which adds each entry to
-        # +0.0, from closed-form positions: a -0.0 on the diagonal included
-        J.data[diag[::3]] = -0.0
-        with pytest.MonkeyPatch.context() as mp, np.errstate(divide="ignore"):
-            mp.setattr(solver, "_gmres", lambda *a: (None, 0))
-            cycle = solver._Cycle(grid, None, False)
-            cycle.step(J, diag, np.ones(J.shape[0]), 1.0)
-            assert cycle.w.tobytes() == (solver.JACOBI_WEIGHT / J.diagonal()).tobytes()
 
 
 class TestEvaluations:
