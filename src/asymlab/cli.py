@@ -96,17 +96,25 @@ def solution_from_spec(spec: dict) -> PotentialFn:
     return oracle2d.builtin(_lookup(spec, "name", "builtin spec"), spec.get("params"))
 
 
+def _read_json(path: str, what: str):
+    """The JSON in the file `path`, or a ConfigError naming it as `what`."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"{what} {path}: {getattr(e, 'strerror', None) or e}") from None
+
+
 def parse_solution(arg: str, params_json: str | None = None) -> PotentialFn:
     """Accepts 'builtin:NAME' or a path to an oracle spec JSON file."""
-    if arg.startswith("builtin:"):
+    if not arg.startswith("builtin:"):
+        return solution_from_spec(_read_json(arg, "solution file"))
+    try:
         params = json.loads(params_json) if params_json else {}
-        return solution_from_spec(
-            {"kind": "builtin", "name": arg[len("builtin:"):],
-             **({"params": params} if params else {})})
-    if not os.path.exists(arg):
-        raise ConfigError(f"solution file not found: {arg}")
-    with open(arg) as f:
-        return solution_from_spec(json.load(f))
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"--params is not JSON: {e}") from None
+    return solution_from_spec({"kind": "builtin", "name": arg[len("builtin:"):],
+                               **({"params": params} if params else {})})
 
 
 def _exterior_points(P: PotentialFn, n: int, seed: int):
@@ -249,8 +257,7 @@ def _write_field_csv(fld, path: str):
 
 
 def cmd_experiment(args) -> int:
-    with open(args.config) as f:
-        cfg = json.load(f)
+    cfg = _read_json(args.config, "config")
     _validate(cfg, "experiment.json")
     eq = cfg["equation"]
     spec = parse_equation(eq["kind"], eq["dim"], eq.get("theta"), eq.get("delta"))
@@ -364,15 +371,14 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (LabError, json.JSONDecodeError, FileNotFoundError) as e:
+    except LabError as e:
         _emit_error(e)
         return exit_code(e)
 
 
-def exit_code(e: Exception) -> int:
+def exit_code(e: LabError) -> int:
     """EXIT_CONFIG for bad input, EXIT_NUMERICAL for any other LabError."""
-    bad_input = (ConfigError, json.JSONDecodeError, FileNotFoundError)
-    return EXIT_CONFIG if isinstance(e, bad_input) else EXIT_NUMERICAL
+    return EXIT_CONFIG if isinstance(e, ConfigError) else EXIT_NUMERICAL
 
 
 def run_script(ap: argparse.ArgumentParser, run) -> None:
@@ -385,10 +391,8 @@ def run_script(ap: argparse.ArgumentParser, run) -> None:
         ap.exit(exit_code(e), f"{ap.prog}: error: {e}\n")
 
 
-def _emit_error(e: Exception):
-    kind = getattr(e, "kind", type(e).__name__)
-    json.dump({"error": {"kind": kind, "message": str(e)}}, sys.stderr)
-    sys.stderr.write("\n")
+def _emit_error(e: LabError):
+    sys.stderr.write(json.dumps({"error": {"kind": e.kind, "message": str(e)}}) + "\n")
 
 
 if __name__ == "__main__":

@@ -18,11 +18,10 @@ if a level lies below it, run inexact Newton-Krylov (Knoll & Keyes,
 J. Comput. Phys. 193, 2004), each Newton system solved by GMRES to the
 forcing term of Eisenstat & Walker (SIAM J. Sci. Comput. 17, 1996),
 right-preconditioned by one multigrid cycle on the CSR Jacobian with
-matrix-free transfers.  Its coarse solve is
-the LU factors of the level below or one cycle of that level on its last
-Jacobian: a V-cycle down to the largest level that factored.  Chord steps
-are CHORD_CYCLES such cycles on the frozen Jacobian, more on a V-cycle's
-levels while they pay.
+matrix-free transfers.  Its coarse solve is the level below's `_Direct`
+factors or `_Cycle` on its last Jacobian: a V-cycle down to the largest
+level that factored.  Chord steps are CHORD_CYCLES such cycles on the
+frozen Jacobian, more on a V-cycle's levels while they pay.
 """
 
 from __future__ import annotations
@@ -228,12 +227,31 @@ def _coarsenings(grid: AnnulusGrid) -> list[AnnulusGrid]:
     return chain
 
 
+class _Direct:
+    """The direct path: the sparse LU factors of each Newton Jacobian, whose
+    back-solve is the chord step's and a `_Cycle` above's coarse solve."""
+
+    solve = chord = property(lambda self: self.lu.solve)
+    nnz = property(lambda self: self.lu.nnz)
+
+    def step(self, J: sp.csr_matrix, rhs: np.ndarray, it: int):
+        """(step, 0 GMRES iterations) of J step = rhs by new LU factors."""
+        self.lu = None  # the old factors go before the new ones are made
+        try:
+            self.lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as e:  # SuperLU: "Factor is exactly singular"
+            raise SingularJacobian(f"iteration {it}: {e}") from e
+        step = self.lu.solve(rhs)
+        if not np.isfinite(step).all():
+            raise SingularJacobian(f"iteration {it}: non-finite Newton step")
+        return step, 0
+
+
 class _Cycle:
     """Multigrid cycles for Newton systems on `grid` (Trottenberg, Oosterlee &
-    Schueller, "Multigrid", 2001).  The coarse solve is `coarse`: the LU
-    factors of a Jacobian on the grid `grid` refines, or that grid's own
-    _Cycle, which applies one of its cycles on its last Jacobian, so that
-    a chain of them is a V-cycle down to the factors.  Both transfers are
+    Schueller, "Multigrid", 2001).  The coarse solve is `coarse.solve`: by the
+    `_Direct` or _Cycle of the grid `grid` refines, on its last Jacobian, so
+    that a chain of _Cycles is a V-cycle down to the factors.  Both transfers are
     stencils applied by slicing: prolongation is `_prolong` of a correction
     padded with its zero Dirichlet rows, restriction is (1/4, 1/2, 1/4) full
     weighting in theta, then radially, onto the coarse nodes."""
@@ -279,16 +297,15 @@ class _Cycle:
                 x += np.multiply(w, r, out=r)
         return x
 
-    def step(self, J: sp.csr_matrix, rhs: np.ndarray, rinf: float):
+    def step(self, J: sp.csr_matrix, rhs: np.ndarray, it: int):
         """Solve J step = rhs by GMRES, preconditioned with one cycle, to the
-        forcing term `_forcing(rinf)`.  Return (step, GMRES iterations, the
-        chord solve on this J), or step None if GMRES missed the forcing term
-        within KRYLOV_MAX_ITER iterations or gave a non-finite step."""
+        forcing term at |rhs|_inf: (step, GMRES iterations), or step None if it
+        missed that in KRYLOV_MAX_ITER iterations or gave a non-finite step."""
         self.J, self.w = J, JACOBI_WEIGHT / J.diagonal()
-        step, its = _gmres(J, self.solve, rhs, _forcing(rinf))
+        step, its = _gmres(J, self.solve, rhs, _forcing(float(np.max(np.abs(rhs)))))
         if step is not None and not np.isfinite(step).all():
             step = None
-        return step, its, self.chord
+        return step, its
 
     def chord(self, b: np.ndarray) -> np.ndarray:
         """CHORD_CYCLES cycles for J x = b on the frozen J, then, up to
@@ -339,18 +356,6 @@ def _gmres(A: sp.csr_matrix, M, b: np.ndarray, rtol: float):
     return None, KRYLOV_MAX_ITER
 
 
-def _newton_step(J: sp.csc_matrix, rhs: np.ndarray, it: int):
-    """Solve J step = rhs by sparse LU; return the step and the factors."""
-    try:
-        lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as e:  # SuperLU: "Factor is exactly singular"
-        raise SingularJacobian(f"iteration {it}: {e}") from e
-    step = lu.solve(rhs)
-    if not np.isfinite(step).all():
-        raise SingularJacobian(f"iteration {it}: non-finite Newton step")
-    return step, lu
-
-
 def _trial(spec: EquationSpec, grid: AnnulusGrid, C: np.ndarray, U: np.ndarray,
            step: np.ndarray, accept):
     """Evaluate the iterate U - step once: its (U, H, residual, sup-norm
@@ -373,22 +378,20 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
     Dirichlet data `rings` (inner, outer), from `start` or, if it is None,
     from the affine blend of that data.
 
-    Each iteration first tries a chord step: a full step solved with the
-    held LU factors of the last factored Jacobian, kept if every interior
-    node stays admissible and the sup-norm residual falls by the factor
-    CHORD_CONTRACTION.  Otherwise the factors are dropped and the Jacobian
-    at the iterate is assembled and factored; the line search halves that
-    step until the sup-norm residual decreases and every interior node
-    stays admissible.  The solve ends at a sup-norm residual <= NEWTON_TOL,
-    or raises DidNotConverge after NEWTON_MAX_ITER iterations.
+    The linear solver `lin` is a `_Direct` or a `_Cycle`.  Each iteration
+    after the first tries a chord step: a full step solved by `lin.chord` on
+    the last Jacobian, kept if every interior node stays admissible and the
+    sup-norm residual falls by the factor CHORD_CONTRACTION.  Otherwise the
+    Jacobian at the iterate is assembled and `lin.step` solves it; the line
+    search halves that step until the sup-norm residual decreases and every
+    interior node stays admissible.  The solve ends at a sup-norm residual
+    <= NEWTON_TOL, or raises DidNotConverge after NEWTON_MAX_ITER iterations.
 
-    If `handoff` holds the coarse solve of the grid this one refines (its LU
-    factors, or its `_Cycle` on its last Jacobian), the solve removes it
-    and takes the multigrid path on it (module docstring) until a GMRES
-    solve misses its forcing term.  If `keep`, `handoff` holds this solve's
-    own on return: its last factors, or its `_Cycle`.
+    If `handoff` holds the linear solver of the grid this one refines, the
+    solve takes it off and cycles on it (module docstring) until GMRES misses
+    its forcing term.  If `keep`, `handoff` holds this solve's own on return.
     """
-    cycle = _Cycle(grid, handoff.pop(), keep) if handoff else None
+    lin = _Cycle(grid, handoff.pop(), keep) if handoff else _Direct()
     U = _blend_initial(grid, *rings) if start is None else start.values.copy()
     U[0], U[-1] = rings  # the Dirichlet rows; no step changes them
 
@@ -402,27 +405,21 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
 
     history = [float(np.max(np.abs(res)))]
     steps = []
-    lu = None  # factors of the last factored Jacobian
-    chord = None  # the linear solve of a chord step: with lu, or cycles on a frozen J
     while history[-1] > NEWTON_TOL and len(steps) < NEWTON_MAX_ITER:
         it, rinf = len(steps) + 1, history[-1]
         t, halvings, trials, krylov, new = 1.0, 0, 0, 0, None
-        if chord is not None:
+        if steps:
             trials += 1
-            step = chord(res.ravel()).reshape(res.shape)
+            step = lin.chord(res.ravel()).reshape(res.shape)
             new = _trial(spec, grid, C, U, step, lambda r: r <= CHORD_CONTRACTION * rinf)
         factored = False
         if new is None:
-            chord = lu = None  # dropped before the next Jacobian is assembled
             J = _assemble_jacobian(grid, C, op.gradient(spec, H), indices, indptr)
-            step = None
-            if cycle is not None:
-                step, krylov, chord = cycle.step(J, res.ravel(), rinf)
-                if step is None:  # the direct path from here on
-                    cycle = chord = None
-            if step is None:
-                step, lu = _newton_step(J.tocsc(), res.ravel(), it)
-                chord, factored = lu.solve, True
+            step, krylov = lin.step(J, res.ravel(), it)
+            if step is None:  # GMRES missed its forcing term: the direct path from here on
+                lin = _Direct()
+                step = lin.step(J, res.ravel(), it)[0]
+            factored = isinstance(lin, _Direct)
             step = step.reshape(res.shape)
             while True:
                 trials += 1
@@ -436,12 +433,11 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
                         f"damping floor reached at iteration {it}, |r|={rinf:.3g}")
         U, H, res, new_inf = new
         history.append(new_inf)
-        steps.append({"t": t, "halvings": halvings,
-                      "nnzLU": int((lu if cycle is None else cycle).nnz),
+        steps.append({"t": t, "halvings": halvings, "nnzLU": int(lin.nnz),
                       "factored": factored, "krylov": krylov, "trials": trials})
     if keep and steps:
-        handoff.append(lu if cycle is None else cycle)
-    chord = cycle = lu = None
+        handoff.append(lin)
+    lin = None
     report = SolveReport(len(steps), history[-1], sum(s["halvings"] for s in steps),
                          AnnulusField(grid, U), history, history[-1] <= NEWTON_TOL, steps)
     if not report.converged:

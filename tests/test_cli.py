@@ -355,6 +355,32 @@ class TestMalformedArguments:
         assert json.loads(r.stderr)["error"]["kind"] == kind
         assert r.stdout == ""
 
+    @pytest.mark.parametrize("args, content", [
+        ([cmd, flag, "{path}", *rest], content)
+        for cmd, flag, rest in [("experiment", "--config", []),
+                                ("solve", "--solution", ["--equation", "ma"])]
+        for content in [None, "directory", b"\xff\xfe{}", b'{"kind": ']
+    ] + [(["residual", "--solution", "builtin:ma-radial", "--equation", "ma",
+           "--params", "{c: 1}"], None)],
+        ids=[f"{flag}-{case}" for flag in ("config", "solution")
+             for case in ("missing", "directory", "not-utf8", "not-json")] + ["params"])
+    def test_unreadable_input_is_config_error(self, tmp_path, args, content):
+        """A config or solution file that is missing, a directory, not UTF-8
+        or not JSON, and --params that are not JSON, are a ConfigError
+        naming the input, with no traceback."""
+        path = tmp_path / "input.json"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        r = run([str(path) if a == "{path}" else a for a in args], cwd=tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.count("\n") == 1
+        err = json.loads(r.stderr)["error"]
+        assert err["kind"] == "ConfigError"
+        assert (str(path) if "{path}" in args else "--params") in err["message"]
+        assert r.stdout == ""
+
 
 # ---------------------------------------------------------------------------
 # in-process: output files, the cached validators and config lookups

@@ -594,6 +594,36 @@ class TestTwoGrid:
         assert np.array_equal(rep.field.values, direct.field.values)
         assert rep.residual_history == direct.residual_history
 
+    def test_fallen_back_level_hands_its_own_factors_on(self, monkeypatch):
+        """With only 9x16 factoring and the first GMRES solve of a study
+        missing its forcing term, 17x32 falls back to the direct path and
+        hands its own factors on: 33x64 cycles down to them alone, factors
+        nothing and ends where its direct solve ends."""
+        gmres, missed = solver._gmres, []
+
+        def miss_once(*args):
+            if missed:
+                return gmres(*args)
+            missed.append(True)
+            return None, solver.KRYLOV_MAX_ITER
+
+        monkeypatch.setattr(solver, "FACTOR_MAX_UNKNOWNS", 7 * 16)
+        monkeypatch.setattr(solver, "_gmres", miss_once)
+        alive, seen, _ = _track_factorizations(monkeypatch)
+        calls = _spy_levels(monkeypatch)
+        grids = [AnnulusGrid(1.0, 8.0, 9, 16, "uniform")]
+        for _ in range(2):
+            grids.append(grids[-1].refine())
+        convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), grids)
+        _, (_, _, fallen), (_, start, last) = calls
+        assert fallen.steps[0]["factored"]
+        assert fallen.steps[0]["krylov"] == solver.KRYLOV_MAX_ITER
+        assert not any(step["factored"] for step in last.steps)
+        assert {step["nnzLU"] for step in last.steps} == {fallen.steps[-1]["nnzLU"]}
+        assert seen == [0] * len(seen) and not alive
+        direct = _direct(MA2, builtin("ma-radial", {"c": 1.0}), grids[-1], start)
+        assert np.abs(last.field.values - direct.field.values).max() <= 1e-9
+
     @pytest.mark.parametrize("shape", [(17, 32), (65, 128), (129, 256)])
     def test_transfers_match_kron(self, shape):
         """The matrix-free transfers are kron(P_r, P_theta), with each factor
@@ -890,12 +920,12 @@ def _discrete_system(monkeypatch, spec, P, fld):
     tolerance makes it take that step)."""
     out = []
 
-    def capture(J, rhs, it):
+    def capture(lin, J, rhs, it):
         out.append((rhs.copy(), J))
         raise _Captured
 
     with monkeypatch.context() as mp:
-        mp.setattr(solver, "_newton_step", capture)
+        mp.setattr(solver._Direct, "step", capture)
         mp.setattr(solver, "NEWTON_TOL", 0.0)
         with pytest.raises(_Captured):
             _direct(spec, P, fld.grid, fld)
