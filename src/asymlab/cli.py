@@ -130,8 +130,19 @@ def _exterior_points(P: PotentialFn, n: int, seed: int):
 
 def _out_dir(path: str | None) -> str:
     d = os.environ.get("LAB_OUTPUT_DIR", path or ".")
-    os.makedirs(d, exist_ok=True)
+    try:
+        os.makedirs(d, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"output directory {d}: {e.strerror or e}") from None
     return d
+
+
+def _out_path(out_dir: str, name: str) -> str:
+    """out_dir/name, refused up front when it names a directory."""
+    path = os.path.join(out_dir, name)
+    if os.path.isdir(path):
+        raise ConfigError(f"output file {path}: Is a directory")
+    return path
 
 
 def _dump_json(obj, path: str | None):
@@ -164,7 +175,7 @@ def cmd_residual(args) -> int:
 def cmd_oracle(args) -> int:
     P = parse_solution(args.solution, args.params)
     shells = asymptotics.ShellSpec(_comma_list(args.radii, "--radii"), args.points_per_shell)
-    out = os.path.join(_out_dir(args.outputs), args.out)
+    out = _out_path(_out_dir(args.outputs), args.out)
     _write_samples_csv(P, shells, out, args.seed)
     print(f"wrote {out} (rho = {P.rho})")
     return EXIT_OK
@@ -190,9 +201,8 @@ def cmd_fit(args) -> int:
     P = parse_solution(args.solution, args.params)
     spec = _equation_for(args, P)
     shells = asymptotics.ShellSpec(_comma_list(args.shells, "--shells"), args.points_per_shell)
-    profile = asymptotics.fit_profile(P, spec, shells, seed=args.seed)
-    _dump_json(profile.to_dict(),
-               os.path.join(_out_dir(args.outputs), args.out) if args.out else None)
+    out = _out_path(_out_dir(args.outputs), args.out) if args.out else None
+    _dump_json(asymptotics.fit_profile(P, spec, shells, seed=args.seed).to_dict(), out)
     return EXIT_OK
 
 
@@ -231,10 +241,11 @@ def cmd_solve(args) -> int:
     spec = _equation_for(args, P)
     r_in, r_out, n_r, n_t = _comma_list(args.grid, "--grid", (float, float, int, int))
     grid = AnnulusGrid(r_in, r_out, n_r, n_t, args.spacing)
-    report = solver.solve_annulus(spec, P, grid)
     out_dir = _out_dir(args.outputs)
-    _write_field_csv(report.field, os.path.join(out_dir, args.out))
-    _dump_json(report.to_dict(), os.path.join(out_dir, args.report))
+    field_path, report_path = (_out_path(out_dir, n) for n in (args.out, args.report))
+    report = solver.solve_annulus(spec, P, grid)
+    _write_field_csv(report.field, field_path)
+    _dump_json(report.to_dict(), report_path)
     print(f"converged in {report.iterations} iterations, "
           f"|r|_inf = {report.final_residual_inf:.3e}")
     return EXIT_OK
@@ -267,6 +278,8 @@ def cmd_experiment(args) -> int:
     shells = asymptotics.ShellSpec(tuple(cfg["shells"]["radii"]),
                                    int(cfg["shells"].get("pointsPerShell", 64)))
     out_dir = _out_dir(cfg.get("outputs"))
+    field_path, samples_path, summary_path = (
+        _out_path(out_dir, n) for n in ("field.csv", "samples.csv", "summary.json"))
 
     summary = {"seed": seed, "checks": {}}
     profile = asymptotics.fit_profile(P, spec, shells, seed=seed)
@@ -290,13 +303,13 @@ def cmd_experiment(args) -> int:
     if "solver" in cfg:
         grid = _grid_from_config(cfg["solver"]["grid"])
         report = solver.solve_annulus(spec, P, grid)
-        _write_field_csv(report.field, os.path.join(out_dir, "field.csv"))
+        _write_field_csv(report.field, field_path)
         summary["solve"] = report.to_dict()
         summary["checks"]["solve_converged"] = report.converged
 
-    _write_samples_csv(P, shells, os.path.join(out_dir, "samples.csv"), seed)
+    _write_samples_csv(P, shells, samples_path, seed)
     summary["pass"] = all(summary["checks"].values())
-    _dump_json(summary, os.path.join(out_dir, "summary.json"))
+    _dump_json(summary, summary_path)
     print(f"experiment {'PASS' if summary['pass'] else 'FAIL'}; "
           f"summary in {out_dir}/summary.json")
     return EXIT_OK if summary["pass"] else EXIT_NUMERICAL

@@ -9,9 +9,9 @@ Operators, acting on the Hessian M = D^2 u:
 
 `OPERATORS` gives, per kind, the residual F, its derivative dF/dM and the
 admissible set on stacked Hessians (..., n, n); on n = 2 batches they use
-closed-form invariants, which cost a small fraction of a LAPACK call per
-matrix. The 2D kinds add the log kernel and the algebraic form that
-`asymptotics` reads. `residual` and `residual_many` are views of it.
+closed-form invariants and inverses, which cost a small fraction of a
+LAPACK call per matrix. The 2D kinds add the log kernel and the algebraic
+form that `asymptotics` reads. `residual` and `residual_many` are views of it.
 """
 
 from __future__ import annotations
@@ -72,6 +72,34 @@ def _inv(H: np.ndarray) -> np.ndarray:
     return _adj(H) / _det(H)[..., None, None]
 
 
+def sym_2x2(a11, a12, a22) -> np.ndarray:
+    """Stacked symmetric 2x2 matrices from their three planes, elementwise."""
+    S = np.empty(np.shape(a11) + (2, 2))
+    S[..., 0, 0], S[..., 1, 1] = a11, a22
+    S[..., 0, 1] = S[..., 1, 0] = a12
+    return S
+
+
+def _sle_gradient_2x2(H: np.ndarray) -> np.ndarray:
+    """(I + H^2)^-1 for each stacked symmetric 2x2 H, elementwise: the
+    adjugate of I + H^2 over its determinant (1 - det H)^2 + tr(H)^2, which
+    is at least 1, so nothing cancels."""
+    h11, h12, h22 = H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]
+    q, tr = h12 * h12, h11 + h22
+    den = (1.0 - (h11 * h22 - q)) ** 2 + tr * tr
+    return sym_2x2((1.0 + h22 * h22 + q) / den, -h12 * tr / den, (1.0 + h11 * h11 + q) / den)
+
+
+def _ihh_gradient_2x2(H: np.ndarray) -> np.ndarray:
+    """-H^-2 for each stacked symmetric 2x2 H, elementwise, as the square of
+    H^-1 = adj(H) / det H; adj(H)^2 / det(H)^2 would under- or overflow
+    det(H)^2 for entries near 1e+-150."""
+    inv = _inv(H)
+    i11, i12, i22 = inv[..., 0, 0], inv[..., 0, 1], inv[..., 1, 1]
+    q = i12 * i12
+    return sym_2x2(-(i11 * i11 + q), -i12 * (i11 + i22), -(i22 * i22 + q))
+
+
 def _phase(H: np.ndarray) -> np.ndarray:
     # from +0.0 in rank order, as np.sum adds the few terms of a stacked row
     return sum(np.arctan(w) for w in _spectrum(H))
@@ -119,7 +147,8 @@ OPERATORS = {
     # the branch kept is the supercritical one, phase in (Theta - pi/2, Theta + pi/2),
     # where res = phase - Theta
     "SLE": Operator(lambda spec, H: _phase(H) - spec.theta,
-                    lambda spec, H: _inv(np.eye(H.shape[-1]) + H @ H),
+                    lambda spec, H: (_inv(np.eye(3) + H @ H) if H.shape[-1] == 3
+                                     else _sle_gradient_2x2(H)),
                     lambda spec, H, res: spec.supercritical & (np.abs(res) < math.pi / 2),
                     branch=lambda spec, H: np.abs(_phase(H) - spec.theta) < math.pi / 2,
                     log_kernel=lambda spec, A: np.eye(A.shape[-1]) + A @ A,
@@ -137,7 +166,8 @@ OPERATORS = {
                                              > spec.delta - sigma2_margin(spec.dim))),
     # dF/dM = -M^-2 is negative definite; in 2D, 1/l1 + 1/l2 = 1 is tr = det
     "IHH": Operator(_ihh_residual,
-                    lambda spec, H: -np.linalg.matrix_power(_inv(H), 2),
+                    lambda spec, H: (-np.linalg.matrix_power(_inv(H), 2) if H.shape[-1] == 3
+                                     else _ihh_gradient_2x2(H)),
                     lambda spec, H, res: _spectrum(H)[0] > 1.0,
                     log_kernel=lambda spec, A: A @ A,
                     div_form=lambda spec: (-1.0, 1.0, 0.0)),

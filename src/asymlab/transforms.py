@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .core import EquationSpec, PotentialFn, SymMat, rowdot, sym_upper
-from .equations import eigvals, sigma2_margin
+from .equations import eigvals, sigma2_margin, sym_2x2
 from .errors import (BadParams, InverseMapDiverged, NotAdmissible, NotConvex,
                      SingularRotation, StripViolation)
 
@@ -28,11 +28,27 @@ NEWTON_MAX_ITER = 100
 def _graph_hessians(H: np.ndarray, a: float, b: float, c: float, d: float,
                     check=None) -> np.ndarray:
     """(cI + dH)(aI + bH)^-1 for each stacked symmetric H (N, n, n); the two
-    factors commute. `check(w)` sees H's ascending eigenvalues first."""
+    factors commute. `check(w)` sees H's ascending eigenvalues first.
+
+    In 2D it is N adj(M) / det M with N = cI + dH and M = aI + bH,
+    elementwise: as accurate as LAPACK's solve, with the upper entry in both
+    off-diagonal slots and zeros stored as +0.0, as `sym_upper` stores them.
+    An exactly zero det M raises LinAlgError, as LAPACK does in 3D."""
     if check is not None:
         check(eigvals(H))
-    eye = np.eye(H.shape[-1])
-    return sym_upper(np.linalg.solve(a * eye + b * H, c * eye + d * H))
+    if H.shape[-1] == 3:
+        eye = np.eye(3)
+        return sym_upper(np.linalg.solve(a * eye + b * H, c * eye + d * H))
+    h11, h12, h22 = H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]
+    n11, n12, n22 = c + d * h11, d * h12, c + d * h22
+    m11, m12, m22 = a + b * h11, b * h12, a + b * h22
+    det = m11 * m22 - m12 * m12
+    if not det.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    S = sym_2x2((n11 * m22 - n12 * m12) / det, (n12 * m11 - n11 * m12) / det,
+                (n22 * m11 - n12 * m12) / det)
+    S += 0.0
+    return S
 
 
 def _rotation_check(c: float, s: float):
@@ -71,6 +87,27 @@ def unrotate_hessian(Mt: SymMat, vartheta: float) -> SymMat:
     return SymMat(_graph_hessians(Mt.m[None], c, -s, s, c, _strip_check(c, s))[0])
 
 
+def _newton_step(J: np.ndarray, g: np.ndarray, what: str) -> np.ndarray:
+    """J^-1 g for each stacked Jacobian J (N, n, n) and row g (N, n). In 2D
+    it is Cramer's rule, forward stable for 2x2 systems, elementwise:
+    J^-1 = adj(J) / det J is formed before it meets g, so that nothing
+    leaves the range of floats for entries within about 1e+-150. An exactly
+    zero det, or LAPACK's singular LU in 3D, is an InverseMapDiverged."""
+    if J.shape[-1] == 3:
+        try:
+            return np.linalg.solve(J, g[..., None])[..., 0]
+        except np.linalg.LinAlgError as e:
+            raise InverseMapDiverged(f"{what}: singular Jacobian") from e
+    j11, j12, j21, j22 = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
+    det = j11 * j22 - j12 * j21
+    if not det.all():
+        raise InverseMapDiverged(f"{what}: singular Jacobian")
+    step = np.empty_like(g)
+    step[:, 0] = j22 / det * g[:, 0] - j12 / det * g[:, 1]
+    step[:, 1] = j11 / det * g[:, 1] - j21 / det * g[:, 0]
+    return step
+
+
 @np.errstate(all="ignore")
 def _newton_invert(target, guess, fun, jac, what: str):
     """Damped Newton for fun(p) = target, row by row, with step-halving on
@@ -97,10 +134,7 @@ def _newton_invert(target, guess, fun, jac, what: str):
             rows, p, g, nrm, tol, tgt = (a[live] for a in (rows, p, g, nrm, tol, tgt))
         if not rows.size:
             return out
-        try:
-            step = np.linalg.solve(jac(p), g[..., None])[..., 0]
-        except np.linalg.LinAlgError as e:
-            raise InverseMapDiverged(f"{what}: singular Jacobian") from e
+        step = _newton_step(jac(p), g, what)
         # every row searches until the first trial some row accepts
         t = 1.0
         while True:

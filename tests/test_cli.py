@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from asymlab import cli
+from asymlab import asymptotics, cli, solver
 from asymlab.core import AnnulusField, AnnulusGrid
 
 LAB = [sys.executable, "-m", "asymlab.cli"]
@@ -535,3 +535,51 @@ class TestConfigLookups:
         rc, err = _main(["experiment", "--config", str(cfg_path)], capsys)
         assert rc == 2
         assert err == {"kind": "ConfigError", "message": "solver grid lacks 'nR'"}
+
+
+class TestOutputPaths:
+    COMMANDS = {
+        "solve": ["solve", "--solution", "builtin:ma-radial", "--equation", "ma",
+                  "--grid", "1,8,9,16"],
+        "oracle": ["oracle", "--solution", "builtin:ma-radial"],
+        "fit": ["fit", "--solution", "builtin:ma-radial", "--equation", "ma"],
+        "experiment": ["experiment", "--config"],
+    }
+
+    @pytest.mark.parametrize("case", ["directory-as-output-file", "file-as-output-dir"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bad_output_path_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                             fresh_validators, command, case):
+        """An output file that is a directory, or a LAB_OUTPUT_DIR that is a
+        file, is a ConfigError naming it (exit 2, one JSON line on stderr,
+        nothing on stdout), raised before anything is fitted or solved."""
+        calls = []
+        monkeypatch.setattr(solver, "solve_annulus", lambda *a: calls.append("solve"))
+        monkeypatch.setattr(asymptotics, "fit_profile", lambda *a, **k: calls.append("fit"))
+        out = tmp_path / "out"
+        args = list(self.COMMANDS[command])
+        if command == "experiment":
+            cfg_path = tmp_path / "exp.json"
+            cfg_path.write_text(json.dumps(_experiment_config(out, solver={"grid": {
+                "rInner": 1.0, "rOuter": 8.0, "nR": 9, "nTheta": 16}})))
+            args.append(str(cfg_path))
+            bad = out / "summary.json"
+        else:
+            bad = tmp_path
+            args += ["--outputs", str(out), "--out",
+                     str(bad) if case == "directory-as-output-file" else "result"]
+        if case == "directory-as-output-file":
+            bad.mkdir(parents=True, exist_ok=True)
+        else:
+            bad = tmp_path / "a-file"
+            bad.write_text("")
+            monkeypatch.setenv("LAB_OUTPUT_DIR", str(bad))
+
+        rc = cli.main(args)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "ConfigError" and str(bad) in err["message"]
+        assert calls == []
