@@ -22,6 +22,7 @@ from .errors import (BadParams, IllConditioned, NoDecay, NonPositiveValue,
 EXACT_FLOOR = 1e-12
 EXACT_SLOPE = -math.inf
 DEFAULT_QUAD_ORDER = 512
+MAX_QUAD_ORDER = 1 << 16  # far past where the trapezoid rule, spectrally accurate, gains digits
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,16 @@ def hessian_limit(P: PotentialFn, shells: ShellSpec) -> tuple[SymMat, float]:
     """Far-field Hessian A (outermost-shell mean) and the decay slope of
     the per-shell max of ||D^2 P - A||.
 
-    Raises NoDecay when the outermost residual exceeds the innermost one:
-    the Hessian is not settling (e.g. critical-phase counterexamples).
+    Raises NotAdmissible naming the first Hessian that is not finite, and
+    NoDecay when the outermost residual exceeds the innermost one: the
+    Hessian is not settling (e.g. critical-phase counterexamples).
     """
     hessians = P.hessians(shells.points(P.dim)).reshape(
         len(shells.radii), shells.points_per_shell, P.dim, P.dim)
+    bad = np.argwhere(~np.isfinite(hessians).all(axis=(2, 3)))
+    if bad.size:  # overflowed: name it, not the log kernel it would spoil
+        raise NotAdmissible(f"Hessian {hessians[tuple(bad[0])].tolist()} on the shell of "
+                            f"radius {shells.radii[bad[0][0]]:g} is not finite")
     A = hessians[-1].mean(axis=0)
     A = 0.5 * (A + A.T)
     res = np.linalg.norm(hessians - A, axis=(2, 3)).max(axis=1)
@@ -171,8 +177,8 @@ class BoundaryCurve:
     order: int = DEFAULT_QUAD_ORDER
 
     def __post_init__(self):
-        if self.order < 16:  # the minimum experiment.json enforces
-            raise BadParams(f"quadrature order must be >= 16, got {self.order}")
+        if not 16 <= self.order <= MAX_QUAD_ORDER:  # 16: experiment.json's minimum
+            raise BadParams(f"quadrature order must be in [16, {MAX_QUAD_ORDER}], got {self.order}")
 
     @staticmethod
     def circle(radius: float, center=(0.0, 0.0), order: int = DEFAULT_QUAD_ORDER):

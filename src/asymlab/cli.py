@@ -47,14 +47,6 @@ def _validate(instance: dict, schema_name: str):
         raise ConfigError(f"config does not match {schema_name}: {error.message}") from error
 
 
-def _lookup(cfg: dict, key: str, where: str):
-    """cfg[key], or a ConfigError naming the missing key."""
-    try:
-        return cfg[key]
-    except KeyError:
-        raise ConfigError(f"{where} lacks {key!r}") from None
-
-
 def _comma_list(text: str, flag: str, types: tuple | None = None) -> list:
     """The fields of a command-line comma list: one per entry of `types`,
     each converted by it, or any number of floats. Anything else is a
@@ -88,12 +80,20 @@ def _check_dim(spec: EquationSpec, P: PotentialFn):
         raise WrongDimension(f"the equation is {spec.dim}D but the solution is {P.dim}D")
 
 
+def _check_object(value, what: str):
+    """Checked before the schema, whose oneOf would name a wrong branch."""
+    if not isinstance(value, dict):
+        given = json.dumps(value, default=repr)[:80]
+        raise ConfigError(f"{what} must be a JSON object, got {given}")
+
+
 def solution_from_spec(spec: dict) -> PotentialFn:
+    _check_object(spec, "solution spec")
+    _check_object(spec.get("params", {}), "params")
     _validate(spec, "oracle.json")
-    if _lookup(spec, "kind", "solution spec") == "sle":
-        return oracle2d.oracle_sle(oracle2d._coeffs_from_params(spec),
-                                   float(_lookup(spec, "vartheta", "sle spec")))
-    return oracle2d.builtin(_lookup(spec, "name", "builtin spec"), spec.get("params"))
+    if spec["kind"] == "sle":
+        return oracle2d.oracle_sle(oracle2d._coeffs_from_params(spec), float(spec["vartheta"]))
+    return oracle2d.builtin(spec["name"], spec.get("params"))
 
 
 def _read_json(path: str, what: str):
@@ -109,12 +109,13 @@ def parse_solution(arg: str, params_json: str | None = None) -> PotentialFn:
     """Accepts 'builtin:NAME' or a path to an oracle spec JSON file."""
     if not arg.startswith("builtin:"):
         return solution_from_spec(_read_json(arg, "solution file"))
-    try:
-        params = json.loads(params_json) if params_json else {}
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"--params is not JSON: {e}") from None
-    return solution_from_spec({"kind": "builtin", "name": arg[len("builtin:"):],
-                               **({"params": params} if params else {})})
+    spec = {"kind": "builtin", "name": arg[len("builtin:"):]}
+    if params_json:
+        try:
+            spec["params"] = json.loads(params_json)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"--params is not JSON: {e}") from None
+    return solution_from_spec(spec)
 
 
 def _exterior_points(P: PotentialFn, n: int, seed: int):
@@ -206,18 +207,13 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _curve_from_config(cfg: dict, kernel: SymMat | None = None):
-    kind = cfg.get("type", "circle")
+def _curve_from_config(cfg: dict, kernel: SymMat):
     order = int(cfg.get("order", asymptotics.DEFAULT_QUAD_ORDER))
-    if kind == "circle":
+    if cfg["type"] == "circle":
         return asymptotics.BoundaryCurve.circle(
             float(cfg.get("radius", 1.0)), tuple(cfg.get("center", (0.0, 0.0))), order)
-    if kind == "kernel-ellipse":
-        if kernel is None:
-            raise ConfigError("kernel-ellipse curve needs a fitted profile first")
-        return asymptotics.BoundaryCurve.ellipse_of_kernel(
-            kernel, float(cfg.get("radius", 10.0)), order)
-    raise ConfigError(f"unknown curve type {kind!r}")
+    return asymptotics.BoundaryCurve.ellipse_of_kernel(
+        kernel, float(cfg.get("radius", 10.0)), order)
 
 
 def cmd_boundary_d(args) -> int:
@@ -227,13 +223,6 @@ def cmd_boundary_d(args) -> int:
     d = asymptotics.boundary_d(spec, P, curve)
     print(f"d = {d:.12g}")
     return EXIT_OK
-
-
-def _grid_from_config(cfg: dict) -> AnnulusGrid:
-    r_in, r_out, n_r, n_t = (_lookup(cfg, k, "solver grid")
-                             for k in ("rInner", "rOuter", "nR", "nTheta"))
-    return AnnulusGrid(float(r_in), float(r_out), int(n_r), int(n_t),
-                       cfg.get("spacing", "logarithmic"))
 
 
 def cmd_solve(args) -> int:
@@ -301,7 +290,9 @@ def cmd_experiment(args) -> int:
                 abs(d_b - expected_d) <= 1e-4)
 
     if "solver" in cfg:
-        grid = _grid_from_config(cfg["solver"]["grid"])
+        g = cfg["solver"]["grid"]
+        grid = AnnulusGrid(float(g["rInner"]), float(g["rOuter"]), int(g["nR"]),
+                           int(g["nTheta"]), g.get("spacing", "logarithmic"))
         report = solver.solve_annulus(spec, P, grid)
         _write_field_csv(report.field, field_path)
         summary["solve"] = report.to_dict()

@@ -10,8 +10,9 @@ Operators, acting on the Hessian M = D^2 u:
 `OPERATORS` gives, per kind, the residual F, its derivative dF/dM and the
 admissible set on stacked Hessians (..., n, n); on n = 2 batches they use
 closed-form invariants and inverses, which cost a small fraction of a
-LAPACK call per matrix. The 2D kinds add the log kernel and the algebraic
-form that `asymptotics` reads. `residual` and `residual_many` are views of it.
+LAPACK call per matrix; dF/dM, read only by the 2D solver, is 2D only. The
+2D kinds add the log kernel and the algebraic form that `asymptotics`
+reads. `residual` and `residual_many` are views of it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .core import EquationSpec, SymMat
-from .errors import SingularHessian
+from .errors import SingularHessian, WrongDimension
 
 
 def sigma2_margin(dim: int) -> float:
@@ -61,17 +62,6 @@ def _det(H: np.ndarray) -> np.ndarray:
     return H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] ** 2
 
 
-def _adj(H: np.ndarray) -> np.ndarray:
-    """Adjugate det(H) H^-1; for n = 2, [[h22, -h12], [-h12, h11]]."""
-    if H.shape[-1] == 3:
-        return _det(H)[..., None, None] * np.linalg.inv(H)
-    return H[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-def _inv(H: np.ndarray) -> np.ndarray:
-    return _adj(H) / _det(H)[..., None, None]
-
-
 def sym_2x2(a11, a12, a22) -> np.ndarray:
     """Stacked symmetric 2x2 matrices from their three planes, elementwise."""
     S = np.empty(np.shape(a11) + (2, 2))
@@ -80,11 +70,23 @@ def sym_2x2(a11, a12, a22) -> np.ndarray:
     return S
 
 
+def _planes(H: np.ndarray):
+    """h11, h12, h22 of stacked symmetric 2x2 H: every dF/dM's dimension check."""
+    if H.shape[-1] != 2:
+        raise WrongDimension(f"dF/dM is 2D only, got {H.shape[-1]}x{H.shape[-1]} Hessians")
+    return H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]
+
+
+def _adj(H: np.ndarray) -> np.ndarray:
+    _planes(H)  # the check; the adjugate keeps H's layout, which the Jacobian reads fastest
+    return H[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
 def _sle_gradient_2x2(H: np.ndarray) -> np.ndarray:
     """(I + H^2)^-1 for each stacked symmetric 2x2 H, elementwise: the
     adjugate of I + H^2 over its determinant (1 - det H)^2 + tr(H)^2, which
     is at least 1, so nothing cancels."""
-    h11, h12, h22 = H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]
+    h11, h12, h22 = _planes(H)
     q, tr = h12 * h12, h11 + h22
     den = (1.0 - (h11 * h22 - q)) ** 2 + tr * tr
     return sym_2x2((1.0 + h22 * h22 + q) / den, -h12 * tr / den, (1.0 + h11 * h11 + q) / den)
@@ -94,8 +96,7 @@ def _ihh_gradient_2x2(H: np.ndarray) -> np.ndarray:
     """-H^-2 for each stacked symmetric 2x2 H, elementwise, as the square of
     H^-1 = adj(H) / det H; adj(H)^2 / det(H)^2 would under- or overflow
     det(H)^2 for entries near 1e+-150."""
-    inv = _inv(H)
-    i11, i12, i22 = inv[..., 0, 0], inv[..., 0, 1], inv[..., 1, 1]
+    i11, i12, i22 = _planes(_adj(H) / _det(H)[..., None, None])
     q = i12 * i12
     return sym_2x2(-(i11 * i11 + q), -i12 * (i11 + i22), -(i22 * i22 + q))
 
@@ -120,18 +121,19 @@ def _ihh_residual(spec: EquationSpec, H: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """F(M), dF/dM and the admissible set on stacked Hessians: the first two
-    as fn(spec, H), the set as fn(spec, H, res) given res = F(H), which only
-    SLE reads (the MA, SIGMA2 and IHH rows take res None where it is not at
-    hand). `branch` is the solution branch as fn(spec, H) where it is wider
-    than the admissible set (SLE: the phase window, without the
-    supercritical condition the solver needs); None means the admissible
-    set. The 2D kinds also give the kernel L(A) of the log term
-    (d/2) log(x'Lx) as fn(spec, A), and the weights (lw, cw, aw) of the
-    algebraic form lw tr M + cw det M - aw = 0 of the equation as fn(spec)."""
+    """F(M), dF/dM (2D only, None for SIGMA2) and the admissible set on
+    stacked Hessians: the first two as fn(spec, H), the set as
+    fn(spec, H, res) given res = F(H), which only SLE reads (the MA, SIGMA2
+    and IHH rows take res None where it is not at hand). `branch` is the
+    solution branch as fn(spec, H) where it is wider than the admissible
+    set (SLE: the phase window, without the supercritical condition the
+    solver needs); None means the admissible set. The 2D kinds also give
+    the kernel L(A) of the log term (d/2) log(x'Lx) as fn(spec, A), and the
+    weights (lw, cw, aw) of the algebraic form lw tr M + cw det M - aw = 0
+    of the equation as fn(spec)."""
 
     residual: Callable
-    gradient: Callable
+    gradient: Callable | None
     admissible: Callable
     branch: Callable | None = None
     log_kernel: Callable | None = None
@@ -147,8 +149,7 @@ OPERATORS = {
     # the branch kept is the supercritical one, phase in (Theta - pi/2, Theta + pi/2),
     # where res = phase - Theta
     "SLE": Operator(lambda spec, H: _phase(H) - spec.theta,
-                    lambda spec, H: (_inv(np.eye(3) + H @ H) if H.shape[-1] == 3
-                                     else _sle_gradient_2x2(H)),
+                    lambda spec, H: _sle_gradient_2x2(H),
                     lambda spec, H, res: spec.supercritical & (np.abs(res) < math.pi / 2),
                     branch=lambda spec, H: np.abs(_phase(H) - spec.theta) < math.pi / 2,
                     log_kernel=lambda spec, A: np.eye(A.shape[-1]) + A @ A,
@@ -160,14 +161,12 @@ OPERATORS = {
                    log_kernel=lambda spec, A: A,
                    div_form=lambda spec: (0.0, 1.0, 1.0)),
     "SIGMA2": Operator(lambda spec, H: _sigma2(eigvals(H)) - 1.0,
-                       lambda spec, H: (np.trace(H, axis1=-2, axis2=-1)[..., None, None]
-                                        * np.eye(H.shape[-1]) - H),
+                       None,
                        lambda spec, H, res: (_spectrum(H)[0]
                                              > spec.delta - sigma2_margin(spec.dim))),
     # dF/dM = -M^-2 is negative definite; in 2D, 1/l1 + 1/l2 = 1 is tr = det
     "IHH": Operator(_ihh_residual,
-                    lambda spec, H: (-np.linalg.matrix_power(_inv(H), 2) if H.shape[-1] == 3
-                                     else _ihh_gradient_2x2(H)),
+                    lambda spec, H: _ihh_gradient_2x2(H),
                     lambda spec, H, res: _spectrum(H)[0] > 1.0,
                     log_kernel=lambda spec, A: A @ A,
                     div_form=lambda spec: (-1.0, 1.0, 0.0)),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .asymptotics import log_kernel
 from .core import AsymptoticProfile, EquationSpec, PotentialFn, SymMat, matvecs, rowdot
-from .equations import eigvals
+from .equations import eigvals, sym_2x2
 from .errors import BadParams, InverseMapDiverged, StripViolation, UnknownName
 from .transforms import (_graph_map, _graph_preimage, _rotation_angle, _strip_check,
                          unrotate_hessian)
@@ -82,10 +82,6 @@ def _complex(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(X, dtype=float).view(np.complex128)[:, 0]
 
 
-def _hessians_2d(h11, h12, h22) -> np.ndarray:
-    return np.stack([h11, h12, h12, h22], axis=1).reshape(-1, 2, 2)
-
-
 def harmonic_potential(coeffs: LaurentCoeffs) -> PotentialFn:
     """Harmonic u with complexified gradient h: Du = (Re h, -Im h)."""
 
@@ -98,7 +94,7 @@ def harmonic_potential(coeffs: LaurentCoeffs) -> PotentialFn:
 
     def hessians(X):
         hp = coeffs.h_prime(_complex(X))
-        return _hessians_2d(hp.real, -hp.imag, -hp.real)
+        return sym_2x2(hp.real, -hp.imag, -hp.real)
 
     return PotentialFn(2, 1.0, values, grads, hessians)
 
@@ -124,17 +120,19 @@ def expected_profile(coeffs: LaurentCoeffs, vartheta: float) -> AsymptoticProfil
     return AsymptoticProfile(SymMat(A), b, math.nan, coeffs.am1, L, math.nan)
 
 
-def _certify_rho(probe) -> float:
-    """Smallest radius in a geometric sweep whose full shell passes `probe`,
-    which takes the shell's points as one (256, 2) batch."""
+def _certify_rho(harm: PotentialFn, a: float, b: float, what: str, guess, bad) -> float:
+    """Smallest radius in a geometric sweep whose shell of 256 points inverts
+    under x -> a x + b D harm(x) to preimage Hessians H with no bad(H) row."""
+    preimage = _graph_preimage(harm, a, b, what, guess)
     th = np.arange(256) * (2 * math.pi / 256)
     ring = np.stack([np.cos(th), np.sin(th)], axis=1)
     for rho in RHO_CANDIDATES:
         try:
-            probe(rho * ring)
-        except (StripViolation, InverseMapDiverged):
+            H = harm.hessians_fn(preimage(rho * ring))
+        except InverseMapDiverged:
             continue
-        return rho
+        if not bad(H).any():
+            return rho
     raise StripViolation("no radius in the sweep certifies the inverse map")
 
 
@@ -152,14 +150,8 @@ def oracle_sle(coeffs: LaurentCoeffs, vartheta: float) -> PotentialFn:
     # Newton starts at J^-1 xt, J the far-field Jacobian of xt = c x - s Du(x)
     inv = np.linalg.inv(c * np.eye(2) - s * _far_hessian(coeffs))
     guess = lambda Xt: matvecs(inv, Xt)
-    preimage = _graph_preimage(ht, c, -s, what, guess)
-    strip_tol = c / s - 1e-6
-
-    def probe(X):
-        if (eigvals(ht.hessians_fn(preimage(X)))[:, -1] >= strip_tol).any():
-            raise StripViolation("validation shell hits the strip bound")
-
-    return _graph_map(ht, c, -s, s, c, _certify_rho(probe), what, guess, _strip_check(c, s))
+    rho = _certify_rho(ht, c, -s, what, guess, lambda H: eigvals(H)[:, -1] >= c / s - 1e-6)
+    return _graph_map(ht, c, -s, s, c, rho, what, guess, _strip_check(c, s))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +171,7 @@ def _sin_exp() -> PotentialFn:
     def hessians(X):
         e = np.exp(X[:, 1])
         si, co = np.sin(X[:, 0]), np.cos(X[:, 0])
-        return _hessians_2d(-si * e, co * e, si * e)
+        return sym_2x2(-si * e, co * e, si * e)
 
     return PotentialFn(2, 0.0, values, grads, hessians)
 
@@ -226,6 +218,8 @@ def _radial(dim: int, f, df, d2f) -> PotentialFn:
 
 def _log_radial(dim: int) -> PotentialFn:
     # v = log|x| solves (delta_ij + (n-2) x_i x_j |x|^-2) v_ij = 0
+    if not isinstance(dim, int) or dim not in (2, 3):
+        raise BadParams(f"log-radial dim must be the integer 2 or 3, got {dim!r}")
     return _radial(dim, np.log, lambda r: 1.0 / r, lambda r: -1.0 / (r * r))
 
 
@@ -274,14 +268,13 @@ def _ihh_oracle(params: dict) -> PotentialFn:
         raise BadParams("ihh-oracle needs |a1| < 0.45 to keep D^2 dual in (0, I)")
     harm = harmonic_potential(coeffs)
     what, guess = "ihh-oracle inversion", lambda X: 2.0 * X
-    invert = _graph_preimage(harm, 0.5, 1.0, what, guess)
 
-    def probe(X):
-        w = eigvals(0.5 * np.eye(2) + harm.hessians_fn(invert(X)))
-        if (w[:, 0] <= 1e-9).any() or (w[:, -1] >= 1.0 - 1e-9).any():
-            raise StripViolation("dual Hessian leaves (0, I) on validation shell")
+    def leaves_0_I(H):  # the dual Hessian 0.5 I + H outside (0, I)
+        w = eigvals(0.5 * np.eye(2) + H)
+        return (w[:, 0] <= 1e-9) | (w[:, -1] >= 1.0 - 1e-9)
 
-    return _graph_map(harm, 0.5, 1.0, 1.0, 0.0, _certify_rho(probe), what, guess)
+    rho = _certify_rho(harm, 0.5, 1.0, what, guess, leaves_0_I)
+    return _graph_map(harm, 0.5, 1.0, 1.0, 0.0, rho, what, guess)
 
 
 def ihh_expected_d(coeffs: LaurentCoeffs) -> float:
@@ -293,7 +286,7 @@ def ihh_expected_d(coeffs: LaurentCoeffs) -> float:
 _BUILTINS = {
     "sin-exp": ((), lambda p: _sin_exp()),
     "warren3d": ((), lambda p: _warren3d()),
-    "log-radial": (("dim",), lambda p: _log_radial(int(p.get("dim", 3)))),
+    "log-radial": (("dim",), lambda p: _log_radial(p.get("dim", 3))),
     "ma-radial": (("c",), lambda p: _ma_radial(float(p.get("c", 1.0)))),
     "quadratic": (("A", "b", "c"), _quadratic),
     "ihh-oracle": (("a1", "a0", "am1", "tail"), _ihh_oracle),

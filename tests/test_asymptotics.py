@@ -18,7 +18,7 @@ from asymlab import (
     hessian_limit,
     oracle_sle,
 )
-from asymlab.asymptotics import log_kernel, shell_points
+from asymlab.asymptotics import MAX_QUAD_ORDER, log_kernel, shell_points
 from asymlab.errors import BadParams, NoDecay, NotAdmissible
 from asymlab.oracle2d import builtin
 
@@ -94,6 +94,16 @@ class TestHessianLimit:
         P = builtin("sin-exp")
         with pytest.raises(NoDecay):
             hessian_limit(P, ShellSpec((4.0, 8.0, 16.0)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_hessian_is_named(self):
+        """At r = 1e300 ma-radial's Hessian overflows to nan: the error names
+        it and its shell, not the log kernel L it would spoil."""
+        P = builtin("ma-radial")
+        with pytest.raises(NotAdmissible, match=r"Hessian \[\[nan, nan\], \[nan, nan\]\] "
+                           r"on the shell of radius 1e\+300 is not finite"):
+            hessian_limit(P, ShellSpec((1e300, 2e300)))
+        assert hessian_limit(P, ShellSpec((1e150, 2e150)))[0].m[0, 0] == 1.0
 
 
 class TestDecayExponent:
@@ -238,6 +248,14 @@ class TestBoundaryCurve:
     def test_order_below_16(self, order):
         with pytest.raises(BadParams, match="order"):
             BoundaryCurve.circle(2.0, order=order)
+
+    def test_order_above_the_maximum(self, monkeypatch):
+        """Refused before any node is allocated; the maximum itself is not."""
+        monkeypatch.setattr(BoundaryCurve, "quad_nodes", lambda self: pytest.fail("allocated"))
+        assert BoundaryCurve.circle(2.0, order=MAX_QUAD_ORDER).order == MAX_QUAD_ORDER
+        for order in (MAX_QUAD_ORDER + 1, 10 ** 11):
+            with pytest.raises(BadParams, match=f"in \\[16, {MAX_QUAD_ORDER}\\], got {order}"):
+                BoundaryCurve.circle(2.0, order=order)
 
     @pytest.mark.parametrize("radius", [0.0, -2.0, math.inf, math.nan])
     def test_circle_radius_finite_and_positive(self, radius):

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from asymlab import asymptotics, cli, solver
+from asymlab import asymptotics, cli, oracle2d, solver
 from asymlab.core import AnnulusField, AnnulusGrid
 
 LAB = [sys.executable, "-m", "asymlab.cli"]
@@ -509,32 +509,88 @@ class TestValidatorCache:
 
 
 class TestConfigLookups:
+    """The CLI indexes every key the shipped schemas require, so a config
+    lacking one is the schema's ConfigError, before any lookup."""
+
     @pytest.mark.parametrize("spec,key", [({}, "kind"), ({"kind": "builtin"}, "name"),
                                           ({"kind": "sle"}, "vartheta")])
     def test_solution_spec_key(self, monkeypatch, fresh_validators, spec, key):
-        monkeypatch.setattr(cli, "_load_schema", lambda name: {})
-        with pytest.raises(cli.ConfigError, match=repr(key)):
+        monkeypatch.setattr(oracle2d, "builtin", lambda *a: pytest.fail("built"))
+        monkeypatch.setattr(oracle2d, "oracle_sle", lambda *a: pytest.fail("built"))
+        with pytest.raises(cli.ConfigError, match="does not match oracle.json"):
             cli.solution_from_spec(spec)
 
-    def test_grid_key_missing_past_schema(self, tmp_path, capsys, monkeypatch,
-                                          fresh_validators):
-        real = cli._load_schema
-
-        def schema_without_nr(name):
-            schema = real(name)
-            if name == "experiment.json":
-                grid = schema["properties"]["solver"]["properties"]["grid"]
-                grid["required"].remove("nR")
-            return schema
-
-        monkeypatch.setattr(cli, "_load_schema", schema_without_nr)
-        cfg = _experiment_config(tmp_path / "out", solver={"grid": {
-            "rInner": 1.0, "rOuter": 8.0, "nTheta": 16}})
+    @pytest.mark.parametrize("key", ["rInner", "rOuter", "nR", "nTheta"])
+    def test_grid_key_missing(self, tmp_path, capsys, fresh_validators, key):
+        grid = {"rInner": 1.0, "rOuter": 8.0, "nR": 9, "nTheta": 16}
+        del grid[key]
         cfg_path = tmp_path / "exp.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path.write_text(json.dumps(_experiment_config(tmp_path / "out",
+                                                          solver={"grid": grid})))
         rc, err = _main(["experiment", "--config", str(cfg_path)], capsys)
         assert rc == 2
-        assert err == {"kind": "ConfigError", "message": "solver grid lacks 'nR'"}
+        assert err == {"kind": "ConfigError", "message": "config does not match "
+                       f"experiment.json: {key!r} is a required property"}
+
+
+class TestRefusedWhereTheyEnter:
+    """Inputs that are not what they claim are named errors with their exit
+    code, before anything is built from them."""
+
+    @pytest.mark.parametrize("params", ["[1]", "3", '"c"', "null", "[]"])
+    def test_params_not_an_object(self, capsys, fresh_validators, params):
+        rc, err = _main(["residual", "--solution", "builtin:ma-radial", "--params", params,
+                         "--equation", "ma"], capsys)
+        assert rc == 2
+        assert err == {"kind": "ConfigError",
+                       "message": f"params must be a JSON object, got {params}"}
+
+    @pytest.mark.parametrize("spec, what", [
+        ([1], "solution spec"), ("sle", "solution spec"),
+        ({"kind": "builtin", "name": "ma-radial", "params": [1]}, "params")])
+    def test_solution_spec_not_an_object(self, tmp_path, capsys, fresh_validators, spec, what):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc, err = _main(["residual", "--solution", str(path), "--equation", "ma"], capsys)
+        assert rc == 2
+        given = json.dumps(spec if what == "solution spec" else spec["params"])
+        assert err == {"kind": "ConfigError",
+                       "message": f"{what} must be a JSON object, got {given}"}
+
+    @pytest.mark.parametrize("dim", [2.5, "2", 4, 0, True])
+    @pytest.mark.parametrize("command", [["oracle"], ["residual", "--equation", "ma"]])
+    def test_log_radial_dim_is_the_integer_2_or_3(self, tmp_path, capsys, fresh_validators,
+                                                 command, dim):
+        rc, err = _main(command + ["--solution", "builtin:log-radial", "--params",
+                                   json.dumps({"dim": dim}), "--outputs", str(tmp_path)],
+                        capsys)
+        assert rc == 2
+        assert err == {"kind": "BadParams",
+                       "message": f"log-radial dim must be the integer 2 or 3, got {dim!r}"}
+
+    def test_huge_quadrature_order(self, tmp_path, capsys, monkeypatch, fresh_validators):
+        """--order and experiment.json's curve.order past MAX_QUAD_ORDER are
+        BadParams before a quadrature node is allocated."""
+        monkeypatch.setattr(asymptotics.BoundaryCurve, "quad_nodes",
+                            lambda self: pytest.fail("allocated"))
+        message = (f"quadrature order must be in [16, {asymptotics.MAX_QUAD_ORDER}], "
+                   "got 100000000000")
+        rc, err = _main(["boundary-d", "--solution", "builtin:ma-radial", "--equation", "ma",
+                         "--radius", "2", "--order", "100000000000"], capsys)
+        assert (rc, err) == (2, {"kind": "BadParams", "message": message})
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(_experiment_config(tmp_path / "out", curve={
+            "type": "circle", "radius": 2.0, "order": 100000000000})))
+        rc, err = _main(["experiment", "--config", str(cfg_path)], capsys)
+        assert (rc, err) == (2, {"kind": "BadParams", "message": message})
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_shell_hessian(self, capsys):
+        rc, err = _main(["fit", "--solution", "builtin:ma-radial", "--equation", "ma",
+                         "--shells", "1e300,2e300"], capsys)
+        assert rc == 1
+        assert err["kind"] == "NotAdmissible"
+        assert err["message"].endswith("on the shell of radius 1e+300 is not finite")
 
 
 class TestOutputPaths:

@@ -16,7 +16,7 @@ from asymlab.equations import (
     residual_many,
     sigma2_margin,
 )
-from asymlab.errors import SingularHessian
+from asymlab.errors import SingularHessian, WrongDimension
 
 from conftest import random_admissible, random_symmetric
 
@@ -29,6 +29,7 @@ SPECS = [
     EquationSpec("IHH", 2),
     EquationSpec("IHH", 3),
 ]
+SPECS_2D = [s for s in SPECS if s.dim == 2]
 
 
 def admissible(spec, M: SymMat) -> bool:
@@ -68,7 +69,7 @@ class TestResidual:
             residual(spec, SymMat.diag(1.0, 0.0))
 
     def test_residual_many_matches_scalar(self, rng):
-        for spec in (s for s in SPECS if s.dim == 2):
+        for spec in SPECS_2D:
             mats = [random_admissible(rng, spec) for _ in range(10)]
             expect = [residual(spec, M) for M in mats]
             H = np.stack([M.m for M in mats])
@@ -103,6 +104,7 @@ def test_div_form_vanishes_exactly_on_solutions(kind, lam, mu, angle, t):
 
 
 def test_sigma2_has_no_2d_rows():
+    assert OPERATORS["SIGMA2"].gradient is None
     assert OPERATORS["SIGMA2"].log_kernel is None
     assert OPERATORS["SIGMA2"].div_form is None
 
@@ -149,13 +151,22 @@ class TestAdmissibility:
 
 
 class TestLinearization:
-    """dF/dM from the table; IHH's is negative definite, so its sign is -1."""
+    """dF/dM from the table, 2D only as the solver that reads it; IHH's is
+    negative definite, so its sign is -1."""
 
     @staticmethod
     def _sign(spec):
         return -1.0 if spec.kind == "IHH" else 1.0
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}{s.dim}")
+    @pytest.mark.parametrize("spec", [s for s in SPECS if s.dim == 3 and s.kind != "SIGMA2"],
+                             ids=lambda s: f"{s.kind}{s.dim}")
+    def test_3d_batch_is_wrong_dimension(self, spec, rng):
+        """A 3x3 batch is refused, not read through its top-left 2x2 block."""
+        H = np.stack([random_admissible(rng, spec).m for _ in range(4)])
+        with pytest.raises(WrongDimension, match="dF/dM is 2D only, got 3x3"):
+            OPERATORS[spec.kind].gradient(spec, H)
+
+    @pytest.mark.parametrize("spec", SPECS_2D, ids=lambda s: f"{s.kind}{s.dim}")
     def test_ellipticity(self, spec, rng):
         """Eigenvalues of sign * dF/dM are strictly positive on 1000 random
         admissible matrices."""
@@ -164,7 +175,7 @@ class TestLinearization:
             lin = self._sign(spec) * OPERATORS[spec.kind].gradient(spec, M.m)
             assert np.linalg.eigvalsh(lin).min() > 0.0
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}{s.dim}")
+    @pytest.mark.parametrize("spec", SPECS_2D, ids=lambda s: f"{s.kind}{s.dim}")
     def test_directional_derivative_sign(self, spec, rng):
         """residual(M + tE) - residual(M) ~ t <dF/dM, E>, Richardson-checked
         at t in {1e-4, 5e-5}; fixes the sign convention of each gradient."""

@@ -13,7 +13,9 @@ from asymlab import (
     expected_profile,
     harmonic_potential,
     oracle_sle,
+    transforms,
 )
+from asymlab.asymptotics import shell_points
 from asymlab.equations import residual
 from asymlab.errors import BadParams, StripViolation, UnknownName
 from asymlab.oracle2d import _BUILTINS, builtin, ihh_expected_d
@@ -235,3 +237,22 @@ def _unit(rng):
 def _unit_n(rng, dim):
     v = rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def test_oracle_inversion_takes_few_newton_steps(monkeypatch):
+    """One _newton_step call per iteration of the batched inversion: on 3 x
+    4096 points of the rings of radius 1, 2 and 4 it takes 4. A wrong
+    Jacobian only costs time (one Cramer numerator with its sign flipped
+    takes 11), so this bound is what catches one."""
+    P = oracle_sle(LaurentCoeffs(a1=0.1, am1=0.5), math.pi / 4)
+    assert P.rho == 1.0
+    steps = []
+    real = transforms._newton_step
+
+    def counting(J, g, what):
+        steps.append(len(g))
+        return real(J, g, what)
+
+    monkeypatch.setattr(transforms, "_newton_step", counting)
+    P.values(np.concatenate([shell_points(r, 4096, 2) for r in (1.0, 2.0, 4.0)]))
+    assert 1 <= len(steps) <= 5
