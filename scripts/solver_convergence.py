@@ -11,11 +11,11 @@ The first grid is solved after its coarsenings (on the defaults one,
 last of them prolonged by cubic interpolation (3-7 steps on the defaults,
 the first factored); each later grid refines the one before and starts
 from its solution, prolonged the same way.  On the defaults only the
-first grid and its coarsening factor.  The middle and last grids take 2-4
-steps that factor nothing: they solve their Newton systems by GMRES
-preconditioned with one multigrid cycle, on the first grid's factors for
-the middle grid and a V-cycle through the middle grid's last Jacobian
-down to them for the last, and take their chord steps with such cycles.
+first grid and its coarsening factor, and only they take chord steps.
+The middle and last grids take 2-3 steps that factor nothing: each
+assembles its Jacobian and solves it by GMRES preconditioned with one
+multigrid cycle, on the first grid's factors for the middle grid and a
+V-cycle through the middle grid's last Jacobian down to them for the last.
 """
 import argparse
 import math

@@ -227,13 +227,19 @@ def boundary_d(spec: EquationSpec, P: PotentialFn, curve: BoundaryCurve) -> floa
     """The log coefficient as a boundary integral over a curve enclosing the
     hole, d = (integral - aw * area) / 2pi. With the weights (lw, cw, aw) of
     the equation's algebraic form, the integrand lw u_nu + cw u_1 (u_22, -u_12).nu
-    is the flux whose divergence is lw tr D^2u + cw det D^2u. A Hessian
-    off the equation's solution branch at a node raises NotAdmissible."""
+    is the flux whose divergence is lw tr D^2u + cw det D^2u. A node inside
+    the domain radius rho raises BadParams before P is evaluated (nodes on
+    |x| = rho round to just below it, hence the slack); a Hessian off the
+    equation's solution branch at a node raises NotAdmissible."""
     if spec.dim != 2 or P.dim != 2:
         raise WrongDimension("boundary_d is 2D only")
     lw, cw, aw = _row(spec, "div_form")(spec)
 
     def integrand(X, nu):
+        inside = np.flatnonzero(np.hypot(X[:, 0], X[:, 1]) < P.rho * (1 - 1e-12))
+        if inside.size:
+            raise BadParams(f"curve node {X[inside[0]].tolist()} lies inside the "
+                            f"solution's domain radius rho = {P.rho}")
         g = P.grads(X)
         H = P.hessians(X)
         bad = np.flatnonzero(~OPERATORS[spec.kind].in_branch(spec, H))

@@ -42,9 +42,25 @@ def _validate(instance: dict, schema_name: str):
         cls = jsonschema.validators.validator_for(schema)
         cls.check_schema(schema)
         validator = _VALIDATORS[schema_name] = cls(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    error = jsonschema.exceptions.best_match(
+        _selected_branch(e) for e in validator.iter_errors(instance))
     if error is not None:
         raise ConfigError(f"config does not match {schema_name}: {error.message}") from error
+
+
+def _selected_branch(error):
+    """A oneOf error whose branches each fix `kind` by a const, as the best
+    error of the branch that the instance's kind selects, so that a missing
+    key is named, not the other branch's kind.  Any other error as it is."""
+    import jsonschema
+
+    if error.validator != "oneOf" or not isinstance(error.instance, dict):
+        return error
+    kinds = [b.get("properties", {}).get("kind", {}).get("const") for b in error.validator_value]
+    if error.instance.get("kind") not in kinds:
+        return error
+    k = kinds.index(error.instance["kind"])
+    return jsonschema.exceptions.best_match(e for e in error.context if e.relative_schema_path[0] == k)
 
 
 def _comma_list(text: str, flag: str, types: tuple | None = None) -> list:
@@ -374,7 +390,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # non-finite values are refused where they enter, so numpy's warnings
+        # would only precede the one JSON error line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except LabError as e:
         _emit_error(e)
         return exit_code(e)

@@ -10,7 +10,8 @@ direct path factors its CSC copy by SuperLU under the minimum-degree
 ordering of J^T + J, which suits the structurally symmetric 9-point
 stencil.  The factors are kept for chord (simplified Newton) steps while
 the residual contracts, the frozen-Jacobian test of Deuflhard, "Newton
-Methods for Nonlinear Problems" (Springer 2004, sec. 2.1).
+Methods for Nonlinear Problems" (Springer 2004, sec. 2.1).  Only the direct
+path takes chord steps: there they save a factorization.
 
 Every solve is nested iteration (`_nested`), and only its small levels
 factor.  The last level and every level above FACTOR_MAX_UNKNOWNS unknowns,
@@ -20,8 +21,10 @@ forcing term of Eisenstat & Walker (SIAM J. Sci. Comput. 17, 1996),
 right-preconditioned by one multigrid cycle on the CSR Jacobian with
 matrix-free transfers.  Its coarse solve is the level below's `_Direct`
 factors or `_Cycle` on its last Jacobian: a V-cycle down to the largest
-level that factored.  Chord steps are CHORD_CYCLES such cycles on the
-frozen Jacobian, more on a V-cycle's levels while they pay.
+level that factored.  Such a level assembles the Jacobian at every
+iterate: an assembly costs a few matvecs, and a frozen Jacobian would save
+no factorization.  The coarse factors and the lower levels' Jacobians stay
+frozen.
 """
 
 from __future__ import annotations
@@ -45,19 +48,11 @@ DAMPING_FLOOR = 2.0 ** -20
 # sup-norm residual at least this much
 CHORD_CONTRACTION = 0.25
 # the multigrid path: damped-Jacobi sweeps before and after the coarse
-# correction and their weight, the GMRES iterations after which it falls back
-# to the direct path, and the cycles of one chord step
+# correction and their weight, and the GMRES iterations after which it falls
+# back to the direct path
 SMOOTHING_SWEEPS = 2
 JACOBI_WEIGHT = 0.7
 KRYLOV_MAX_ITER = 40
-CHORD_CYCLES = 3
-# on a V-cycle's levels a chord step goes on, up to CHORD_MAX_CYCLES cycles,
-# while the last cut |b - J x|_2 by CHORD_CYCLE_CUT: the criterion-8 MA
-# study's 65x128 then takes 3 Newton steps, not 4, and 129x256 2, not 4.  On
-# the last level of two they did not pay (medians of 41 interleaved runs):
-# MA 65x128 took 3 steps, not 4, in 11% more time, IHH 33x64 10 in 30% more
-CHORD_MAX_CYCLES = 8
-CHORD_CYCLE_CUT = 0.5
 # a level other than the last that `_nested` solves factors its Jacobian
 # only with at most this many unknowns (33x64 has 1984); any larger one
 # cycles down to the factors below it.  Medians of 21 interleaved studies:
@@ -77,8 +72,8 @@ class SolveReport:
     # one entry per Newton iteration: accepted step length t, number of
     # halvings before it, nnz of the LU factors it solved with (those at the
     # bottom of the cycle on the multigrid path), whether it factored its own
-    # Jacobian, its GMRES iterations (0 on direct and chord steps), and its
-    # residual evaluations (a rejected chord trial included)
+    # Jacobian, its GMRES iterations (0 on the direct path), and its residual
+    # evaluations (a rejected chord trial included)
     steps: list
 
     def to_dict(self) -> dict:
@@ -231,7 +226,7 @@ class _Direct:
     """The direct path: the sparse LU factors of each Newton Jacobian, whose
     back-solve is the chord step's and a `_Cycle` above's coarse solve."""
 
-    solve = chord = property(lambda self: self.lu.solve)
+    solve = property(lambda self: self.lu.solve)
     nnz = property(lambda self: self.lu.nnz)
 
     def step(self, J: sp.csr_matrix, rhs: np.ndarray, it: int):
@@ -256,14 +251,10 @@ class _Cycle:
     padded with its zero Dirichlet rows, restriction is (1/4, 1/2, 1/4) full
     weighting in theta, then radially, onto the coarse nodes."""
 
-    def __init__(self, grid: AnnulusGrid, coarse, hands_on: bool):
+    def __init__(self, grid: AnnulusGrid, coarse):
         self.m, self.n = (grid.n_r + 1) // 2, grid.n_theta // 2  # the coarse grid's
         self.coarse = coarse
         self.J = self.w = None  # the Jacobian of the last `step`, and the Jacobi weights on it
-        # chord steps go on past CHORD_CYCLES on the levels of a V-cycle:
-        # one that hands its cycle on, and one that cycles on such a level
-        self.max_cycles = (CHORD_MAX_CYCLES if hands_on or isinstance(coarse, _Cycle)
-                           else CHORD_CYCLES)
 
     nnz = property(lambda self: self.coarse.nnz)  # of the factors at the bottom of the cycle
 
@@ -306,20 +297,6 @@ class _Cycle:
         if step is not None and not np.isfinite(step).all():
             step = None
         return step, its
-
-    def chord(self, b: np.ndarray) -> np.ndarray:
-        """CHORD_CYCLES cycles for J x = b on the frozen J, then, up to
-        max_cycles, more while the last one cut |b - J x|_2 by the factor
-        CHORD_CYCLE_CUT and left it above the forcing term."""
-        x, norms = self.solve(b), [np.linalg.norm(b)]
-        eta = _forcing(float(np.max(np.abs(b))))
-        for k in range(1, self.max_cycles):
-            r = b - self.J @ x
-            norms.append(np.linalg.norm(r))
-            if k >= CHORD_CYCLES and not CHORD_CYCLE_CUT * norms[-2] >= norms[-1] > eta * norms[0]:
-                break
-            x += self.solve(r)
-        return x
 
 
 def _forcing(rinf: float) -> float:
@@ -378,11 +355,12 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
     Dirichlet data `rings` (inner, outer), from `start` or, if it is None,
     from the affine blend of that data.
 
-    The linear solver `lin` is a `_Direct` or a `_Cycle`.  Each iteration
-    after the first tries a chord step: a full step solved by `lin.chord` on
-    the last Jacobian, kept if every interior node stays admissible and the
-    sup-norm residual falls by the factor CHORD_CONTRACTION.  Otherwise the
-    Jacobian at the iterate is assembled and `lin.step` solves it; the line
+    The linear solver `lin` is a `_Direct` or a `_Cycle`.  On the direct
+    path each iteration after the first tries a chord step: a full step
+    solved by the held factors, kept if every interior node stays admissible
+    and the sup-norm residual falls by the factor CHORD_CONTRACTION.
+    Otherwise, and on every iteration of a `_Cycle`, the Jacobian at the
+    iterate is assembled and `lin.step` solves it; the line
     search halves that step until the sup-norm residual decreases and every
     interior node stays admissible.  The solve ends at a sup-norm residual
     <= NEWTON_TOL, or raises DidNotConverge after NEWTON_MAX_ITER iterations.
@@ -391,7 +369,7 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
     solve takes it off and cycles on it (module docstring) until GMRES misses
     its forcing term.  If `keep`, `handoff` holds this solve's own on return.
     """
-    lin = _Cycle(grid, handoff.pop(), keep) if handoff else _Direct()
+    lin = _Cycle(grid, handoff.pop()) if handoff else _Direct()
     U = _blend_initial(grid, *rings) if start is None else start.values.copy()
     U[0], U[-1] = rings  # the Dirichlet rows; no step changes them
 
@@ -408,9 +386,9 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
     while history[-1] > NEWTON_TOL and len(steps) < NEWTON_MAX_ITER:
         it, rinf = len(steps) + 1, history[-1]
         t, halvings, trials, krylov, new = 1.0, 0, 0, 0, None
-        if steps:
+        if steps and isinstance(lin, _Direct):
             trials += 1
-            step = lin.chord(res.ravel()).reshape(res.shape)
+            step = lin.solve(res.ravel()).reshape(res.shape)
             new = _trial(spec, grid, C, U, step, lambda r: r <= CHORD_CONTRACTION * rinf)
         factored = False
         if new is None:

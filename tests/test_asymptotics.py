@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -213,6 +214,22 @@ class TestBoundaryD:
         Theta = 0.9 pi, outside that SLE branch; no d is reported for it."""
         with pytest.raises(NotAdmissible, match="curve node"):
             boundary_d(spec, builtin("log-radial", {"dim": 2}), BoundaryCurve.circle(2.0))
+
+    def test_curve_inside_the_domain_radius_is_bad_params(self):
+        """An SLE oracle of rho = 2: a circle of radius 1.5 is refused before
+        the potential is evaluated; one on |x| = rho is integrated."""
+        P = oracle_sle(LaurentCoeffs(a1=-0.8, am1=-0.4, tail=(0.2, -0.1)), math.pi / 8)
+        assert P.rho == 2.0
+        spec = EquationSpec("SLE", 2, theta=math.pi / 4)
+
+        def fail(X):
+            raise AssertionError("evaluated")
+
+        unevaluated = dataclasses.replace(P, values_fn=fail, grads_fn=fail, hessians_fn=fail)
+        with pytest.raises(BadParams, match=r"curve node \[1\.5, 0\.0\] lies inside the "
+                                            r"solution's domain radius rho = 2\.0"):
+            boundary_d(spec, unevaluated, BoundaryCurve.circle(1.5))
+        assert boundary_d(spec, P, BoundaryCurve.circle(P.rho)) == pytest.approx(-0.4, abs=1e-6)
 
     def test_critical_phase_laplace_has_zero_d(self):
         """2D SLE at Theta = 0 is Laplace's equation; it is not supercritical,

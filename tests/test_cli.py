@@ -584,6 +584,44 @@ class TestRefusedWhereTheyEnter:
         rc, err = _main(["experiment", "--config", str(cfg_path)], capsys)
         assert (rc, err) == (2, {"kind": "BadParams", "message": message})
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "builtin"}, {"kind": "sle"}, {"kind": "builtin", "name": "nope"},
+        {"kind": "builtin", "name": "ma-radial", "extra": 1}, {"kind": "sle", "vartheta": -1},
+        {"kind": "sle", "vartheta": 0.5, "extra": True}])
+    def test_solution_spec_error_is_its_kinds_branch(self, tmp_path, capsys, fresh_validators,
+                                                     spec):
+        """A spec that breaks oracle.json is named by jsonschema's message on
+        the branch its kind selects, not by the other branch's kind."""
+        schema = cli._load_schema("oracle.json")
+        branch = next(b for b in schema["oneOf"]
+                      if b["properties"]["kind"]["const"] == spec["kind"])
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(spec, {**branch, "$defs": schema["$defs"]})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc, err = _main(["residual", "--solution", str(path), "--equation", "ma"], capsys)
+        assert (rc, err) == (2, {"kind": "ConfigError", "message":
+                                 f"config does not match oracle.json: {ref.value.message}"})
+        if len(spec) == 1:
+            assert ref.value.message.endswith("is a required property")
+
+    def test_overflowed_shell_is_one_line_on_stderr(self):
+        """numpy's overflow warnings do not precede the JSON error line."""
+        r = run(["fit", "--solution", "builtin:ma-radial", "--equation", "ma",
+                 "--shells", "1e300,2e300"])
+        assert r.returncode == 1
+        assert r.stderr.count("\n") == 1
+        assert json.loads(r.stderr)["error"]["kind"] == "NotAdmissible"
+
+    def test_boundary_circle_inside_rho(self, tmp_path, capsys, fresh_validators):
+        path = tmp_path / "sle.json"
+        path.write_text(json.dumps({"kind": "sle", "vartheta": math.pi / 8, "a1": -0.8,
+                                    "am1": -0.4, "tail": [0.2, -0.1]}))
+        rc, err = _main(["boundary-d", "--solution", str(path), "--equation", "sle",
+                         "--theta", str(math.pi / 4), "--radius", "1.5"], capsys)
+        assert rc == 2 and err["kind"] == "BadParams"
+        assert "inside the solution's domain radius rho = 2.0" in err["message"]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_shell_hessian(self, capsys):
         rc, err = _main(["fit", "--solution", "builtin:ma-radial", "--equation", "ma",

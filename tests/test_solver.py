@@ -427,7 +427,15 @@ class TestWarmStart:
         for _ in range(2):
             grids.append(grids[-1].refine())
         rows = convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), grids)
-        assert all(row["iterations"] <= 3 for row in rows[1:])
+        assert all(row["iterations"] <= 2 for row in rows[1:])
+
+    def test_few_steps_on_the_pipeline_ihh_grid(self):
+        """The logarithmic 33x64 IHH solve of `lab experiment`'s benchmark
+        config cycles on the 17x32 factors in a few re-linearized steps."""
+        rep = solve_annulus(IHH2, builtin("ihh-oracle", {"am1": 0.4}),
+                            AnnulusGrid(1.0, 8.0, 33, 64, "logarithmic"))
+        assert rep.final_residual_inf <= solver.NEWTON_TOL
+        assert rep.iterations <= 5
 
 
 class TestChordSteps:
@@ -488,6 +496,42 @@ class TestChordSteps:
             assert sum(step["factored"] for step in report.steps) == 0
             assert report.steps[0]["krylov"] > 0
             assert {step["nnzLU"] for step in report.steps} == {first.steps[-1]["nnzLU"]}
+
+
+class TestNewtonKrylovSteps:
+    """A level that cycles re-linearizes every Newton step: it takes no
+    chord trial, so each step is one GMRES solve on the Jacobian at its
+    iterate, evaluated once plus once per halving."""
+
+    @staticmethod
+    def _assert_no_chord_trial(cycled):
+        assert cycled
+        for *_, report in cycled:
+            for step in report.steps:
+                assert step["krylov"] > 0 and not step["factored"]
+                assert step["trials"] == 1 + step["halvings"]
+
+    def test_criterion_8_ma_grids(self, monkeypatch):
+        grids = [AnnulusGrid(1.0, 8.0, 33, 64, "uniform")]
+        for _ in range(2):
+            grids.append(grids[-1].refine())
+        calls = _spy_levels(monkeypatch)
+        convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), grids)
+        self._assert_no_chord_trial(calls[2:])  # 65x128 on factors, 129x256 on V-cycles
+
+    @pytest.mark.parametrize("kind,spacing", [("MA", "uniform"), ("SLE", "uniform"),
+                                              ("IHH", "logarithmic")])
+    def test_v_cycle_levels(self, monkeypatch, kind, spacing):
+        """With only 9x16 factoring, 17x32 cycles on its factors and 33x64
+        on V-cycles through 17x32."""
+        spec, P, r_in = _oracle_case(kind, 0.0)
+        grids = [AnnulusGrid(r_in, 8.0, 9, 16, spacing)]
+        for _ in range(2):
+            grids.append(grids[-1].refine())
+        monkeypatch.setattr(solver, "FACTOR_MAX_UNKNOWNS", 7 * 16)
+        calls = _spy_levels(monkeypatch)
+        convergence_study(spec, P, grids)
+        self._assert_no_chord_trial(calls[1:])
 
 
 def _track_factorizations(mp):
@@ -634,7 +678,7 @@ class TestTwoGrid:
         P = sp.kron(_prolong(np.eye(m))[:, ::2][1:-1, 1:-1], _prolong(np.eye(n))[::2].T)
         R = sp.kron(_full_weighting(2 * np.arange(m - 2) + 1, 2 * m - 3),
                     _full_weighting(2 * np.arange(n), 2 * n))
-        two_grid = solver._Cycle(grid, None, False)
+        two_grid = solver._Cycle(grid, None)
         rng = np.random.default_rng(3)  # entries in [-1, 1]: the bound is a few ulps
         e = rng.uniform(-1.0, 1.0, P.shape[1])
         r = rng.uniform(-1.0, 1.0, R.shape[1])
@@ -706,7 +750,7 @@ class TestBitwiseKernels:
     @given(st.integers(4, 12), st.integers(4, 24), st.data())
     @settings(max_examples=80, deadline=None)
     def test_restrict_is_the_rolled_one(self, m, n, data):
-        cycle = solver._Cycle(AnnulusGrid(1.0, 8.0, 2 * m - 1, 2 * n), None, False)
+        cycle = solver._Cycle(AnnulusGrid(1.0, 8.0, 2 * m - 1, 2 * n), None)
         r = data.draw(arrays(np.float64, (2 * m - 3) * 2 * n, elements=_ENTRIES))
         assert cycle.restrict(r).tobytes() == _rolled_restrict(cycle, r).tobytes()
 
@@ -722,7 +766,7 @@ class TestBitwiseKernels:
         G = np.eye(2) + 0.1 * rng.normal(size=(grid.n_r - 2, grid.n_theta, 2, 2))
         J = solver._assemble_jacobian(grid, solver._hessian_coefficients(grid), G,
                                       *solver._csr_pattern(grid))
-        cycle = solver._Cycle(grid, types.SimpleNamespace(solve=lambda b: -0.5 * b), False)
+        cycle = solver._Cycle(grid, types.SimpleNamespace(solve=lambda b: -0.5 * b))
         cycle.J, cycle.w = J, solver.JACOBI_WEIGHT / J.diagonal()
         b = data.draw(arrays(np.float64, J.shape[0], elements=_ENTRIES))
         assert cycle.solve(b).tobytes() == _out_of_place_solve(cycle, b).tobytes()
