@@ -71,11 +71,12 @@ def hessian_limit(P: PotentialFn, shells: ShellSpec) -> tuple[SymMat, float]:
     """Far-field Hessian A (outermost-shell mean) and the decay slope of
     the per-shell max of ||D^2 P - A||.
 
-    Raises NotAdmissible naming the first Hessian that is not finite, and
-    NoDecay when the outermost residual exceeds the innermost one: the
+    Raises BadParams for a shell inside the domain radius rho before P is
+    evaluated, NotAdmissible naming the first Hessian that is not finite,
+    and NoDecay when the outermost residual exceeds the innermost one: the
     Hessian is not settling (e.g. critical-phase counterexamples).
     """
-    hessians = P.hessians(shells.points(P.dim)).reshape(
+    hessians = P.hessians(P.outside_rho(shells.points(P.dim), "shell point")).reshape(
         len(shells.radii), shells.points_per_shell, P.dim, P.dim)
     bad = np.argwhere(~np.isfinite(hessians).all(axis=(2, 3)))
     if bad.size:  # overflowed: name it, not the log kernel it would spoil
@@ -130,7 +131,8 @@ def fit_profile(P: PotentialFn, spec: EquationSpec, shells: ShellSpec,
                 seed: int | None = None) -> AsymptoticProfile:
     """Two-stage fit: A from the Hessian limit, then linear least squares for
     (b, c, d) against {x1, x2, 1, log(x'Lx)/2} over all shell samples.
-    The log column is dropped for dim 3 (no log term in the expansion)."""
+    The log column is dropped for dim 3 (no log term in the expansion); a
+    shell inside the domain radius rho is BadParams from `hessian_limit`."""
     A, _ = hessian_limit(P, shells)
     with_log = P.dim == 2
     L = log_kernel(spec, A) if with_log else SymMat.identity(P.dim)
@@ -228,18 +230,14 @@ def boundary_d(spec: EquationSpec, P: PotentialFn, curve: BoundaryCurve) -> floa
     hole, d = (integral - aw * area) / 2pi. With the weights (lw, cw, aw) of
     the equation's algebraic form, the integrand lw u_nu + cw u_1 (u_22, -u_12).nu
     is the flux whose divergence is lw tr D^2u + cw det D^2u. A node inside
-    the domain radius rho raises BadParams before P is evaluated (nodes on
-    |x| = rho round to just below it, hence the slack); a Hessian off the
-    equation's solution branch at a node raises NotAdmissible."""
+    the domain radius rho raises BadParams before P is evaluated; a Hessian
+    off the equation's solution branch at a node raises NotAdmissible."""
     if spec.dim != 2 or P.dim != 2:
         raise WrongDimension("boundary_d is 2D only")
     lw, cw, aw = _row(spec, "div_form")(spec)
 
     def integrand(X, nu):
-        inside = np.flatnonzero(np.hypot(X[:, 0], X[:, 1]) < P.rho * (1 - 1e-12))
-        if inside.size:
-            raise BadParams(f"curve node {X[inside[0]].tolist()} lies inside the "
-                            f"solution's domain radius rho = {P.rho}")
+        P.outside_rho(X, "curve node")
         g = P.grads(X)
         H = P.hessians(X)
         bad = np.flatnonzero(~OPERATORS[spec.kind].in_branch(spec, H))

@@ -205,7 +205,7 @@ def _write_samples_csv(P: PotentialFn, shells, path: str, seed: int):
     else:
         header = "x1,x2,x3,u,du1,du2,du3,h11,h12,h22,h13,h23,h33"
         entries = [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)]
-    X = shells.points(P.dim, seed=seed)
+    X = P.outside_rho(shells.points(P.dim, seed=seed), "shell point")
     H = P.hessians(X)
     table = np.column_stack([X, P.values(X), P.grads(X)]
                             + [H[:, i, j] for i, j in entries])

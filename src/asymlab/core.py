@@ -139,6 +139,15 @@ class PotentialFn:
             raise BadParams("evaluation points must be finite")
         return X
 
+    def outside_rho(self, X: np.ndarray, what: str) -> np.ndarray:
+        """X (N, dim), checked before the potential is evaluated there: BadParams names
+        its first point inside rho (points on |x| = rho round to just below it: the slack)."""
+        inside = np.flatnonzero(np.linalg.norm(X, axis=1) < self.rho * (1 - 1e-12))
+        if inside.size:
+            raise BadParams(f"{what} {X[inside[0]].tolist()} lies inside the "
+                            f"solution's domain radius rho = {self.rho}")
+        return X
+
     def values(self, X) -> np.ndarray:
         return self.values_fn(self._points(X))
 

@@ -2,29 +2,26 @@
 
 The discrete unknown is the potential at interior radial rows (theta is
 periodic, the two radial boundary rows carry Dirichlet data).  Cartesian
-Hessians are H = sum_k C_k S_k U: stencil sums of second-order centered
-differences in the (log-)radial and angular coordinates times the polar
-chain-rule coefficients; the Jacobian contracts the same C_k with dF/dM,
-written straight into CSR order with closed-form column indices.  The
-direct path factors its CSC copy by SuperLU under the minimum-degree
-ordering of J^T + J, which suits the structurally symmetric 9-point
-stencil.  The factors are kept for chord (simplified Newton) steps while
-the residual contracts, the frozen-Jacobian test of Deuflhard, "Newton
-Methods for Nonlinear Problems" (Springer 2004, sec. 2.1).  Only the direct
-path takes chord steps: there they save a factorization.
+Hessians are stencil sums S_k U of second-order centered differences in the
+(log-)radial and angular coordinates times the polar chain rule, kept as its
+radial and angular factors R_k and T_k.  The Jacobian contracts the same
+factors with dF/dM, written straight into CSR storage with closed-form
+column indices; a level drops its last Jacobian before it assembles the
+next.  The direct path factors a CSC copy by SuperLU under the
+minimum-degree ordering of J^T + J, which suits the structurally symmetric
+9-point stencil, and keeps the factors for chord (simplified Newton) steps
+while the residual contracts (Deuflhard, "Newton Methods for Nonlinear
+Problems", Springer 2004, sec. 2.1): there they save a factorization.
 
 Every solve is nested iteration (`_nested`), and only its small levels
 factor.  The last level and every level above FACTOR_MAX_UNKNOWNS unknowns,
 if a level lies below it, run inexact Newton-Krylov (Knoll & Keyes,
-J. Comput. Phys. 193, 2004), each Newton system solved by GMRES to the
-forcing term of Eisenstat & Walker (SIAM J. Sci. Comput. 17, 1996),
-right-preconditioned by one multigrid cycle on the CSR Jacobian with
-matrix-free transfers.  Its coarse solve is the level below's `_Direct`
-factors or `_Cycle` on its last Jacobian: a V-cycle down to the largest
-level that factored.  Such a level assembles the Jacobian at every
-iterate: an assembly costs a few matvecs, and a frozen Jacobian would save
-no factorization.  The coarse factors and the lower levels' Jacobians stay
-frozen.
+J. Comput. Phys. 193, 2004): GMRES to the forcing term of Eisenstat &
+Walker (SIAM J. Sci. Comput. 17, 1996), right-preconditioned by one
+multigrid cycle with matrix-free transfers, a V-cycle through the lower
+levels' last Jacobians down to the largest level that factored.  Such a
+level assembles the Jacobian at every iterate, which costs a few matvecs;
+the coarse factors and the lower levels' Jacobians stay frozen.
 """
 
 from __future__ import annotations
@@ -121,11 +118,10 @@ def _stencil_sums(grid: AnnulusGrid, U: np.ndarray) -> np.ndarray:
     return S
 
 
-def _hessian_coefficients(grid: AnnulusGrid) -> np.ndarray:
-    """The polar chain rule as coefficients C (5, n_r - 2, n_theta, 2, 2):
-    the Cartesian Hessian at an interior node is H = sum_k C[k] S_k U."""
-    ht, hth = grid.h_t, grid.h_theta
-    r = grid.r[1:-1]
+def _hessian_coefficients(grid: AnnulusGrid):
+    """The polar chain rule as factors T (5, 3, n_theta) and R (5, n_r - 2):
+    (H11, H12, H22) at interior node (i, j) is sum_k R[k, i] T[k, :, j] S_k U."""
+    ht, hth, r = grid.h_t, grid.h_theta, grid.r[1:-1]
     c, s = np.cos(grid.theta), np.sin(grid.theta)
     cc, cs, ss = c * c, c * s, s * s
     # (H11, H12, H22) on (u_rr, u_rth, u_thth, u_r, u_th): angular factors
@@ -137,16 +133,22 @@ def _hessian_coefficients(grid: AnnulusGrid) -> np.ndarray:
         # u_r = u_t/r, u_rr = (u_tt - u_t)/r^2, u_rth = u_tth/r
         T[3] -= T[0]
         R[:] = 1 / r ** 2
-    R *= np.array([1 / ht ** 2, 1 / (4 * ht * hth), 1 / hth ** 2,
-                   1 / (2 * ht), 1 / (2 * hth)])[:, None]
-    # stored entry-major, so that each entry is contiguous over the nodes
-    C = T[:, [0, 1, 1, 2], None, :] * R[:, None, :, None]
-    return np.moveaxis(C, 1, -1).reshape(5, len(r), grid.n_theta, 2, 2)
+    return T, R * np.array([1 / ht ** 2, 1 / (4 * ht * hth), 1 / hth ** 2,
+                            1 / (2 * ht), 1 / (2 * hth)])[:, None]
 
 
-def _hessians(grid: AnnulusGrid, U: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Cartesian Hessians (n_r - 2, n_theta, 2, 2) at interior nodes."""
-    return np.einsum("k...ab,k...->...ab", C, _stencil_sums(grid, U))
+def _hessians(grid: AnnulusGrid, U: np.ndarray, C) -> np.ndarray:
+    """Interior Cartesian Hessians (n_r - 2, n_theta, 2, 2): R S U contracted with T."""
+    S = _stencil_sums(grid, U)
+    S *= C[1][:, :, None]
+    return np.einsum("kij,kej->ije", S, C[0][:, [0, 1, 1, 2]]).reshape(*S.shape[1:], 2, 2)
+
+
+def _stencil_weights(C, G: np.ndarray) -> np.ndarray:
+    """W (5, n_r - 2, n_theta), the weights of S_k U in F: W_k = R_k sum_e T_ke G_e, G = dF/dM."""
+    W = np.einsum("kej,eij->kij", C[0], (G[..., 0, 0], G[..., 0, 1] + G[..., 1, 0], G[..., 1, 1]))
+    W *= C[1][:, :, None]
+    return W
 
 
 def _csr_pattern(grid: AnnulusGrid):
@@ -165,21 +167,22 @@ def _csr_pattern(grid: AnnulusGrid):
     return indices, indptr
 
 
-def _assemble_jacobian(grid: AnnulusGrid, C: np.ndarray, G: np.ndarray,
+def _assemble_jacobian(grid: AnnulusGrid, C, G: np.ndarray,
                        indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
-    """dF/dU from G = dF/dM (n_r - 2, n_theta, 2, 2): S_k U enters F with
-    weight sum_ab G_ab C[k]_ab, spread over the stencil offsets.  Written in
-    the CSR order of `_csr_pattern`, with sorted column indices."""
-    nI, nT = grid.n_r - 2, grid.n_theta
-    W = np.einsum("k...ab,...ab->k...", C, G)
-    # A[i, j, di + 1, b]: the entry of node (i, j) at its neighbor in row
-    # i + di and in the b-th smallest of the columns j - 1, j, j + 1 (mod
-    # n_theta), which are in offset order except where theta wraps
-    A = np.tensordot(W, _STENCIL_TABLE, axes=(0, 1)).reshape(nI, nT, 3, 3)
-    A[:, 0] = A[:, 0][..., [1, 2, 0]]
-    A[:, -1] = A[:, -1][..., [2, 0, 1]]
-    data = np.concatenate([A[0, :, 1:], A[1:-1], A[-1, :, :2]], axis=None)
-    return sp.csr_matrix((data, indices, indptr), shape=(nI * nT, nI * nT))
+    """dF/dU from G = dF/dM: `_stencil_weights` spread over the stencil offsets,
+    written straight into the CSR storage of `_csr_pattern`'s sorted columns."""
+    W, n = _stencil_weights(C, G), 6 * grid.n_theta
+    data = np.empty(len(indices))
+    # the first and last interior rows have no unknown neighbor below or above
+    for A, rows, table in ((data[:n], W[:, :1], _STENCIL_TABLE[3:]),
+                           (data[n:-n], W[:, 1:-1], _STENCIL_TABLE),
+                           (data[-n:], W[:, -1:], _STENCIL_TABLE[:6])):
+        np.matmul(rows.reshape(5, -1).T, table.T, out=A.reshape(-1, len(table)))
+        # A[i, j, di, b]: node (i, j)'s entry in the di-th neighbor row `table` covers and in the
+        # b-th smallest column of j - 1, j, j + 1 (mod n_theta): offset order but where theta wraps
+        A = A.reshape(-1, grid.n_theta, len(table) // 3, 3)
+        A[:, 0], A[:, -1] = A[:, 0][..., [1, 2, 0]], A[:, -1][..., [2, 0, 1]]
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
 
 
 def _blend_initial(grid: AnnulusGrid, inner, outer) -> np.ndarray:
@@ -255,6 +258,10 @@ class _Cycle:
         self.m, self.n = (grid.n_r + 1) // 2, grid.n_theta // 2  # the coarse grid's
         self.coarse = coarse
         self.J = self.w = None  # the Jacobian of the last `step`, and the Jacobi weights on it
+        # the diagonal's place in each CSR row: j's rank in j, j +- 1 mod n_theta, + 3 after row 0
+        self.diag = np.ones((grid.n_r - 2, grid.n_theta), dtype=np.int32)
+        self.diag[:, [0, -1]] = 0, 2
+        self.diag[1:] += 3
 
     nnz = property(lambda self: self.coarse.nnz)  # of the factors at the bottom of the cycle
 
@@ -292,7 +299,7 @@ class _Cycle:
         """Solve J step = rhs by GMRES, preconditioned with one cycle, to the
         forcing term at |rhs|_inf: (step, GMRES iterations), or step None if it
         missed that in KRYLOV_MAX_ITER iterations or gave a non-finite step."""
-        self.J, self.w = J, JACOBI_WEIGHT / J.diagonal()
+        self.J, self.w = J, JACOBI_WEIGHT / J.data[J.indptr[:-1] + self.diag.ravel()]
         step, its = _gmres(J, self.solve, rhs, _forcing(float(np.max(np.abs(rhs)))))
         if step is not None and not np.isfinite(step).all():
             step = None
@@ -333,7 +340,7 @@ def _gmres(A: sp.csr_matrix, M, b: np.ndarray, rtol: float):
     return None, KRYLOV_MAX_ITER
 
 
-def _trial(spec: EquationSpec, grid: AnnulusGrid, C: np.ndarray, U: np.ndarray,
+def _trial(spec: EquationSpec, grid: AnnulusGrid, C, U: np.ndarray,
            step: np.ndarray, accept):
     """Evaluate the iterate U - step once: its (U, H, residual, sup-norm
     residual) if `accept` takes that sup norm and every interior node is
@@ -360,8 +367,8 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
     solved by the held factors, kept if every interior node stays admissible
     and the sup-norm residual falls by the factor CHORD_CONTRACTION.
     Otherwise, and on every iteration of a `_Cycle`, the Jacobian at the
-    iterate is assembled and `lin.step` solves it; the line
-    search halves that step until the sup-norm residual decreases and every
+    iterate replaces the last one and `lin.step` solves it; the line search
+    halves that step until the sup-norm residual decreases and every
     interior node stays admissible.  The solve ends at a sup-norm residual
     <= NEWTON_TOL, or raises DidNotConverge after NEWTON_MAX_ITER iterations.
 
@@ -392,6 +399,7 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
             new = _trial(spec, grid, C, U, step, lambda r: r <= CHORD_CONTRACTION * rinf)
         factored = False
         if new is None:
+            J = lin.J = None  # the last Jacobian goes (from a `_Cycle` too) before the next is made
             J = _assemble_jacobian(grid, C, op.gradient(spec, H), indices, indptr)
             step, krylov = lin.step(J, res.ravel(), it)
             if step is None:  # GMRES missed its forcing term: the direct path from here on

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -400,6 +401,17 @@ def _main(args, capsys):
     return rc, (json.loads(err)["error"] if err else None)
 
 
+def _never_evaluated(monkeypatch):
+    """Make `cli.parse_solution` return its potential with callbacks that
+    fail if called."""
+    def fail(X):
+        raise AssertionError("the potential was evaluated")
+
+    parse = cli.parse_solution
+    monkeypatch.setattr(cli, "parse_solution", lambda *a: dataclasses.replace(
+        parse(*a), values_fn=fail, grads_fn=fail, hessians_fn=fail))
+
+
 @pytest.fixture
 def fresh_validators(monkeypatch):
     """An empty validator cache, so the next _validate builds its validator,
@@ -621,6 +633,33 @@ class TestRefusedWhereTheyEnter:
                          "--theta", str(math.pi / 4), "--radius", "1.5"], capsys)
         assert rc == 2 and err["kind"] == "BadParams"
         assert "inside the solution's domain radius rho = 2.0" in err["message"]
+
+    def test_fit_shell_inside_rho(self, capsys, monkeypatch, fresh_validators):
+        """`lab fit` of the ihh-oracle with am1 = 0.4 (rho = 1) on shells 0.5,
+        1 and 2 refuses the shell inside rho before the potential is
+        evaluated; it was InverseMapDiverged (exit 1)."""
+        _never_evaluated(monkeypatch)
+        rc, err = _main(["fit", "--solution", "builtin:ihh-oracle", "--params", '{"am1": 0.4}',
+                         "--equation", "ihh", "--shells", "0.5,1,2"], capsys)
+        assert rc == 2
+        assert err == {"kind": "BadParams", "message": "shell point [0.5, 0.0] lies inside "
+                                                       "the solution's domain radius rho = 1.0"}
+
+    def test_oracle_shell_inside_rho(self, tmp_path, capsys, monkeypatch, fresh_validators):
+        """`lab oracle` of that oracle on radii 0.3, 0.5 and 1 refuses the
+        first before any sample is evaluated or written (it was
+        InverseMapDiverged, exit 1); a shell on |x| = rho is sampled."""
+        args = ["oracle", "--solution", "builtin:ihh-oracle", "--params", '{"am1": 0.4}',
+                "--outputs", str(tmp_path), "--radii"]
+        with monkeypatch.context() as mp:
+            _never_evaluated(mp)
+            rc, err = _main(args + ["0.3,0.5,1"], capsys)
+        assert rc == 2
+        assert err == {"kind": "BadParams", "message": "shell point [0.3, 0.0] lies inside "
+                                                       "the solution's domain radius rho = 1.0"}
+        assert not (tmp_path / "samples.csv").exists()
+        assert _main(args + ["1,2"], capsys) == (0, None)
+        assert (tmp_path / "samples.csv").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_shell_hessian(self, capsys):

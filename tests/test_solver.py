@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -881,7 +882,7 @@ def _coo_jacobian(grid, C, G):
     """The Jacobian as COO triplets, one block per stencil offset, converted
     to CSC: the reference the CSR assembly must reproduce bit for bit."""
     nI, nT = grid.n_r - 2, grid.n_theta
-    W = np.einsum("k...ab,...ab->k...", C, G)
+    W = solver._stencil_weights(C, G)
     node = np.arange(nI * nT, dtype=np.int32).reshape(nI, nT)
     data, rows, cols = [], [], []
     for (di, dj), st in solver._STENCILS.items():
@@ -894,6 +895,14 @@ def _coo_jacobian(grid, C, G):
          (np.concatenate(rows, axis=None), np.concatenate(cols, axis=None))),
         shape=(nI * nT, nI * nT))
     return J.tocsc()
+
+
+def _dense_coefficients(grid):
+    """The polar chain rule as one dense table C (5, n_r - 2, n_theta, 2, 2),
+    C[k]_ab = R[k] T[k, e(ab)], the form the two factors replace."""
+    T, R = solver._hessian_coefficients(grid)
+    C = T[:, [0, 1, 1, 2], None, :] * R[:, None, :, None]
+    return np.moveaxis(C, 1, -1).reshape(5, grid.n_r - 2, grid.n_theta, 2, 2)
 
 
 def _rolled_stencil_sums(grid, U):
@@ -933,6 +942,72 @@ class TestAssembly:
         zero = rng.integers(3, size=U.shape)  # signed zeros, for the sums' +0.0 start
         U[zero == 1], U[zero == 2] = 0.0, -0.0
         assert solver._stencil_sums(grid, U).tobytes() == _rolled_stencil_sums(grid, U).tobytes()
+
+    # each form sums at most five products of rounded factors (the factored W
+    # rounds G12 + G21 first), so each lies within 6 eps sum |C_k S_k| (or
+    # sum |C_ab G_ab|) of the exact value and they differ by at most twice
+    # that.  The largest ratio seen in 600 random draws of grid, radii, U and
+    # G was 2.9 eps.
+    ROUNDOFF = 12 * np.finfo(float).eps
+
+    @given(n_r=st.integers(4, 40), half_n_theta=st.integers(4, 32),
+           spacing=st.sampled_from(["uniform", "logarithmic"]),
+           ratio=st.floats(1.1, 100.0), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_factored_chain_rule_is_the_dense_table(self, n_r, half_n_theta, spacing, ratio,
+                                                     seed):
+        """H from the factors T and R, and the stencil weights W, agree with
+        the dense table's to roundoff, entry by entry: |H - H_C| <= ROUNDOFF
+        sum_k |C_k| |S_k U| and |W - W_C| <= ROUNDOFF sum_ab |C_ab| |G_ab|."""
+        grid = AnnulusGrid(1.0, ratio, n_r, 2 * half_n_theta, spacing)
+        rng = np.random.default_rng(seed)
+        U = rng.normal(size=(n_r, grid.n_theta))
+        G = rng.normal(size=(n_r - 2, grid.n_theta, 2, 2))
+        C, S = _dense_coefficients(grid), solver._stencil_sums(grid, U)
+        factors = solver._hessian_coefficients(grid)
+        H_C = np.einsum("k...ab,k...->...ab", C, S)
+        bound = self.ROUNDOFF * np.einsum("k...ab,k...->...ab", np.abs(C), np.abs(S))
+        assert (np.abs(solver._hessians(grid, U, factors) - H_C) <= bound).all()
+        W_C = np.einsum("k...ab,...ab->k...", C, G)
+        bound = self.ROUNDOFF * np.einsum("k...ab,...ab->k...", np.abs(C), np.abs(G))
+        assert (np.abs(solver._stencil_weights(factors, G) - W_C) <= bound).all()
+
+    @given(m=st.integers(4, 12), n=st.integers(4, 16),
+           spacing=st.sampled_from(["uniform", "logarithmic"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_jacobi_weights_are_the_assembled_diagonal(self, m, n, spacing, seed):
+        """`_Cycle.step` reads the diagonal at its fixed place in the CSR
+        data: its weights are JACOBI_WEIGHT / J.diagonal() bit for bit on
+        every row, the first and last interior rows and the theta-wrap
+        columns included.  A random G makes a row's entries all differ, so a
+        wrong place shows."""
+        grid = AnnulusGrid(1.0, 8.0, 2 * m - 1, 2 * n, spacing)
+        rng = np.random.default_rng(seed)
+        G = np.eye(2) + 0.1 * rng.normal(size=(grid.n_r - 2, grid.n_theta, 2, 2))
+        J = solver._assemble_jacobian(grid, solver._hessian_coefficients(grid), G,
+                                      *solver._csr_pattern(grid))
+        cycle = solver._Cycle(grid, types.SimpleNamespace(solve=lambda b: -0.5 * b))
+        cycle.step(J, rng.normal(size=J.shape[0]), 1)
+        assert cycle.J is J
+        assert cycle.w.tobytes() == (solver.JACOBI_WEIGHT / J.diagonal()).tobytes()
+
+
+def test_criterion_8_ma_study_working_set():
+    """The traced peak of the criterion-8 MA study stays under 12 MiB (10.7
+    MiB measured): no dense chain-rule table (5.2 MB at 129x256), no
+    assembly temporaries beside the CSR data, and at most one Jacobian alive
+    per level.  The form with all three read 18.4 MiB."""
+    grids = [AnnulusGrid(1.0, 8.0, 33, 64, "uniform")]
+    grids += [grids[0].refine(), grids[0].refine().refine()]
+    P = builtin("ma-radial", {"c": 1.0})
+    tracemalloc.start()
+    try:
+        convergence_study(MA2, P, grids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
 
 
 class TestEvaluations:
