@@ -51,14 +51,16 @@ def _validate(instance: dict, schema_name: str):
 def _selected_branch(error):
     """A oneOf error whose branches each fix `kind` by a const, as the best
     error of the branch that the instance's kind selects, so that a missing
-    key is named, not the other branch's kind.  Any other error as it is."""
+    key is named, not the other branch's kind; with no kind or an unknown
+    one, as the error on `kind` itself.  Any other error as it is."""
     import jsonschema
 
     if error.validator != "oneOf" or not isinstance(error.instance, dict):
         return error
     kinds = [b.get("properties", {}).get("kind", {}).get("const") for b in error.validator_value]
     if error.instance.get("kind") not in kinds:
-        return error
+        on_kind = {"required": ["kind"], "properties": {"kind": {"enum": kinds}}}
+        return next(jsonschema.Draft202012Validator(on_kind).iter_errors(error.instance))
     k = kinds.index(error.instance["kind"])
     return jsonschema.exceptions.best_match(e for e in error.context if e.relative_schema_path[0] == k)
 

@@ -13,15 +13,15 @@ minimum-degree ordering of J^T + J, which suits the structurally symmetric
 while the residual contracts (Deuflhard, "Newton Methods for Nonlinear
 Problems", Springer 2004, sec. 2.1): there they save a factorization.
 
-Every solve is nested iteration (`_nested`), and only its small levels
-factor.  The last level and every level above FACTOR_MAX_UNKNOWNS unknowns,
-if a level lies below it, run inexact Newton-Krylov (Knoll & Keyes,
+Every solve is nested iteration (`_nested`), and only its first level
+factors.  Every level above it runs inexact Newton-Krylov (Knoll & Keyes,
 J. Comput. Phys. 193, 2004): GMRES to the forcing term of Eisenstat &
 Walker (SIAM J. Sci. Comput. 17, 1996), right-preconditioned by one
 multigrid cycle with matrix-free transfers, a V-cycle through the lower
-levels' last Jacobians down to the largest level that factored.  Such a
-level assembles the Jacobian at every iterate, which costs a few matvecs;
-the coarse factors and the lower levels' Jacobians stay frozen.
+levels' last Jacobians down to the first level's factors.  Such a level
+assembles the Jacobian at every iterate, which costs a few matvecs; the
+coarse factors and the lower levels' Jacobians stay frozen.  A level
+factors its own Jacobian only when GMRES misses its forcing term.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ CHORD_CONTRACTION = 0.25
 SMOOTHING_SWEEPS = 2
 JACOBI_WEIGHT = 0.7
 KRYLOV_MAX_ITER = 40
-# a level other than the last that `_nested` solves factors its Jacobian
-# only with at most this many unknowns (33x64 has 1984); any larger one
-# cycles down to the factors below it.  Medians of 21 interleaved studies:
-# SLE 33x64 took 14.5 ms cycled on the 17x32 factors, 12.6 ms factored; MA
-# 65x128 took 18.7 ms cycled on the 33x64 factors, 32.3 ms factored
-FACTOR_MAX_UNKNOWNS = 2048
 
 
 @dataclass
@@ -319,10 +313,10 @@ def _gmres(A: sp.csr_matrix, M, b: np.ndarray, rtol: float):
     iterations do not reach it or the basis is not finite.  The basis grows
     one vector per iteration, so its memory is what the iterations use."""
     beta = np.linalg.norm(b)
-    V, Z = [b / beta], []  # the Arnoldi basis, and M of it
+    V, Z, rot = [b / beta], [], []  # the Arnoldi basis, M of it, and H's Givens rotations
     H = np.zeros((KRYLOV_MAX_ITER + 1, KRYLOV_MAX_ITER))
     g = np.zeros(KRYLOV_MAX_ITER + 1)
-    g[0] = beta
+    g[0] = res = beta  # res: the least-squares residual, beta times the rotations' |sin|
     for k in range(KRYLOV_MAX_ITER):
         Z.append(M(V[k]))
         w = A @ Z[k]
@@ -332,9 +326,14 @@ def _gmres(A: sp.csr_matrix, M, b: np.ndarray, rtol: float):
         H[k + 1, k] = np.linalg.norm(w)
         if not np.isfinite(H[:k + 2, k]).all():
             return None, k + 1
-        Hk, gk = H[:k + 2, :k + 1], g[:k + 2]
-        y = np.linalg.lstsq(Hk, gk, rcond=None)[0]
-        if np.linalg.norm(gk - Hk @ y) <= rtol * beta:
+        h = H[:k + 2, k].tolist()
+        for i, (c, s) in enumerate(rot):  # the earlier rotations, on the new column
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        r = np.hypot(h[k], h[k + 1])  # a numpy scalar, so that 0 / 0 is nan, not an exception
+        rot.append((h[k] / r, h[k + 1] / r))
+        res *= abs(rot[-1][1])
+        if res <= rtol * beta:
+            y = np.linalg.lstsq(H[:k + 2, :k + 1], g[:k + 2], rcond=None)[0]
             return sum(yi * z for yi, z in zip(y, Z)), k + 1
         V.append(w / H[k + 1, k])
     return None, KRYLOV_MAX_ITER
@@ -443,8 +442,8 @@ def _nested(spec: EquationSpec, P: PotentialFn, grids: list[AnnulusGrid]) -> lis
     iteration (Brandt, Math. Comp. 31, 1977): the first grid's `_coarsenings`,
     the coarsest from the blend, then every level from the one before it
     prolonged, each on the last grid's data at every other node (every
-    fourth, ...).  A level leaves the next its coarse solve if the next is
-    the last level or has more than FACTOR_MAX_UNKNOWNS unknowns.  A
+    fourth, ...).  Every level but the last leaves the next its linear
+    solver as the coarse solve, so only the first level factors.  A
     numerical failure on a coarsening drops the rest of the chain, and one
     from a prolonged start leaves the grid to be solved from the blend, direct.
     """
@@ -466,9 +465,7 @@ def _nested(spec: EquationSpec, P: PotentialFn, grids: list[AnnulusGrid]) -> lis
         coarse = i < len(chain)
         if coarse and i and prev is None:
             continue  # a coarsening failed: the rest of the chain goes
-        nxt = levels[i + 1] if i + 1 < len(levels) else None
-        keep = nxt is not None and (
-            i + 2 == len(levels) or (nxt.n_r - 2) * nxt.n_theta > FACTOR_MAX_UNKNOWNS)
+        keep = i + 1 < len(levels)
         first = None if prev is None else AnnulusField(grid, _prolong(prev.values))
         data = tuple(ring[::grids[-1].n_theta // grid.n_theta] for ring in rings)
         report = None

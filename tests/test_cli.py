@@ -617,6 +617,20 @@ class TestRefusedWhereTheyEnter:
         if len(spec) == 1:
             assert ref.value.message.endswith("is a required property")
 
+    @pytest.mark.parametrize("spec, message", [
+        ({}, "'kind' is a required property"),
+        ({"kind": "nope"}, "'nope' is not one of ['sle', 'builtin']"),
+        ({"kind": None, "name": "ma-radial"}, "None is not one of ['sle', 'builtin']")])
+    def test_solution_spec_without_a_known_kind(self, tmp_path, capsys, fresh_validators,
+                                                spec, message):
+        """A spec with no kind, or one that selects no branch, is named by
+        jsonschema's message on `kind`, not by the generic oneOf message."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc, err = _main(["residual", "--solution", str(path), "--equation", "ma"], capsys)
+        assert (rc, err) == (2, {"kind": "ConfigError", "message":
+                                 f"config does not match oracle.json: {message}"})
+
     def test_overflowed_shell_is_one_line_on_stderr(self):
         """numpy's overflow warnings do not precede the JSON error line."""
         r = run(["fit", "--solution", "builtin:ma-radial", "--equation", "ma",

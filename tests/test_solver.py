@@ -482,17 +482,16 @@ class TestChordSteps:
             assert max(solving) == 1 and not alive
 
     def test_one_factorization_per_refined_criterion_8_ma_grid(self, monkeypatch):
-        """The first grid is solved from its coarsening and factors once; the
-        two grids above the factoring floor factor nothing and solve by
-        cycles down to the first grid's factors."""
+        """Only the first level solved, the 17x32 coarsening, factors; the
+        three grids factor nothing and solve by cycles down to its factors."""
         grids = [AnnulusGrid(1.0, 8.0, 33, 64, "uniform")]
         for _ in range(2):
             grids.append(grids[-1].refine())
         calls = _spy_levels(monkeypatch)
         convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), grids)
         assert [grid for grid, *_ in calls] == [AnnulusGrid(1.0, 8.0, 17, 32, "uniform"), *grids]
-        (*_, first), *cycled = calls[1:]
-        assert sum(step["factored"] for step in first.steps) == 1
+        (*_, first), *cycled = calls
+        assert sum(step["factored"] for step in first.steps) == 2
         for *_, report in cycled:
             assert sum(step["factored"] for step in report.steps) == 0
             assert report.steps[0]["krylov"] > 0
@@ -518,18 +517,17 @@ class TestNewtonKrylovSteps:
             grids.append(grids[-1].refine())
         calls = _spy_levels(monkeypatch)
         convergence_study(MA2, builtin("ma-radial", {"c": 1.0}), grids)
-        self._assert_no_chord_trial(calls[2:])  # 65x128 on factors, 129x256 on V-cycles
+        self._assert_no_chord_trial(calls[1:])  # 33x64 on the 17x32 factors, then V-cycles
 
     @pytest.mark.parametrize("kind,spacing", [("MA", "uniform"), ("SLE", "uniform"),
                                               ("IHH", "logarithmic")])
     def test_v_cycle_levels(self, monkeypatch, kind, spacing):
-        """With only 9x16 factoring, 17x32 cycles on its factors and 33x64
-        on V-cycles through 17x32."""
+        """Only 9x16, the first level, factors: 17x32 cycles on its factors
+        and 33x64 on V-cycles through 17x32."""
         spec, P, r_in = _oracle_case(kind, 0.0)
         grids = [AnnulusGrid(r_in, 8.0, 9, 16, spacing)]
         for _ in range(2):
             grids.append(grids[-1].refine())
-        monkeypatch.setattr(solver, "FACTOR_MAX_UNKNOWNS", 7 * 16)
         calls = _spy_levels(monkeypatch)
         convergence_study(spec, P, grids)
         self._assert_no_chord_trial(calls[1:])
@@ -594,15 +592,14 @@ class TestTwoGrid:
            spacing=st.sampled_from(["uniform", "logarithmic"]), s=st.floats(-1.0, 1.0))
     @settings(max_examples=12, deadline=None)
     def test_v_cycle_agrees_with_direct(self, kind, spacing, s):
-        """With the factoring floor lowered so that only 9x16 factors, 17x32
-        cycles on its factors and 33x64 on three-level V-cycles; 33x64 ends
-        where its direct solve ends, and no factors outlive the study."""
+        """Only 9x16, the first level, factors: 17x32 cycles on its factors
+        and 33x64 on three-level V-cycles; 33x64 ends where its direct solve
+        ends, and no factors outlive the study."""
         spec, P, r_in = _oracle_case(kind, s)
         grids = [AnnulusGrid(r_in, 8.0, 9, 16, spacing)]
         for _ in range(2):
             grids.append(grids[-1].refine())
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "FACTOR_MAX_UNKNOWNS", 7 * 16)
             alive, seen, _ = _track_factorizations(mp)
             calls = _spy_levels(mp)
             convergence_study(spec, P, grids)
@@ -640,10 +637,10 @@ class TestTwoGrid:
         assert rep.residual_history == direct.residual_history
 
     def test_fallen_back_level_hands_its_own_factors_on(self, monkeypatch):
-        """With only 9x16 factoring and the first GMRES solve of a study
-        missing its forcing term, 17x32 falls back to the direct path and
-        hands its own factors on: 33x64 cycles down to them alone, factors
-        nothing and ends where its direct solve ends."""
+        """With the first GMRES solve of a study missing its forcing term,
+        17x32 falls back to the direct path and hands its own factors on:
+        33x64 cycles down to them alone, factors nothing and ends where its
+        direct solve ends."""
         gmres, missed = solver._gmres, []
 
         def miss_once(*args):
@@ -652,7 +649,6 @@ class TestTwoGrid:
             missed.append(True)
             return None, solver.KRYLOV_MAX_ITER
 
-        monkeypatch.setattr(solver, "FACTOR_MAX_UNKNOWNS", 7 * 16)
         monkeypatch.setattr(solver, "_gmres", miss_once)
         alive, seen, _ = _track_factorizations(monkeypatch)
         calls = _spy_levels(monkeypatch)
@@ -732,6 +728,31 @@ def _out_of_place_solve(cycle, b):
     return x
 
 
+def _lstsq_gmres(A, M, b, rtol):
+    """`_gmres` testing convergence by lstsq's y at every iteration, the form
+    the Givens rotations replace: the reference for its iterations and bytes."""
+    beta = np.linalg.norm(b)
+    V, Z = [b / beta], []
+    H = np.zeros((solver.KRYLOV_MAX_ITER + 1, solver.KRYLOV_MAX_ITER))
+    g = np.zeros(solver.KRYLOV_MAX_ITER + 1)
+    g[0] = beta
+    for k in range(solver.KRYLOV_MAX_ITER):
+        Z.append(M(V[k]))
+        w = A @ Z[k]
+        for i, v in enumerate(V):
+            H[i, k] = v @ w
+            w -= H[i, k] * v
+        H[k + 1, k] = np.linalg.norm(w)
+        if not np.isfinite(H[:k + 2, k]).all():
+            return None, k + 1
+        Hk, gk = H[:k + 2, :k + 1], g[:k + 2]
+        y = np.linalg.lstsq(Hk, gk, rcond=None)[0]
+        if np.linalg.norm(gk - Hk @ y) <= rtol * beta:
+            return sum(yi * z for yi, z in zip(y, Z)), k + 1
+        V.append(w / H[k + 1, k])
+    return None, solver.KRYLOV_MAX_ITER
+
+
 # signed zeros, and entries large enough to test the order of the operations
 # yet far from overflow
 _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]),
@@ -771,6 +792,23 @@ class TestBitwiseKernels:
         cycle.J, cycle.w = J, solver.JACOBI_WEIGHT / J.diagonal()
         b = data.draw(arrays(np.float64, J.shape[0], elements=_ENTRIES))
         assert cycle.solve(b).tobytes() == _out_of_place_solve(cycle, b).tobytes()
+
+
+@given(n=st.integers(2, 60), shift=st.floats(0.0, 4.0), rtol=st.floats(1e-10, 0.5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_givens_residual_is_the_lstsq_one(n, shift, rtol, seed):
+    """GMRES stops where lstsq's least-squares residual first meets rtol and
+    returns its x bit for bit, or misses rtol where that form does, on
+    nonsymmetric systems from well conditioned (a large shift of the
+    identity) to ones that run KRYLOV_MAX_ITER iterations."""
+    rng = np.random.default_rng(seed)
+    A = sp.csr_matrix(rng.normal(size=(n, n)) / math.sqrt(n) + shift * np.eye(n))
+    b = rng.normal(size=n)
+    x, its = solver._gmres(A, lambda v: 0.5 * v, b, rtol)
+    want, want_its = _lstsq_gmres(A, lambda v: 0.5 * v, b, rtol)
+    assert its == want_its
+    assert (x is None and want is None) or x.tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings("error::scipy.sparse.SparseEfficiencyWarning")
@@ -822,7 +860,7 @@ class TestNested:
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_failed_level_leaves_the_direct_solve(self, monkeypatch, error, level):
         """A numerical failure on a coarsening of a 65x128 grid (level 0, or
-        level 1, which holds its factors for the grid), or on the grid's own
+        level 1, which holds its cycle for the grid), or on the grid's own
         prolonged start (level 2), drops that level and its factors: the
         grid is solved as a grid that does not coarsen is, from the blend
         and with no factors handed down, bit for bit."""
@@ -852,6 +890,31 @@ class TestNested:
         assert rep.residual_history == direct.residual_history
         assert rep.steps == direct.steps
 
+    @given(kind=st.sampled_from(["MA", "SLE", "IHH"]),
+           spacing=st.sampled_from(["uniform", "logarithmic"]),
+           base=st.sampled_from([(9, 16), (17, 32)]), refinements=st.integers(1, 2),
+           s=st.floats(-1.0, 1.0))
+    @settings(max_examples=16, deadline=None)
+    def test_only_the_first_level_factors(self, kind, spacing, base, refinements, s):
+        """In a study, the first level solved factors and hands its factors
+        up: every SuperLU factorization is one of its factored steps, every
+        later level cycles down to its last factors, and none outlive the
+        study."""
+        spec, P, r_in = _oracle_case(kind, s)
+        grids = [AnnulusGrid(r_in, 8.0, *base, spacing)]
+        for _ in range(refinements):
+            grids.append(grids[-1].refine())
+        with pytest.MonkeyPatch.context() as mp:
+            alive, seen, _ = _track_factorizations(mp)
+            calls = _spy_levels(mp)
+            convergence_study(spec, P, grids)
+        (*_, first), *cycled = calls
+        assert len(seen) == sum(step["factored"] for step in first.steps) >= 1
+        assert not alive
+        for *_, report in cycled:
+            assert report.steps[0]["krylov"] > 0
+            assert not any(step["factored"] for step in report.steps)
+            assert {step["nnzLU"] for step in report.steps} == {first.steps[-1]["nnzLU"]}
 
     def test_failed_coarsening_in_a_study(self, monkeypatch):
         """A failed coarsening of a study's first grid drops it: the first
