@@ -195,12 +195,20 @@ def cmd_oracle(args) -> int:
     P = parse_solution(args.solution, args.params)
     shells = asymptotics.ShellSpec(_comma_list(args.radii, "--radii"), args.points_per_shell)
     out = _out_path(_out_dir(args.outputs), args.out)
-    _write_samples_csv(P, shells, out, args.seed)
+    _write_text(_samples_csv(P, shells, args.seed), out)
     print(f"wrote {out} (rho = {P.rho})")
     return EXIT_OK
 
 
-def _write_samples_csv(P: PotentialFn, shells, path: str, seed: int):
+def _write_text(text: str, path: str):
+    """Opens `path` only once `text` is made, so a failure leaves no file."""
+    with open(path, "w") as f:
+        f.write(text)
+
+
+def _samples_csv(P: PotentialFn, shells, seed: int) -> str:
+    """The text of samples.csv: one row per shell point of the seed, with the
+    potential's value, gradient and Hessian there."""
     if P.dim == 2:
         header = "x1,x2,u,du1,du2,h11,h12,h22"
         entries = [(0, 0), (0, 1), (1, 1)]
@@ -212,8 +220,7 @@ def _write_samples_csv(P: PotentialFn, shells, path: str, seed: int):
     table = np.column_stack([X, P.values(X), P.grads(X)]
                             + [H[:, i, j] for i, j in entries])
     lines = [header] + [",".join(map(repr, row)) for row in table.tolist()]
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_fit(args) -> int:
@@ -291,6 +298,9 @@ def cmd_experiment(args) -> int:
     summary = {"seed": seed, "checks": {}}
     profile = asymptotics.fit_profile(P, spec, shells, seed=seed)
     summary["profile"] = profile.to_dict()
+    # now, while the potential's preimage memo holds the seed's shell points;
+    # written last, so that a failed solve leaves no samples.csv
+    samples = _samples_csv(P, shells, seed)
 
     expected_d = cfg.get("expectedD")
     if expected_d is not None:
@@ -316,7 +326,7 @@ def cmd_experiment(args) -> int:
         summary["solve"] = report.to_dict()
         summary["checks"]["solve_converged"] = report.converged
 
-    _write_samples_csv(P, shells, samples_path, seed)
+    _write_text(samples, samples_path)
     summary["pass"] = all(summary["checks"].values())
     _dump_json(summary, summary_path)
     print(f"experiment {'PASS' if summary['pass'] else 'FAIL'}; "

@@ -6,8 +6,9 @@ Hessians are stencil sums S_k U of second-order centered differences in the
 (log-)radial and angular coordinates times the polar chain rule, kept as its
 radial and angular factors R_k and T_k.  The Jacobian contracts the same
 factors with dF/dM, written straight into CSR storage with closed-form
-column indices; a level drops its last Jacobian before it assembles the
-next.  The direct path factors a CSC copy by SuperLU under the
+column indices; a level drops its last Jacobian and step before it
+assembles the next, and an iterate's Hessians once it has formed dF/dM from
+them.  The direct path factors a CSC copy by SuperLU under the
 minimum-degree ordering of J^T + J, which suits the structurally symmetric
 9-point stencil, and keeps the factors for chord (simplified Newton) steps
 while the residual contracts (Deuflhard, "Newton Methods for Nonlinear
@@ -334,8 +335,12 @@ def _gmres(A: sp.csr_matrix, M, b: np.ndarray, rtol: float):
         res *= abs(rot[-1][1])
         if res <= rtol * beta:
             y = np.linalg.lstsq(H[:k + 2, :k + 1], g[:k + 2], rcond=None)[0]
-            return sum(yi * z for yi, z in zip(y, Z)), k + 1
-        V.append(w / H[k + 1, k])
+            x = 0.0 + y[0] * Z[0]  # summed in place as sum() from 0 does: -0.0 becomes +0.0
+            for yi, z in zip(y[1:], Z[1:]):
+                x += yi * z
+            return x, k + 1
+        w /= H[k + 1, k]
+        V.append(w)
     return None, KRYLOV_MAX_ITER
 
 
@@ -377,6 +382,7 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
     """
     lin = _Cycle(grid, handoff.pop()) if handoff else _Direct()
     U = _blend_initial(grid, *rings) if start is None else start.values.copy()
+    start = None  # the caller passed it inline, so this was its last reference
     U[0], U[-1] = rings  # the Dirichlet rows; no step changes them
 
     op = OPERATORS[spec.kind]
@@ -398,8 +404,9 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
             new = _trial(spec, grid, C, U, step, lambda r: r <= CHORD_CONTRACTION * rinf)
         factored = False
         if new is None:
-            J = lin.J = None  # the last Jacobian goes (from a `_Cycle` too) before the next is made
-            J = _assemble_jacobian(grid, C, op.gradient(spec, H), indices, indptr)
+            J = lin.J = step = None  # the last Jacobian (a `_Cycle`'s too) and step go first
+            G, H = op.gradient(spec, H), None  # no line reads H again: each trial makes its own
+            J, G = _assemble_jacobian(grid, C, G, indices, indptr), None
             step, krylov = lin.step(J, res.ravel(), it)
             if step is None:  # GMRES missed its forcing term: the direct path from here on
                 lin = _Direct()
@@ -452,9 +459,9 @@ def _nested(spec: EquationSpec, P: PotentialFn, grids: list[AnnulusGrid]) -> lis
     if not grids or any(g != f.refine() for f, g in zip(grids, grids[1:])):
         raise BadParams("a study takes a non-empty list of grids, each the refinement "
                         "of the one before")
-    if grids[0].r_inner < P.rho:
-        raise BadParams(f"r_inner = {grids[0].r_inner} lies inside the solution's "
-                        f"domain radius rho = {P.rho}")
+    theta = grids[-1].theta  # the last grid's inner ring holds every level's nodes
+    P.outside_rho(grids[0].r_inner * np.column_stack([np.cos(theta), np.sin(theta)]),
+                  "inner ring node")
     rings = boundary_data_from(P, grids[-1])
     if not np.isfinite(rings).all():
         raise BadParams("boundary data must be finite")
@@ -465,14 +472,14 @@ def _nested(spec: EquationSpec, P: PotentialFn, grids: list[AnnulusGrid]) -> lis
         coarse = i < len(chain)
         if coarse and i and prev is None:
             continue  # a coarsening failed: the rest of the chain goes
-        keep = i + 1 < len(levels)
-        first = None if prev is None else AnnulusField(grid, _prolong(prev.values))
+        keep, warm = i + 1 < len(levels), prev is not None
         data = tuple(ring[::grids[-1].n_theta // grid.n_theta] for ring in rings)
         report = None
-        try:
-            report = _solve_level(spec, grid, data, first, handoff, keep)
+        try:  # the start inline: `_solve_level` drops it once it has its copy
+            report = _solve_level(spec, grid, data, AnnulusField(grid, _prolong(prev.values))
+                                  if warm else None, handoff, keep)
         except (NotAdmissible, InadmissibleIterate, SingularJacobian, DidNotConverge):
-            if first is None and not coarse:
+            if not warm and not coarse:
                 raise
             handoff.clear()
         if report is None:  # out of the except clause, which holds the failed level's frame

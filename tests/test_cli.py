@@ -228,6 +228,43 @@ class TestExperiment:
         for p in out.iterdir():
             assert p.read_bytes() == blobs[p.name], f"{p.name} not reproducible"
 
+    @pytest.mark.parametrize("equation, solution, extra", [
+        ({"kind": "sle", "dim": 2, "theta": math.pi / 2},
+         {"kind": "sle", "vartheta": math.pi / 4, "a1": [0.1, 0.05], "am1": 0.5}, {}),
+        ({"kind": "ihh", "dim": 2},
+         {"kind": "builtin", "name": "ihh-oracle", "params": {"am1": 0.4}},
+         {"solver": {"grid": {"rInner": 1.0, "rOuter": 8.0, "nR": 17, "nTheta": 32}}}),
+    ], ids=["SLE", "IHH"])
+    def test_each_point_set_is_inverted_once(self, monkeypatch, tmp_path, equation,
+                                             solution, extra):
+        """Once the oracle is built (its domain-radius probes invert by
+        themselves), `lab experiment` inverts the 96 shell points, the 64
+        curve nodes and the solve's 64 ring nodes once each: samples.csv
+        reuses the fit's shell preimages, which the curve and the rings
+        have replaced in the potential's one-slot memo by the time it is
+        written."""
+        from asymlab import transforms
+
+        sizes = []
+        invert, build = transforms._newton_invert, cli.solution_from_spec
+
+        def built(spec):
+            P = build(spec)
+            sizes.clear()
+            return P
+
+        monkeypatch.setattr(transforms, "_newton_invert",
+                            lambda *a: sizes.append(len(a[0])) or invert(*a))
+        monkeypatch.setattr(cli, "solution_from_spec", built)
+        monkeypatch.delenv("LAB_OUTPUT_DIR", raising=False)
+        cfg = _experiment_config(tmp_path / "out", equation=equation, solution=solution,
+                                 curve={"type": "circle", "radius": 2.0, "order": 64}, **extra)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+        assert sizes == [96, 64] + [64] * ("solver" in extra)
+        assert (tmp_path / "out" / "samples.csv").exists()
+
     def test_schema_rejects_unknown_key(self, tmp_path):
         cfg = self._config(str(tmp_path / "out"))
         cfg["typo"] = 1
