@@ -726,14 +726,15 @@ def _rolled_restrict(cycle, r):
 
 
 def _out_of_place_solve(cycle, b):
-    """`_Cycle.solve` with a new array per operation."""
+    """`_Cycle.solve` with a new array per operation: sweeps at the weight
+    vectors in order, the coarse correction, then sweeps in reverse order."""
     J, w = cycle.J, cycle.w
-    x = w * b
-    for _ in range(solver.SMOOTHING_SWEEPS - 1):
-        x += w * (b - J @ x)
+    x = w[0] * b
+    for wk in w[1:]:
+        x += wk * (b - J @ x)
     x += cycle.prolong(cycle.coarse.solve(cycle.restrict(b - J @ x)))
-    for _ in range(solver.SMOOTHING_SWEEPS):
-        x += w * (b - J @ x)
+    for wk in w[::-1]:
+        x += wk * (b - J @ x)
     return x
 
 
@@ -798,7 +799,7 @@ class TestBitwiseKernels:
         J = solver._assemble_jacobian(grid, solver._hessian_coefficients(grid), G,
                                       *solver._csr_pattern(grid))
         cycle = solver._Cycle(grid, types.SimpleNamespace(solve=lambda b: -0.5 * b))
-        cycle.J, cycle.w = J, solver.JACOBI_WEIGHT / J.diagonal()
+        cycle.J, cycle.w = J, tuple(omega / J.diagonal() for omega in solver.JACOBI_WEIGHTS)
         b = data.draw(arrays(np.float64, J.shape[0], elements=_ENTRIES))
         assert cycle.solve(b).tobytes() == _out_of_place_solve(cycle, b).tobytes()
 
@@ -1061,10 +1062,10 @@ class TestAssembly:
     @settings(max_examples=40, deadline=None)
     def test_jacobi_weights_are_the_assembled_diagonal(self, m, n, spacing, seed):
         """`_Cycle.step` reads the diagonal at its fixed place in the CSR
-        data: its weights are JACOBI_WEIGHT / J.diagonal() bit for bit on
-        every row, the first and last interior rows and the theta-wrap
-        columns included.  A random G makes a row's entries all differ, so a
-        wrong place shows."""
+        data: its weight vectors are omega / J.diagonal() for each omega of
+        JACOBI_WEIGHTS, in order, bit for bit on every row, the first and
+        last interior rows and the theta-wrap columns included.  A random G
+        makes a row's entries all differ, so a wrong place shows."""
         grid = AnnulusGrid(1.0, 8.0, 2 * m - 1, 2 * n, spacing)
         rng = np.random.default_rng(seed)
         G = np.eye(2) + 0.1 * rng.normal(size=(grid.n_r - 2, grid.n_theta, 2, 2))
@@ -1073,7 +1074,67 @@ class TestAssembly:
         cycle = solver._Cycle(grid, types.SimpleNamespace(solve=lambda b: -0.5 * b))
         cycle.step(J, rng.normal(size=J.shape[0]), 1)
         assert cycle.J is J
-        assert cycle.w.tobytes() == (solver.JACOBI_WEIGHT / J.diagonal()).tobytes()
+        assert len(cycle.w) == len(solver.JACOBI_WEIGHTS)
+        for w, omega in zip(cycle.w, solver.JACOBI_WEIGHTS):
+            assert w.tobytes() == (omega / J.diagonal()).tobytes()
+
+
+# (spec, oracle, inner radius) of the exact fields whose Jacobians the smoother
+# is checked on; the last IHH case has rho = 2 and a spectrum off the real axis
+_SPECTRUM_CASES = {
+    "ma-c0.01": (MA2, lambda: builtin("ma-radial", {"c": 0.01}), 1.0),
+    "ma-c10": (MA2, lambda: builtin("ma-radial", {"c": 10.0}), 1.0),
+    "ihh-am1": (IHH2, lambda: builtin("ihh-oracle", {"am1": 0.4}), 1.0),
+    "ihh-rho2": (IHH2, lambda: builtin("ihh-oracle", {"a1": 0.44, "am1": 0.4}), 3.0),
+    "sle": (SLE2, lambda: oracle_sle(LaurentCoeffs(a1=0.1, am1=0.5), math.pi / 4), 1.0),
+}
+
+
+@pytest.mark.parametrize("ratio", [8, 64])
+@pytest.mark.parametrize("spacing", ["uniform", "logarithmic"])
+@pytest.mark.parametrize("case", list(_SPECTRUM_CASES))
+def test_jacobi_weights_cover_the_spectrum(case, spacing, ratio):
+    """The two sweeps of a cycle multiply an eigencomponent of D^-1 J by
+    (1 - w0 lam)(1 - w1 lam).  On 17x32 Jacobians at exact fields every
+    eigenvalue has 0 < Re lam < 2, so that factor stays under 1 in modulus,
+    and where Re lam >= 1/2 it is at most 0.23: the Chebyshev bound 9/41 =
+    0.2195 on [1/2, 2], 0.2219 measured on the rho = 2 IHH case, whose |Im
+    lam| reaches 0.27.  Two sweeps at one weight 0.7 leave 0.4225 there."""
+    spec, oracle, r_in = _SPECTRUM_CASES[case]
+    grid = AnnulusGrid(r_in, ratio * r_in, 17, 32, spacing)
+    C = solver._hessian_coefficients(grid)
+    G = OPERATORS[spec.kind].gradient(
+        spec, solver._hessians(grid, AnnulusField.from_potential(grid, oracle()).values, C))
+    J = solver._assemble_jacobian(grid, C, G, *solver._csr_pattern(grid)).toarray()
+    lam = np.linalg.eigvals(J / np.diag(J)[:, None])
+    w0, w1 = solver.JACOBI_WEIGHTS
+    factor = np.abs((1 - w0 * lam) * (1 - w1 * lam))
+    assert (lam.real > 0).all() and (lam.real < 2).all()
+    assert (factor < 1).all()
+    assert factor[lam.real >= 0.5].max() <= 0.23
+
+
+def test_criterion_8_gmres_iterations(monkeypatch):
+    """The work of the uniform criterion-8 studies, pinned exactly: 20 GMRES
+    iterations over every level of the MA study and 51 over the SLE study.
+    Sweeps at the one weight 0.7 took 26 and 63."""
+    gmres, iterations = solver._gmres, []
+
+    def counting_gmres(*args):
+        x, its = gmres(*args)
+        iterations.append(its)
+        return x, its
+
+    monkeypatch.setattr(solver, "_gmres", counting_gmres)
+    grids = [AnnulusGrid(1.0, 8.0, 33, 64, "uniform")]
+    grids += [grids[0].refine(), grids[0].refine().refine()]
+    totals = []
+    for spec, P in ((MA2, builtin("ma-radial", {"c": 1.0})),
+                    (SLE2, oracle_sle(LaurentCoeffs(a1=0.1, am1=0.5), math.pi / 4))):
+        iterations.clear()
+        convergence_study(spec, P, grids)
+        totals.append(sum(iterations))
+    assert totals == [20, 51]
 
 
 def test_criterion_8_ma_study_working_set():
