@@ -42,27 +42,9 @@ def _validate(instance: dict, schema_name: str):
         cls = jsonschema.validators.validator_for(schema)
         cls.check_schema(schema)
         validator = _VALIDATORS[schema_name] = cls(schema)
-    error = jsonschema.exceptions.best_match(
-        _selected_branch(e) for e in validator.iter_errors(instance))
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
     if error is not None:
         raise ConfigError(f"config does not match {schema_name}: {error.message}") from error
-
-
-def _selected_branch(error):
-    """A oneOf error whose branches each fix `kind` by a const, as the best
-    error of the branch that the instance's kind selects, so that a missing
-    key is named, not the other branch's kind; with no kind or an unknown
-    one, as the error on `kind` itself.  Any other error as it is."""
-    import jsonschema
-
-    if error.validator != "oneOf" or not isinstance(error.instance, dict):
-        return error
-    kinds = [b.get("properties", {}).get("kind", {}).get("const") for b in error.validator_value]
-    if error.instance.get("kind") not in kinds:
-        on_kind = {"required": ["kind"], "properties": {"kind": {"enum": kinds}}}
-        return next(jsonschema.Draft202012Validator(on_kind).iter_errors(error.instance))
-    k = kinds.index(error.instance["kind"])
-    return jsonschema.exceptions.best_match(e for e in error.context if e.relative_schema_path[0] == k)
 
 
 def _comma_list(text: str, flag: str, types: tuple | None = None) -> list:
@@ -99,7 +81,7 @@ def _check_dim(spec: EquationSpec, P: PotentialFn):
 
 
 def _check_object(value, what: str):
-    """Checked before the schema, whose oneOf would name a wrong branch."""
+    """Checked before the schema, whose message would not say which value must be an object."""
     if not isinstance(value, dict):
         given = json.dumps(value, default=repr)[:80]
         raise ConfigError(f"{what} must be a JSON object, got {given}")
@@ -167,8 +149,7 @@ def _out_path(out_dir: str, name: str) -> str:
 def _dump_json(obj, path: str | None):
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path:
-        with open(path, "w") as f:
-            f.write(text + "\n")
+        _write_text(text + "\n", path)
     else:
         print(text)
 
@@ -291,6 +272,9 @@ def cmd_experiment(args) -> int:
     seed = int(cfg.get("seed", 0))
     shells = asymptotics.ShellSpec(tuple(cfg["shells"]["radii"]),
                                    int(cfg["shells"].get("pointsPerShell", 64)))
+    expected_d = cfg.get("expectedD")
+    if expected_d is not None and not math.isfinite(expected_d):
+        raise BadParams(f"expectedD must be finite, got {expected_d}")
     out_dir = _out_dir(cfg.get("outputs"))
     field_path, samples_path, summary_path = (
         _out_path(out_dir, n) for n in ("field.csv", "samples.csv", "summary.json"))
@@ -302,7 +286,6 @@ def cmd_experiment(args) -> int:
     # written last, so that a failed solve leaves no samples.csv
     samples = _samples_csv(P, shells, seed)
 
-    expected_d = cfg.get("expectedD")
     if expected_d is not None:
         summary["expectedD"] = expected_d
         summary["checks"]["fit_vs_expected"] = bool(

@@ -2,72 +2,66 @@
 
 
 class LabError(Exception):
-    """Base class; `kind` is the machine-readable tag used in CLI error JSON."""
+    """Base class; `kind`, the class name, is the machine-readable tag used in CLI error JSON."""
 
-    kind = "LabError"
+    kind = property(lambda self: type(self).__name__)
 
 
 class ConfigError(LabError):
-    kind = "ConfigError"
+    pass
 
 
 class UnknownName(ConfigError):
-    kind = "UnknownName"
+    pass
 
 
 class BadParams(ConfigError):
-    kind = "BadParams"
+    pass
 
 
 class WrongDimension(LabError):
-    kind = "WrongDimension"
+    pass
 
 
 class SingularHessian(LabError):
-    kind = "SingularHessian"
+    pass
 
 
 class NotAdmissible(LabError):
-    kind = "NotAdmissible"
+    pass
 
 
 class SingularRotation(LabError):
-    kind = "SingularRotation"
+    pass
 
 
 class StripViolation(LabError):
     """The eigenvalue bound lambda_max < cot(vartheta) fails, so the rotated
     coordinates cannot cover an exterior domain."""
 
-    kind = "StripViolation"
-
 
 class InverseMapDiverged(LabError):
-    kind = "InverseMapDiverged"
+    pass
 
 
 class NotConvex(LabError):
-    kind = "NotConvex"
+    pass
 
 
 class NoDecay(LabError):
     """Hessian residuals do not shrink with radius: quadratic asymptotics fail."""
 
-    kind = "NoDecay"
-
 
 class IllConditioned(LabError):
-    kind = "IllConditioned"
+    pass
 
 
 class NonPositiveValue(LabError):
-    kind = "NonPositiveValue"
+    pass
 
 
 class DidNotConverge(LabError):
     """Newton solve stalled; carries the report of its last iterate."""
-
-    kind = "DidNotConverge"
 
     def __init__(self, message, report):
         super().__init__(message)
@@ -75,11 +69,9 @@ class DidNotConverge(LabError):
 
 
 class InadmissibleIterate(LabError):
-    kind = "InadmissibleIterate"
+    pass
 
 
 class SingularJacobian(LabError):
     """The Newton Jacobian is singular to working precision: its sparse LU
     factorization fails or the step it yields is not finite."""
-
-    kind = "SingularJacobian"

@@ -54,18 +54,19 @@ KRYLOV_MAX_ITER = 40
 
 @dataclass
 class SolveReport:
-    iterations: int
-    final_residual_inf: float
-    damping_events: int
     field: AnnulusField
     residual_history: list
-    converged: bool
     # one entry per Newton iteration: accepted step length t, number of
     # halvings before it, nnz of the LU factors it solved with (those at the
     # bottom of the cycle on the multigrid path), whether it factored its own
     # Jacobian, its GMRES iterations (0 on the direct path), and its residual
     # evaluations (a rejected chord trial included)
     steps: list
+
+    iterations = property(lambda self: len(self.steps))
+    final_residual_inf = property(lambda self: self.residual_history[-1])
+    damping_events = property(lambda self: sum(s["halvings"] for s in self.steps))
+    converged = property(lambda self: self.residual_history[-1] <= NEWTON_TOL)
 
     def to_dict(self) -> dict:
         return {
@@ -432,8 +433,7 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
     if keep and steps:
         handoff.append(lin)
     lin = None
-    report = SolveReport(len(steps), history[-1], sum(s["halvings"] for s in steps),
-                         AnnulusField(grid, U), history, history[-1] <= NEWTON_TOL, steps)
+    report = SolveReport(AnnulusField(grid, U), history, steps)
     if not report.converged:
         raise DidNotConverge(
             f"|r|_inf = {history[-1]:.3g} after {len(steps)} iterations", report)
@@ -461,10 +461,7 @@ def _nested(spec: EquationSpec, P: PotentialFn, grids: list[AnnulusGrid]) -> lis
     if not grids or any(g != f.refine() for f, g in zip(grids, grids[1:])):
         raise BadParams("a study takes a non-empty list of grids, each the refinement "
                         "of the one before")
-    theta = grids[-1].theta  # the last grid's inner ring holds every level's nodes
-    P.outside_rho(grids[0].r_inner * np.column_stack([np.cos(theta), np.sin(theta)]),
-                  "inner ring node")
-    rings = boundary_data_from(P, grids[-1])
+    rings = boundary_data_from(P, grids[-1])  # the last grid's rings hold every level's nodes
     if not np.isfinite(rings).all():
         raise BadParams("boundary data must be finite")
     chain = _coarsenings(grids[0])
@@ -496,10 +493,11 @@ def _nested(spec: EquationSpec, P: PotentialFn, grids: list[AnnulusGrid]) -> lis
 
 
 def boundary_data_from(P: PotentialFn, grid: AnnulusGrid):
-    """Sample a potential on the two Dirichlet rows."""
+    """Sample a potential on the two Dirichlet rows, whose nodes are first
+    checked against its domain radius rho (the inner ring's come first)."""
     x, y = grid.nodes_xy()
     rings = np.stack([x[[0, -1]].ravel(), y[[0, -1]].ravel()], axis=1)
-    return tuple(P.values(rings).reshape(2, grid.n_theta))
+    return tuple(P.values(P.outside_rho(rings, "inner ring node")).reshape(2, grid.n_theta))
 
 
 def convergence_study(spec: EquationSpec, oracle: PotentialFn,

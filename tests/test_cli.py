@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from asymlab import asymptotics, cli, oracle2d, solver
+from asymlab import asymptotics, cli, errors, oracle2d, solver
 from asymlab.core import AnnulusField, AnnulusGrid
 
 LAB = [sys.executable, "-m", "asymlab.cli"]
@@ -642,8 +642,8 @@ class TestRefusedWhereTheyEnter:
         """A spec that breaks oracle.json is named by jsonschema's message on
         the branch its kind selects, not by the other branch's kind."""
         schema = cli._load_schema("oracle.json")
-        branch = next(b for b in schema["oneOf"]
-                      if b["properties"]["kind"]["const"] == spec["kind"])
+        branch = next(b["then"] for b in schema["allOf"]
+                      if b["if"]["properties"]["kind"]["const"] == spec["kind"])
         with pytest.raises(jsonschema.ValidationError) as ref:
             jsonschema.validate(spec, {**branch, "$defs": schema["$defs"]})
         path = tmp_path / "spec.json"
@@ -661,7 +661,7 @@ class TestRefusedWhereTheyEnter:
     def test_solution_spec_without_a_known_kind(self, tmp_path, capsys, fresh_validators,
                                                 spec, message):
         """A spec with no kind, or one that selects no branch, is named by
-        jsonschema's message on `kind`, not by the generic oneOf message."""
+        jsonschema's message on `kind`, not by a branch's."""
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         rc, err = _main(["residual", "--solution", str(path), "--equation", "ma"], capsys)
@@ -711,6 +711,21 @@ class TestRefusedWhereTheyEnter:
         assert not (tmp_path / "samples.csv").exists()
         assert _main(args + ["1,2"], capsys) == (0, None)
         assert (tmp_path / "samples.csv").exists()
+
+    @pytest.mark.parametrize("expected_d", [math.nan, math.inf], ids=["NaN", "Infinity"])
+    def test_non_finite_expected_d(self, tmp_path, capsys, monkeypatch, fresh_validators,
+                                   expected_d):
+        """json.load reads NaN and Infinity; an expectedD of either is refused
+        before the fit, so no summary.json holds a token that is not JSON (it
+        was a numerical FAIL, exit 1)."""
+        monkeypatch.setattr(asymptotics, "fit_profile", lambda *a, **k: pytest.fail("fitted"))
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(_experiment_config(tmp_path / "out",
+                                                          expectedD=expected_d)))
+        rc, err = _main(["experiment", "--config", str(cfg_path)], capsys)
+        assert (rc, err) == (2, {"kind": "BadParams",
+                                 "message": f"expectedD must be finite, got {expected_d}"})
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_shell_hessian(self, capsys):
@@ -767,3 +782,14 @@ class TestOutputPaths:
         err = json.loads(captured.err)["error"]
         assert err["kind"] == "ConfigError" and str(bad) in err["message"]
         assert calls == []
+
+
+@pytest.mark.parametrize("cls", [c for c in vars(errors).values()
+                                 if isinstance(c, type) and issubclass(c, errors.LabError)],
+                         ids=lambda c: c.__name__)
+def test_error_json_kind_is_the_class_name(capsys, cls):
+    e = cls("message", None) if cls is errors.DidNotConverge else cls("message")
+    assert e.kind == cls.__name__
+    cli._emit_error(e)
+    assert json.loads(capsys.readouterr().err) == {"error": {"kind": cls.__name__,
+                                                             "message": "message"}}

@@ -137,7 +137,7 @@ class TestBuiltins:
     def test_names_match_schema(self):
         with resources.files("asymlab.schemas").joinpath("oracle.json").open() as f:
             schema = json.load(f)
-        names = schema["oneOf"][1]["properties"]["name"]["enum"]
+        names = schema["allOf"][1]["then"]["properties"]["name"]["enum"]
         assert sorted(_BUILTINS) == sorted(names)
 
     @pytest.mark.parametrize("name", sorted(set(_BUILTINS) - {"quadratic"}))

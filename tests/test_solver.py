@@ -241,6 +241,21 @@ class TestNewtonRecord:
         assert reps[0].to_dict()["steps"] == steps
         assert json.dumps(reps[0].to_dict()) == json.dumps(reps[1].to_dict())
 
+    def test_failure_report_counts_come_from_its_steps(self, monkeypatch):
+        """The report that DidNotConverge carries, which scripts/solver_sweep.py
+        reads, gives the counts of its own steps and residual history."""
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 3)
+        with pytest.raises(DidNotConverge) as failure:
+            _direct(MA2, builtin("ma-radial", {"c": 1.0}), AnnulusGrid(1.0, 8.0, 33, 64, "uniform"))
+        rep = failure.value.report
+        assert rep.iterations == len(rep.steps) == len(rep.residual_history) - 1 == 3
+        assert rep.damping_events == sum(s["halvings"] for s in rep.steps) > 0
+        assert rep.final_residual_inf == rep.residual_history[-1] > solver.NEWTON_TOL
+        assert rep.converged is False
+        d = rep.to_dict()
+        assert (d["iterations"], d["dampingEvents"], d["finalResidualInf"], d["converged"]) == (
+            rep.iterations, rep.damping_events, rep.final_residual_inf, False)
+
     def test_chord_and_factored_steps(self):
         """The first step factors; a chord step is a full step on the held
         factors after one trial; a later factored step counts its rejected
@@ -308,11 +323,11 @@ class TestFailureNames:
         (SLE2, oracle_sle(LaurentCoeffs(a1=0.1, am1=0.5), math.pi / 4), 0.5),  # rho = 1
         (IHH2, builtin("ihh-oracle", {"a1": 0.3, "am1": 0.4}), 1.0),  # rho = 2
     ], ids=["SLE", "IHH"])
-    def test_inner_ring_inside_the_hole_is_bad_params(self, monkeypatch, spec, P, r_inner):
+    def test_inner_ring_inside_the_hole_is_bad_params(self, spec, P, r_inner):
         """An inner radius below the oracle's certified domain radius is
         refused before any ring is sampled; one equal to it solves
         (criterion 8 and TestSolveSLE have r_inner == rho == 1)."""
-        monkeypatch.setattr(solver, "boundary_data_from", None)  # sampling would fail
+        P = dataclasses.replace(P, values_fn=None)  # sampling would fail
         with pytest.raises(BadParams, match=f"rho = {P.rho}"):
             solve_annulus(spec, P, AnnulusGrid(r_inner, 8.0, 17, 32, "uniform"))
 
