@@ -185,7 +185,8 @@ class AsymptoticProfile:
             "c": self.c,
             "d": self.d,
             "L": self.L.m.tolist(),
-            "decaySlope": self.decay_slope,
+            # an exact fit's -inf slope (a zero remainder) is null: JSON has no infinity
+            "decaySlope": self.decay_slope if math.isfinite(self.decay_slope) else None,
         }
 
 

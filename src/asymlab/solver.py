@@ -7,12 +7,13 @@ Hessians are stencil sums S_k U of second-order centered differences in the
 radial and angular factors R_k and T_k.  The Jacobian contracts the same
 factors with dF/dM, written straight into CSR storage with closed-form
 column indices; a level drops its last Jacobian and step before it
-assembles the next, and an iterate's Hessians once it has formed dF/dM from
-them.  The direct path factors a CSC copy by SuperLU under the
-minimum-degree ordering of J^T + J, which suits the structurally symmetric
-9-point stencil, and keeps the factors for chord (simplified Newton) steps
-while the residual contracts (Deuflhard, "Newton Methods for Nonlinear
-Problems", Springer 2004, sec. 2.1): there they save a factorization.
+assembles the next, and an iterate's Hessians and dF/dM once it has formed
+the stencil weights from them.  The direct path factors a CSC copy by
+SuperLU under the minimum-degree ordering of J^T + J, which suits the
+structurally symmetric 9-point stencil, and keeps the factors for chord
+(simplified Newton) steps while the residual contracts (Deuflhard, "Newton
+Methods for Nonlinear Problems", Springer 2004, sec. 2.1): there they save
+a factorization.
 
 Every solve is nested iteration (`_nested`), and only its first level
 factors.  Every level above it runs inexact Newton-Krylov (Knoll & Keyes,
@@ -148,25 +149,34 @@ def _stencil_weights(C, G: np.ndarray) -> np.ndarray:
 
 def _csr_pattern(grid: AnnulusGrid):
     """The column indices and row pointers of the Jacobians that
-    `_assemble_jacobian` writes on `grid`."""
+    `_assemble_jacobian` writes on `grid`, each array written in place."""
     nI, nT = grid.n_r - 2, grid.n_theta
+    # the row lengths, then their running sum: the first and last interior
+    # rows have no unknown neighbor below or above, so 6 entries, not 9
+    indptr = np.full(nI * nT + 1, 9, dtype=np.int32)
+    indptr[0], indptr[1:nT + 1], indptr[-nT:] = 0, 6, 6
+    np.cumsum(indptr, out=indptr)
     col = np.sort((np.arange(nT, dtype=np.int32)[:, None] + np.arange(-1, 2, dtype=np.int32)) % nT)
-    # node (i, j)'s columns in rows i + di: (i + di) nT + col[j], summed over
-    # contiguous (n_theta, 3, 3) blocks, which numpy broadcasts fast
-    ind = (np.arange(nI, dtype=np.int32)[:, None, None, None] * nT
-           + (np.arange(-1, 2, dtype=np.int32)[:, None] * nT + col[:, None, :]))
-    # the first and last interior rows have no unknown neighbor below or above
-    indices = np.concatenate([ind[0, :, 1:], ind[1:-1], ind[-1, :, :2]], axis=None)
-    node = np.arange(nI * nT + 1, dtype=np.int32)
-    indptr = 9 * node - 3 * np.minimum(node, nT) - 3 * np.maximum(node - (nI - 1) * nT, 0)
+    # node (i, j)'s columns in rows i + di, di = -1, 0, 1: i nT + (di nT + col[j]), one
+    # contiguous (n_theta, 3, 3) block per row i, copied and then offset in place (a
+    # broadcast sum of the two would buffer both, up to 64 KiB)
+    block = np.arange(-1, 2, dtype=np.int32)[:, None] * nT + col[:, None, :]
+    rows = np.arange(nI, dtype=np.int32)[:, None, None, None] * nT
+    indices, n = np.empty(indptr[-1], dtype=np.int32), 6 * nT
+    for out, offset, b in ((indices[:n], rows[:1], block[:, 1:]), (indices[n:-n], rows[1:-1], block),
+                           (indices[-n:], rows[-1:], block[:, :2])):
+        out = out.reshape(-1, *b.shape)
+        out[...] = b
+        np.add(out, offset, out=out)
     return indices, indptr
 
 
-def _assemble_jacobian(grid: AnnulusGrid, C, G: np.ndarray,
+def _assemble_jacobian(grid: AnnulusGrid, W: np.ndarray,
                        indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
-    """dF/dU from G = dF/dM: `_stencil_weights` spread over the stencil offsets,
-    written straight into the CSR storage of `_csr_pattern`'s sorted columns."""
-    W, n = _stencil_weights(C, G), 6 * grid.n_theta
+    """dF/dU from the stencil weights W = `_stencil_weights(C, dF/dM)` spread over
+    the stencil offsets, written straight into the CSR storage of
+    `_csr_pattern`'s sorted columns."""
+    n = 6 * grid.n_theta
     data = np.empty(len(indices))
     # the first and last interior rows have no unknown neighbor below or above
     for A, rows, table in ((data[:n], W[:, :1], _STENCIL_TABLE[3:]),
@@ -315,34 +325,42 @@ def _gmres(A: sp.csr_matrix, M, b: np.ndarray, rtol: float):
     Stat. Comput. 7, 1986), Arnoldi by modified Gram-Schmidt: (x, iterations)
     with |b - A x|_2 <= rtol |b|_2, or (None, iterations) if KRYLOV_MAX_ITER
     iterations do not reach it or the basis is not finite.  The basis grows
-    one vector per iteration, so its memory is what the iterations use."""
+    one vector per iteration, so its memory is what the iterations use.
+    Givens rotations take the Hessenberg columns to a triangle R and beta e_1
+    to g, whose last entry is the least-squares residual, beta times the
+    rotations' |sin|; y solves R y = g by back substitution, in Python floats."""
     beta = np.linalg.norm(b)
-    V, Z, rot = [b / beta], [], []  # the Arnoldi basis, M of it, and H's Givens rotations
-    H = np.zeros((KRYLOV_MAX_ITER + 1, KRYLOV_MAX_ITER))
-    g = np.zeros(KRYLOV_MAX_ITER + 1)
-    g[0] = res = beta  # res: the least-squares residual, beta times the rotations' |sin|
+    V, Z, R, rot = [b / beta], [], [], []  # the Arnoldi basis, M of it, R's columns, rotations
+    g = [beta]
     for k in range(KRYLOV_MAX_ITER):
         Z.append(M(V[k]))
         w = A @ Z[k]
-        for i, v in enumerate(V):
-            H[i, k] = v @ w
-            w -= H[i, k] * v
-        H[k + 1, k] = np.linalg.norm(w)
-        if not np.isfinite(H[:k + 2, k]).all():
+        h = []  # the Hessenberg column
+        for v in V:
+            h.append(v @ w)
+            w -= h[-1] * v
+        h.append(np.linalg.norm(w))
+        if not np.isfinite(h).all():
             return None, k + 1
-        h = H[:k + 2, k].tolist()
         for i, (c, s) in enumerate(rot):  # the earlier rotations, on the new column
             h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
         r = np.hypot(h[k], h[k + 1])  # a numpy scalar, so that 0 / 0 is nan, not an exception
-        rot.append((h[k] / r, h[k + 1] / r))
-        res *= abs(rot[-1][1])
-        if res <= rtol * beta:
-            y = np.linalg.lstsq(H[:k + 2, :k + 1], g[:k + 2], rcond=None)[0]
+        c, s = h[k] / r, h[k + 1] / r
+        rot.append((c, s))
+        R.append(h[:k] + [r])  # the new rotation takes (h_k, h_k+1) to (r, 0)
+        g.append(-s * g[k])
+        g[k] *= c
+        if abs(g[k + 1]) <= rtol * beta:
+            y = g[:k + 1]
+            for i in range(k, -1, -1):  # column by column, from the last
+                y[i] /= R[i][i]
+                for j in range(i):
+                    y[j] -= R[i][j] * y[i]
             x = 0.0 + y[0] * Z[0]  # summed in place as sum() from 0 does: -0.0 becomes +0.0
             for yi, z in zip(y[1:], Z[1:]):
                 x += yi * z
             return x, k + 1
-        w /= H[k + 1, k]
+        w /= h[k + 1]
         V.append(w)
     return None, KRYLOV_MAX_ITER
 
@@ -408,8 +426,9 @@ def _solve_level(spec: EquationSpec, grid: AnnulusGrid, rings, start: AnnulusFie
         factored = False
         if new is None:
             J = lin.J = step = None  # the last Jacobian (a `_Cycle`'s too) and step go first
-            G, H = op.gradient(spec, H), None  # no line reads H again: each trial makes its own
-            J, G = _assemble_jacobian(grid, C, G, indices, indptr), None
+            # dF/dM dies with this line, before the CSR data; no line reads H again
+            W, H = _stencil_weights(C, op.gradient(spec, H)), None
+            J, W = _assemble_jacobian(grid, W, indices, indptr), None
             step, krylov = lin.step(J, res.ravel(), it)
             if step is None:  # GMRES missed its forcing term: the direct path from here on
                 lin = _Direct()

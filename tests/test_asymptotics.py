@@ -19,7 +19,7 @@ from asymlab import (
     hessian_limit,
     oracle_sle,
 )
-from asymlab.asymptotics import MAX_QUAD_ORDER, log_kernel, shell_points
+from asymlab.asymptotics import EXACT_SLOPE, MAX_QUAD_ORDER, log_kernel, shell_points
 from asymlab.errors import BadParams, NoDecay, NotAdmissible
 from asymlab.oracle2d import builtin
 
@@ -167,6 +167,14 @@ class TestFitProfile:
         P = builtin("quadratic", {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0], "c": 0.0})
         prof = fit_profile(P, MA2, ShellSpec((10.0, 20.0)))
         assert set(prof.to_dict()) == {"A", "b", "c", "d", "L", "decaySlope"}
+
+    def test_exact_fit_slope_is_null_in_the_dict(self):
+        """An exact quadratic's remainder is zero, so its slope is -inf in
+        memory and null in the dict that is written as JSON."""
+        P = builtin("quadratic", {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0], "c": 0.0})
+        prof = fit_profile(P, MA2, ShellSpec((10.0, 20.0)))
+        assert prof.decay_slope == EXACT_SLOPE == -math.inf
+        assert prof.to_dict()["decaySlope"] is None
 
     def test_gradient_expansion_slope(self):
         """|Du - (Ax + b) - d L x / (x'Lx)| decays like r^-2."""

@@ -16,6 +16,15 @@ LAB = [sys.executable, "-m", "asymlab.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def _strict_json(text):
+    """json.loads that refuses the NaN, Infinity and -Infinity tokens, which
+    are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run(args, env_extra=None, cwd=None):
     env = os.environ.copy()
     env.pop("LAB_OUTPUT_DIR", None)
@@ -105,6 +114,14 @@ class TestFitCommand:
         err = json.loads(r.stderr)["error"]
         assert err["kind"] == "NotAdmissible"
         assert "log kernel L is not positive definite" in err["message"]
+
+    def test_exact_quadratic_profile_is_strict_json(self):
+        """An exact quadratic's remainder is zero and its decay slope -inf,
+        which the profile writes as null: stdout has no bare -Infinity."""
+        r = run(["fit", "--solution", "builtin:quadratic", "--params",
+                 '{"A": [[1, 0], [0, 1]], "b": [0, 0], "c": 0}', "--equation", "ma"])
+        assert r.returncode == 0, r.stderr
+        assert _strict_json(r.stdout)["decaySlope"] is None
 
     def test_dimension_mismatch_is_wrong_dimension(self):
         r = run(["fit", "--solution", "builtin:ma-radial", "--params", '{"c": 1.0}',
@@ -264,6 +281,22 @@ class TestExperiment:
         assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
         assert sizes == [96, 64] + [64] * ("solver" in extra)
         assert (tmp_path / "out" / "samples.csv").exists()
+
+    def test_exact_quadratic_summary_is_strict_json(self, tmp_path):
+        """The summary of an exact quadratic, its null decay slope and its
+        solve report included, parses with no non-finite token."""
+        cfg = {"equation": {"kind": "ma", "dim": 2},
+               "solution": {"kind": "builtin", "name": "quadratic",
+                            "params": {"A": [[1, 0], [0, 1]], "b": [0, 0], "c": 0}},
+               "shells": {"radii": [50.0, 100.0, 200.0]},
+               "solver": {"grid": {"rInner": 1.0, "rOuter": 8.0, "nR": 17, "nTheta": 32}},
+               "outputs": str(tmp_path / "out")}
+        (tmp_path / "exp.json").write_text(json.dumps(cfg))
+        r = run(["experiment", "--config", str(tmp_path / "exp.json")])
+        assert r.returncode == 0, r.stderr
+        summary = _strict_json((tmp_path / "out" / "summary.json").read_text())
+        assert summary["profile"]["decaySlope"] is None
+        assert summary["pass"] is True and summary["checks"] == {"solve_converged": True}
 
     def test_schema_rejects_unknown_key(self, tmp_path):
         cfg = self._config(str(tmp_path / "out"))

@@ -283,8 +283,9 @@ class TestNewtonRecord:
         inner, outer = boundary_data_from(P, grid)
         C = solver._hessian_coefficients(grid)
         H = solver._hessians(grid, solver._blend_initial(grid, inner, outer), C)
-        J = solver._assemble_jacobian(grid, C, OPERATORS["MA"].gradient(MA2, H),
-                                      *solver._csr_pattern(grid))
+        J = solver._assemble_jacobian(
+            grid, solver._stencil_weights(C, OPERATORS["MA"].gradient(MA2, H)),
+            *solver._csr_pattern(grid))
         assert rep.steps[0]["nnzLU"] < solver.spla.splu(J.tocsc()).nnz
 
 
@@ -778,6 +779,42 @@ def _lstsq_gmres(A, M, b, rtol):
     return None, solver.KRYLOV_MAX_ITER
 
 
+def _back_substitution_gmres(A, M, b, rtol):
+    """GMRES on whole arrays: at every iteration the Hessenberg matrix H is
+    reduced to a triangle from scratch by Givens rotations of its rows, each
+    pivot set to its rotation's hypot, beta e_1 rotated alike, and y solved
+    by back substitution column by column: the reference for `_gmres`'s
+    iterations and bytes."""
+    beta = np.linalg.norm(b)
+    V, Z = [b / beta], []
+    H = np.zeros((solver.KRYLOV_MAX_ITER + 1, solver.KRYLOV_MAX_ITER))
+    for k in range(solver.KRYLOV_MAX_ITER):
+        Z.append(M(V[k]))
+        w = A @ Z[k]
+        for i, v in enumerate(V):
+            H[i, k] = v @ w
+            w -= H[i, k] * v
+        H[k + 1, k] = np.linalg.norm(w)
+        if not np.isfinite(H[:k + 2, k]).all():
+            return None, k + 1
+        R, g = H[:k + 2, :k + 1].copy(), np.zeros(k + 2)
+        g[0] = beta
+        for i in range(k + 1):
+            r = np.hypot(R[i, i], R[i + 1, i])
+            c, s = R[i, i] / r, R[i + 1, i] / r
+            R[i], R[i + 1] = c * R[i] + s * R[i + 1], c * R[i + 1] - s * R[i]
+            R[i, i], R[i + 1, i] = r, 0.0
+            g[i], g[i + 1] = c * g[i], -s * g[i]
+        if abs(g[k + 1]) <= rtol * beta:
+            y = g[:k + 1]
+            for i in range(k, -1, -1):
+                y[i] /= R[i, i]
+                y[:i] -= R[:i, i] * y[i]
+            return sum(yi * z for yi, z in zip(y, Z)), k + 1
+        V.append(w / H[k + 1, k])
+    return None, solver.KRYLOV_MAX_ITER
+
+
 # signed zeros, and entries large enough to test the order of the operations
 # yet far from overflow
 _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]),
@@ -785,8 +822,9 @@ _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]),
 
 
 class TestBitwiseKernels:
-    """The roll-free transfers and the in-place smoother keep the bytes of
-    the forms they replace, on shapes down to the smallest coarse grid."""
+    """The roll-free transfers, the in-place smoother and the in-place CSR
+    pattern keep the bytes of the forms they replace, on shapes down to the
+    smallest coarse grid."""
 
     @given(st.integers(4, 12), st.integers(2, 24), st.data())
     @settings(max_examples=80, deadline=None)
@@ -811,29 +849,85 @@ class TestBitwiseKernels:
         grid = AnnulusGrid(1.0, 8.0, 2 * m - 1, 2 * n, spacing)
         rng = np.random.default_rng(seed)
         G = np.eye(2) + 0.1 * rng.normal(size=(grid.n_r - 2, grid.n_theta, 2, 2))
-        J = solver._assemble_jacobian(grid, solver._hessian_coefficients(grid), G,
-                                      *solver._csr_pattern(grid))
+        J = solver._assemble_jacobian(
+            grid, solver._stencil_weights(solver._hessian_coefficients(grid), G),
+            *solver._csr_pattern(grid))
         cycle = solver._Cycle(grid, types.SimpleNamespace(solve=lambda b: -0.5 * b))
         cycle.J, cycle.w = J, tuple(omega / J.diagonal() for omega in solver.JACOBI_WEIGHTS)
         b = data.draw(arrays(np.float64, J.shape[0], elements=_ENTRIES))
         assert cycle.solve(b).tobytes() == _out_of_place_solve(cycle, b).tobytes()
+
+    @given(st.integers(4, 129), st.integers(4, 128))
+    @settings(max_examples=60, deadline=None)
+    def test_csr_pattern_is_the_concatenated_one(self, n_r, half_n_theta):
+        """The row pointers and column indices written in place are those of
+        the broadcast-and-concatenate form, dtype included, from the
+        smallest grid to 129x256."""
+        grid = AnnulusGrid(1.0, 8.0, n_r, 2 * half_n_theta)
+        for got, want in zip(solver._csr_pattern(grid), _concatenated_csr_pattern(grid)):
+            assert got.dtype == want.dtype == np.int32
+            assert got.tobytes() == want.tobytes()
+
+
+def _concatenated_csr_pattern(grid):
+    """`_csr_pattern` from one (n_r - 2, n_theta, 3, 3) array of every row's
+    columns, concatenated without the missing neighbor rows, and the row
+    pointers by a closed form: the reference for its bytes."""
+    nI, nT = grid.n_r - 2, grid.n_theta
+    col = np.sort((np.arange(nT, dtype=np.int32)[:, None] + np.arange(-1, 2, dtype=np.int32)) % nT)
+    ind = (np.arange(nI, dtype=np.int32)[:, None, None, None] * nT
+           + (np.arange(-1, 2, dtype=np.int32)[:, None] * nT + col[:, None, :]))
+    indices = np.concatenate([ind[0, :, 1:], ind[1:-1], ind[-1, :, :2]], axis=None)
+    node = np.arange(nI * nT + 1, dtype=np.int32)
+    indptr = 9 * node - 3 * np.minimum(node, nT) - 3 * np.maximum(node - (nI - 1) * nT, 0)
+    return indices, indptr
+
+
+def test_csr_pattern_working_set():
+    """`_csr_pattern` at 129x256 peaks within 64 KiB of its two outputs
+    (1.29 MB): no (n_r - 2, n_theta, 3, 3) array beside the indices, which
+    the concatenated form made and copied."""
+    grid = AnnulusGrid(1.0, 8.0, 129, 256, "uniform")
+    tracemalloc.start()
+    try:
+        indices, indptr = solver._csr_pattern(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= indices.nbytes + indptr.nbytes + 64 * 1024
+
+
+# x from the triangle and x from lstsq solve one (k + 2) x (k + 1) least-squares
+# problem, each backward stably, so they differ by a modest multiple of eps
+# kappa(H) relative (Higham, "Accuracy and Stability of Numerical Algorithms",
+# 2002, ch. 20).  kappa(H) <= kappa(A) here: H = V_{k+1}^T A M V_k with M = I / 2
+# and V orthonormal.  The largest multiple of eps kappa(A) seen in 3198 random
+# draws that converged was 12.
+LSTSQ_ROUNDOFF = 64 * np.finfo(float).eps
 
 
 @given(n=st.integers(2, 60), shift=st.floats(0.0, 4.0), rtol=st.floats(1e-10, 0.5),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_givens_residual_is_the_lstsq_one(n, shift, rtol, seed):
-    """GMRES stops where lstsq's least-squares residual first meets rtol and
-    returns its x bit for bit, or misses rtol where that form does, on
-    nonsymmetric systems from well conditioned (a large shift of the
-    identity) to ones that run KRYLOV_MAX_ITER iterations."""
+    """GMRES stops where lstsq's least-squares residual first meets rtol, or
+    misses rtol where that form does, on nonsymmetric systems from well
+    conditioned (a large shift of the identity) to ones that run
+    KRYLOV_MAX_ITER iterations.  Its x is lstsq's to LSTSQ_ROUNDOFF kappa(A)
+    relative, and the back-substitution reference's bit for bit."""
     rng = np.random.default_rng(seed)
     A = sp.csr_matrix(rng.normal(size=(n, n)) / math.sqrt(n) + shift * np.eye(n))
     b = rng.normal(size=n)
     x, its = solver._gmres(A, lambda v: 0.5 * v, b, rtol)
     want, want_its = _lstsq_gmres(A, lambda v: 0.5 * v, b, rtol)
     assert its == want_its
-    assert (x is None and want is None) or x.tobytes() == want.tobytes()
+    assert (x is None) == (want is None)
+    if x is not None:
+        bound = LSTSQ_ROUNDOFF * np.linalg.cond(A.toarray()) * np.linalg.norm(want)
+        assert np.linalg.norm(x - want) <= bound
+    ref, ref_its = _back_substitution_gmres(A, lambda v: 0.5 * v, b, rtol)
+    assert its == ref_its
+    assert (x is None and ref is None) or x.tobytes() == ref.tobytes()
 
 
 def test_solution_sum_keeps_the_signed_zero_of_sum():
@@ -842,9 +936,22 @@ def test_solution_sum_keeps_the_signed_zero_of_sum():
     b's -0.0 makes y[0] Z[0] -0.0 there."""
     A, b = sp.csr_matrix(2.0 * np.eye(4)), np.array([1.0, -0.0, 2.0, 3.0])
     x, its = solver._gmres(A, lambda v: 0.5 * v, b, 1e-8)
-    want, _ = _lstsq_gmres(A, lambda v: 0.5 * v, b, 1e-8)
+    want, _ = _back_substitution_gmres(A, lambda v: 0.5 * v, b, 1e-8)
     assert its == 1 and x.tobytes() == want.tobytes()
     assert x[1] == 0.0 and not np.signbit(x[1])
+
+
+def test_nested_study_needs_no_lstsq(monkeypatch):
+    """GMRES finds y by back substitution on its own triangle, so a study
+    whose levels above the first run GMRES never calls np.linalg.lstsq."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    grid = AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
+    reports = solver._nested(MA2, builtin("ma-radial", {"c": 1.0}), [grid, grid.refine()])
+    assert all(rep.converged for rep in reports)
+    assert sum(step["krylov"] for rep in reports for step in rep.steps) > 0
 
 
 @pytest.mark.filterwarnings("error::scipy.sparse.SparseEfficiencyWarning")
@@ -1027,7 +1134,8 @@ class TestAssembly:
         rng = np.random.default_rng(seed)
         C = solver._hessian_coefficients(grid)
         G = rng.normal(size=(n_r - 2, grid.n_theta, 2, 2))
-        J = solver._assemble_jacobian(grid, C, G, *solver._csr_pattern(grid))
+        J = solver._assemble_jacobian(grid, solver._stencil_weights(C, G),
+                                      *solver._csr_pattern(grid))
         assert J.format == "csr"
         steps = np.diff(J.indices)
         steps[J.indptr[1:-1] - 1] = 1  # from the last entry of a row to the next row's first
@@ -1084,8 +1192,9 @@ class TestAssembly:
         grid = AnnulusGrid(1.0, 8.0, 2 * m - 1, 2 * n, spacing)
         rng = np.random.default_rng(seed)
         G = np.eye(2) + 0.1 * rng.normal(size=(grid.n_r - 2, grid.n_theta, 2, 2))
-        J = solver._assemble_jacobian(grid, solver._hessian_coefficients(grid), G,
-                                      *solver._csr_pattern(grid))
+        J = solver._assemble_jacobian(
+            grid, solver._stencil_weights(solver._hessian_coefficients(grid), G),
+            *solver._csr_pattern(grid))
         cycle = solver._Cycle(grid, types.SimpleNamespace(solve=lambda b: -0.5 * b))
         cycle.step(J, rng.normal(size=J.shape[0]), 1)
         assert cycle.J is J
@@ -1120,7 +1229,8 @@ def test_jacobi_weights_cover_the_spectrum(case, spacing, ratio):
     C = solver._hessian_coefficients(grid)
     G = OPERATORS[spec.kind].gradient(
         spec, solver._hessians(grid, AnnulusField.from_potential(grid, oracle()).values, C))
-    J = solver._assemble_jacobian(grid, C, G, *solver._csr_pattern(grid)).toarray()
+    J = solver._assemble_jacobian(grid, solver._stencil_weights(C, G),
+                                  *solver._csr_pattern(grid)).toarray()
     lam = np.linalg.eigvals(J / np.diag(J)[:, None])
     w0, w1 = solver.JACOBI_WEIGHTS
     factor = np.abs((1 - w0 * lam) * (1 - w1 * lam))
