@@ -85,19 +85,17 @@ def hessian_limit(P: PotentialFn, shells: ShellSpec) -> tuple[SymMat, float]:
     A = hessians[-1].mean(axis=0)
     A = 0.5 * (A + A.T)
     res = np.linalg.norm(hessians - A, axis=(2, 3)).max(axis=1)
-    scale = 1.0 + np.abs(A).max()
-    if res[-1] <= EXACT_FLOOR * scale:
-        return SymMat(A), EXACT_SLOPE
-    if res[-1] > res[0]:
-        raise NoDecay(
-            f"Hessian residual grows with radius ({res[0]:.3g} -> {res[-1]:.3g})")
-    slope = _log_slope(np.asarray(shells.radii), res)
-    return SymMat(A), slope
+    floor = EXACT_FLOOR * (1.0 + np.abs(A).max())
+    if res[-1] > max(res[0], floor):
+        raise NoDecay(f"Hessian residual grows with radius ({res[0]:.3g} -> {res[-1]:.3g})")
+    return SymMat(A), _decay_slope(shells.radii, res, floor)
 
 
-def _log_slope(r: np.ndarray, v: np.ndarray) -> float:
-    mask = v > 0
-    if mask.sum() < 2:
+def _decay_slope(radii, v: np.ndarray, floor: float) -> float:
+    """EXACT_SLOPE if v[-1] <= floor or fewer than two v are positive, else the
+    least-squares slope of log(v) against log(r) over the positive v."""
+    r, mask = np.asarray(radii, dtype=float), v > 0
+    if v[-1] <= floor or mask.sum() < 2:
         return EXACT_SLOPE
     return float(np.polyfit(np.log(r[mask]), np.log(v[mask]), 1)[0])
 
@@ -110,7 +108,7 @@ def decay_exponent(samples) -> float:
         raise BadParams("need >= 3 distinct radii")
     if np.any(v <= 0):
         raise NonPositiveValue("decay_exponent needs positive values")
-    return float(np.polyfit(np.log(r), np.log(v), 1)[0])
+    return _decay_slope(r, v, 0.0)
 
 
 def _row(spec: EquationSpec, name: str) -> Callable:
@@ -155,11 +153,7 @@ def fit_profile(P: PotentialFn, spec: EquationSpec, shells: ShellSpec,
 
     resid = np.abs(D @ coef - y)
     per_shell = resid.reshape(len(shells.radii), shells.points_per_shell).max(axis=1)
-    scale = 1.0 + np.abs(y).max()
-    if per_shell[-1] <= EXACT_FLOOR * scale:
-        slope = EXACT_SLOPE
-    else:
-        slope = _log_slope(np.asarray(shells.radii), per_shell)
+    slope = _decay_slope(shells.radii, per_shell, EXACT_FLOOR * (1.0 + np.abs(y).max()))
     return AsymptoticProfile(A, b, c, d, L, slope)
 
 
@@ -167,50 +161,48 @@ def fit_profile(P: PotentialFn, spec: EquationSpec, shells: ShellSpec,
 # boundary integrals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # S is an array: a curve is equal only to itself
 class BoundaryCurve:
-    """Smooth, simple, positively oriented closed curve t in [0, 2pi).
+    """The ellipse center + R S (cos t, sin t), t in [0, 2pi), for a symmetric
+    positive definite 2x2 S: positively oriented, and refused as BadParams
+    unless its interior holds the origin, the hole that the integrals enclose."""
 
-    `gamma` and `dgamma` take parameters t of shape (K,) and return the
-    points and tangents, each of shape (K, 2)."""
-
-    gamma: Callable[[np.ndarray], np.ndarray]
-    dgamma: Callable[[np.ndarray], np.ndarray]
+    R: float
+    S: np.ndarray
+    center: tuple = (0.0, 0.0)
     order: int = DEFAULT_QUAD_ORDER
 
     def __post_init__(self):
         if not 16 <= self.order <= MAX_QUAD_ORDER:  # 16: experiment.json's minimum
             raise BadParams(f"quadrature order must be in [16, {MAX_QUAD_ORDER}], got {self.order}")
+        # the origin is center + R S u at |u| = |S^-1 center| / |R|, inside iff |u| < 1; nan fails
+        if not np.linalg.norm(np.linalg.solve(self.S, self.center)) < abs(self.R):
+            raise BadParams(f"the curve of radius {self.R:g} about {list(self.center)} "
+                            "does not enclose the origin")
 
     @staticmethod
     def circle(radius: float, center=(0.0, 0.0), order: int = DEFAULT_QUAD_ORDER):
         if not 0 < radius < math.inf:
             raise BadParams(f"circle radius must be finite and > 0, got {radius!r}")
-        cx, cy = center
-        return BoundaryCurve(
-            lambda t: np.stack([cx + radius * np.cos(t), cy + radius * np.sin(t)], axis=1),
-            lambda t: np.stack([-radius * np.sin(t), radius * np.cos(t)], axis=1),
-            order)
+        return BoundaryCurve(radius, np.eye(2), center, order)
 
     @staticmethod
     def ellipse_of_kernel(L: SymMat, R: float, order: int = DEFAULT_QUAD_ORDER):
-        """The level curve {x : x'Lx = R^2} for positive definite L."""
+        """The level curve {x : x'Lx = R^2} for positive definite L: S = L^-1/2."""
         w, V = np.linalg.eigh(L.m)
         if w[0] <= 0:
             raise BadParams("kernel must be positive definite")
-        S = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
-        return BoundaryCurve(
-            lambda t: R * matvecs(S, np.stack([np.cos(t), np.sin(t)], axis=1)),
-            lambda t: R * matvecs(S, np.stack([-np.sin(t), np.cos(t)], axis=1)),
-            order)
+        return BoundaryCurve(R, V @ np.diag(1.0 / np.sqrt(w)) @ V.T, order=order)
 
     def quad_nodes(self):
-        t = np.arange(self.order) * (2 * math.pi / self.order)
-        return t, 2 * math.pi / self.order
+        """Points and tangents at t = 2pi k / order, each (order, 2), and the step."""
+        U = shell_points(1.0, self.order, 2)
+        T = np.stack([-U[:, 1], U[:, 0]], axis=1)
+        return (self.center + self.R * matvecs(self.S, U), self.R * matvecs(self.S, T),
+                2 * math.pi / self.order)
 
     def enclosed_area(self) -> float:
-        t, h = self.quad_nodes()
-        g, dg = self.gamma(t), self.dgamma(t)
+        g, dg, h = self.quad_nodes()
         return float(np.sum(0.5 * (g[:, 0] * dg[:, 1] - g[:, 1] * dg[:, 0]))) * h
 
 
@@ -218,8 +210,7 @@ def _curve_integral(curve: BoundaryCurve, integrand) -> float:
     """Composite trapezoid of integrand(X, nu) * |gamma'| over the closed
     curve, with the integrand taking all nodes X and unit normals nu as
     (K, 2) batches; spectrally accurate for smooth periodic data."""
-    t, h = curve.quad_nodes()
-    g, dg = curve.gamma(t), curve.dgamma(t)
+    g, dg, h = curve.quad_nodes()
     speed = np.hypot(dg[:, 0], dg[:, 1])
     nu = np.stack([dg[:, 1], -dg[:, 0]], axis=1) / speed[:, None]
     return float(np.sum(integrand(g, nu) * speed)) * h
@@ -238,8 +229,7 @@ def boundary_d(spec: EquationSpec, P: PotentialFn, curve: BoundaryCurve) -> floa
 
     def integrand(X, nu):
         P.outside_rho(X, "curve node")
-        g = P.grads(X)
-        H = P.hessians(X)
+        g, H = P.grads(X), P.hessians(X)
         bad = np.flatnonzero(~OPERATORS[spec.kind].in_branch(spec, H))
         if bad.size:
             raise NotAdmissible(f"D^2u at curve node {X[bad[0]].tolist()} is not "
@@ -247,8 +237,7 @@ def boundary_d(spec: EquationSpec, P: PotentialFn, curve: BoundaryCurve) -> floa
         return (lw * rowdot(g, nu)
                 + cw * g[:, 0] * (H[:, 1, 1] * nu[:, 0] - H[:, 0, 1] * nu[:, 1]))
 
-    total = _curve_integral(curve, integrand)
-    return (total - aw * curve.enclosed_area()) / (2 * math.pi)
+    return (_curve_integral(curve, integrand) - aw * curve.enclosed_area()) / (2 * math.pi)
 
 
 def flux_identity(spec: EquationSpec, A: SymMat, d: float, R: float) -> float:
@@ -263,8 +252,7 @@ def flux_identity(spec: EquationSpec, A: SymMat, d: float, R: float) -> float:
         raise WrongDimension("flux identity is 2D only")
     L = log_kernel(spec, A)
     lw, cw, _ = _row(spec, "div_form")(spec)
-    Am = A.m
-    Lm = L.m
+    Am, Lm = A.m, L.m
     curve = BoundaryCurve.ellipse_of_kernel(L, R)
 
     def integrand(X, nu):

@@ -4,6 +4,7 @@ integrals, annulus solves, and full experiment pipelines."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -214,12 +215,12 @@ def cmd_fit(args) -> int:
 
 
 def _curve_from_config(cfg: dict, kernel: SymMat):
-    order = int(cfg.get("order", asymptotics.DEFAULT_QUAD_ORDER))
-    if cfg["type"] == "circle":
-        return asymptotics.BoundaryCurve.circle(
-            float(cfg.get("radius", 1.0)), tuple(cfg.get("center", (0.0, 0.0))), order)
-    return asymptotics.BoundaryCurve.ellipse_of_kernel(
-        kernel, float(cfg.get("radius", 10.0)), order)
+    """The config's circle or kernel ellipse, with its `center` and `order` applied."""
+    radius = float(cfg.get("radius", 1.0 if cfg["type"] == "circle" else 10.0))
+    curve = (asymptotics.BoundaryCurve.circle(radius) if cfg["type"] == "circle"
+             else asymptotics.BoundaryCurve.ellipse_of_kernel(kernel, radius))
+    return dataclasses.replace(curve, center=tuple(cfg.get("center", curve.center)),
+                               order=int(cfg.get("order", curve.order)))
 
 
 def cmd_boundary_d(args) -> int:
@@ -389,9 +390,14 @@ def main(argv=None) -> int:
         # would only precede the one JSON error line
         with np.errstate(all="ignore"):
             return args.func(args)
-    except LabError as e:
-        _emit_error(e)
+    except (LabError, MemoryError) as e:
+        _emit_error(e := _named(e))
         return exit_code(e)
+
+
+def _named(e: Exception) -> LabError:
+    """A LabError as it is; a MemoryError (an allocation numpy refused) as BadParams."""
+    return e if isinstance(e, LabError) else BadParams(str(e) or "out of memory")
 
 
 def exit_code(e: LabError) -> int:
@@ -400,13 +406,14 @@ def exit_code(e: LabError) -> int:
 
 
 def run_script(ap: argparse.ArgumentParser, run) -> None:
-    """Parse the command line with ap and call run(args); a LabError exits
-    with its exit code after one `prog: error: message` line on stderr."""
+    """Parse the command line with ap and call run(args); a LabError, or a
+    MemoryError as BadParams, exits with its exit code after one
+    `prog: error: message` line on stderr."""
     args = ap.parse_args()
     try:
         run(args)
-    except LabError as e:
-        ap.exit(exit_code(e), f"{ap.prog}: error: {e}\n")
+    except (LabError, MemoryError) as e:
+        ap.exit(exit_code(e := _named(e)), f"{ap.prog}: error: {e}\n")
 
 
 def _emit_error(e: LabError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import log_kernel
+from .asymptotics import log_kernel, shell_points
 from .core import AsymptoticProfile, EquationSpec, PotentialFn, SymMat, matvecs, rowdot
 from .equations import eigvals, sym_2x2
 from .errors import BadParams, InverseMapDiverged, StripViolation, UnknownName
@@ -124,11 +124,9 @@ def _certify_rho(harm: PotentialFn, a: float, b: float, what: str, guess, bad) -
     """Smallest radius in a geometric sweep whose shell of 256 points inverts
     under x -> a x + b D harm(x) to preimage Hessians H with no bad(H) row."""
     preimage = _graph_preimage(harm, a, b, what, guess)
-    th = np.arange(256) * (2 * math.pi / 256)
-    ring = np.stack([np.cos(th), np.sin(th)], axis=1)
     for rho in RHO_CANDIDATES:
         try:
-            H = harm.hessians_fn(preimage(rho * ring))
+            H = harm.hessians_fn(preimage(shell_points(rho, 256, 2)))
         except InverseMapDiverged:
             continue
         if not bad(H).any():

@@ -41,6 +41,8 @@ SCRIPT_ERRORS = [
     ("solver_convergence.py", ["--base", "3,8"], "n_r"),
     ("oracle_sweep.py", ["--shells", "400,50,6"], "increasing"),
     ("solver_convergence.py", ["--levels", "0"], "--levels"),
+    # a size numpy refuses to allocate (7 PiB, refused at once) is BadParams too
+    ("oracle_sweep.py", ["--shells", "50,400,1000000000000000"], "Unable to allocate"),
 ]
 
 

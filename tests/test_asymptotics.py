@@ -20,6 +20,7 @@ from asymlab import (
     oracle_sle,
 )
 from asymlab.asymptotics import EXACT_SLOPE, MAX_QUAD_ORDER, log_kernel, shell_points
+from asymlab.core import matvecs
 from asymlab.errors import BadParams, NoDecay, NotAdmissible
 from asymlab.oracle2d import builtin
 
@@ -286,6 +287,78 @@ class TestBoundaryCurve:
     def test_circle_radius_finite_and_positive(self, radius):
         with pytest.raises(BadParams, match="radius"):
             BoundaryCurve.circle(radius)
+
+    # the closed forms a circle and a kernel ellipse were built from before
+    # BoundaryCurve became one (R, S, center) ellipse: the reference below
+    @staticmethod
+    def _circle_closed_form(radius, center, t):
+        cx, cy = center
+        return (np.stack([cx + radius * np.cos(t), cy + radius * np.sin(t)], axis=1),
+                np.stack([-radius * np.sin(t), radius * np.cos(t)], axis=1))
+
+    @staticmethod
+    def _ellipse_closed_form(L, R, t):
+        w, V = np.linalg.eigh(L.m)
+        S = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
+        return (R * matvecs(S, np.stack([np.cos(t), np.sin(t)], axis=1)),
+                R * matvecs(S, np.stack([-np.sin(t), np.cos(t)], axis=1)))
+
+    @given(st.floats(0.01, 1e3), st.floats(0.0, 0.99), st.floats(0.0, 2 * math.pi),
+           st.integers(16, 2048))
+    @settings(max_examples=60, deadline=None)
+    def test_circle_nodes_are_the_closed_form(self, radius, off, angle, order):
+        """Equal to the last bit, up to the sign of a zero (the tangent's
+        first entry at t = 0 is +0.0 where the closed form has -0.0)."""
+        center = (off * radius * math.cos(angle), off * radius * math.sin(angle))
+        g, dg, h = BoundaryCurve.circle(radius, center, order).quad_nodes()
+        t = np.arange(order) * (2 * math.pi / order)
+        ref_g, ref_dg = self._circle_closed_form(radius, center, t)
+        assert np.array_equal(g, ref_g) and np.array_equal(dg, ref_dg)
+        assert h == 2 * math.pi / order
+
+    @given(st.floats(0.05, 20.0), st.floats(0.05, 20.0), st.floats(0.0, math.pi),
+           st.floats(0.01, 1e3), st.integers(16, 2048))
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_ellipse_nodes_are_the_closed_form(self, w0, w1, phi, R, order):
+        c, s = math.cos(phi), math.sin(phi)
+        V = np.array([[c, -s], [s, c]])
+        L = SymMat(V @ np.diag([w0, w1]) @ V.T)
+        g, dg, _ = BoundaryCurve.ellipse_of_kernel(L, R, order).quad_nodes()
+        ref_g, ref_dg = self._ellipse_closed_form(L, R, np.arange(order) * (2 * math.pi / order))
+        assert np.array_equal(g, ref_g) and np.array_equal(dg, ref_dg)
+
+    @pytest.mark.parametrize("radius, center", [
+        (2.0, (10.0, 0.0)), (2.0, (2.0, 0.0)), (2.0, (0.0, -2.5)), (2.0, (math.nan, 0.0))])
+    def test_circle_off_the_origin_is_bad_params(self, radius, center):
+        """The formula for d needs a curve around the hole: a circle whose
+        disk misses the origin, or has it on its edge, is refused before any
+        node is allocated; so is a nan center."""
+        with pytest.raises(BadParams, match="does not enclose the origin"):
+            BoundaryCurve.circle(radius, center)
+        with pytest.raises(BadParams, match="does not enclose the origin"):
+            dataclasses.replace(BoundaryCurve.circle(radius), center=center)
+
+    def test_kernel_ellipse_off_the_origin_is_bad_params(self):
+        """The ellipse x'Lx = R^2 about (0, 2.5) with L = diag(4, 1/4) holds
+        the origin (L = I would not), and about (2.5, 0) does not; a nan R
+        is refused too."""
+        L = SymMat.diag(4.0, 0.25)
+        curve = BoundaryCurve.ellipse_of_kernel(L, 2.0)
+        assert dataclasses.replace(curve, center=(0.0, 2.5)).center == (0.0, 2.5)
+        with pytest.raises(BadParams, match="does not enclose the origin"):
+            dataclasses.replace(curve, center=(2.5, 0.0))
+        with pytest.raises(BadParams, match="does not enclose the origin"):
+            BoundaryCurve.ellipse_of_kernel(L, math.nan)
+
+    def test_boundary_d_on_a_curve_off_the_hole_is_refused(self):
+        """A circle of radius 2 about (10, 0) misses the hole, where the
+        formula would return a roundoff-sized d as a measurement; an
+        off-centre circle around it gives the same d as a centred one."""
+        P = builtin("ma-radial", {"c": 1.0})
+        with pytest.raises(BadParams, match="does not enclose the origin"):
+            boundary_d(MA2, P, BoundaryCurve.circle(2.0, center=(10.0, 0.0)))
+        d = boundary_d(MA2, P, BoundaryCurve.circle(3.0, center=(0.5, -0.25)))
+        assert d == pytest.approx(0.5, abs=1e-9)
 
     def test_circle_area(self):
         assert BoundaryCurve.circle(2.0).enclosed_area() == pytest.approx(4 * math.pi, abs=1e-9)

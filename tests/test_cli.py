@@ -426,6 +426,20 @@ class TestMalformedArguments:
         assert json.loads(r.stderr)["error"]["kind"] == kind
         assert r.stdout == ""
 
+    @pytest.mark.parametrize("args", [
+        ["residual", "--equation", "ma", "--points", "1000000000000000"],
+        ["fit", "--equation", "ma", "--points-per-shell", "1000000000000000"],
+    ], ids=["residual", "fit"])
+    def test_refused_allocation_is_bad_params(self, tmp_path, args):
+        """A size that numpy refuses to allocate (7 PiB, refused at once) is
+        BadParams carrying numpy's message, not a MemoryError traceback."""
+        r = run(args + ["--solution", "builtin:ma-radial", "--outputs", str(tmp_path)])
+        assert r.returncode == 2
+        assert r.stderr.count("\n") == 1
+        err = json.loads(r.stderr)["error"]
+        assert err["kind"] == "BadParams" and err["message"].startswith("Unable to allocate")
+        assert r.stdout == ""
+
     @pytest.mark.parametrize("args, content", [
         ([cmd, flag, "{path}", *rest], content)
         for cmd, flag, rest in [("experiment", "--config", []),
@@ -665,6 +679,38 @@ class TestRefusedWhereTheyEnter:
             "type": "circle", "radius": 2.0, "order": 100000000000})))
         rc, err = _main(["experiment", "--config", str(cfg_path)], capsys)
         assert (rc, err) == (2, {"kind": "BadParams", "message": message})
+
+    def test_curve_off_the_hole_writes_no_summary(self, tmp_path, capsys, fresh_validators):
+        """A circle that misses the origin is refused as BadParams and no
+        summary is written, where it used to report a roundoff-sized
+        dBoundary and FAIL with exit 1."""
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(_experiment_config(tmp_path / "out", curve={
+            "type": "circle", "radius": 2, "center": [10, 0]})))
+        rc, err = _main(["experiment", "--config", str(cfg_path)], capsys)
+        assert (rc, err["kind"]) == (2, "BadParams")
+        assert "does not enclose the origin" in err["message"]
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_kernel_ellipse_center_moves_the_nodes(self, tmp_path, capsys, monkeypatch,
+                                                  fresh_validators):
+        """A kernel ellipse's `center` is applied, as a circle's is: its nodes
+        are the centred ellipse's, shifted, and d is unchanged."""
+        curves = []
+        boundary_d = asymptotics.boundary_d
+        monkeypatch.setattr(asymptotics, "boundary_d", lambda spec, P, curve: (
+            curves.append(curve) or boundary_d(spec, P, curve)))
+        d = []
+        for n, center in enumerate([[0.0, 0.0], [1.5, -2.0]]):
+            cfg_path = tmp_path / f"exp{n}.json"
+            cfg_path.write_text(json.dumps(_experiment_config(tmp_path / f"out{n}", curve={
+                "type": "kernel-ellipse", "radius": 10.0, "center": center, "order": 64})))
+            assert _main(["experiment", "--config", str(cfg_path)], capsys) == (0, None)
+            d.append(json.loads((tmp_path / f"out{n}" / "summary.json").read_text())["dBoundary"])
+        (g0, dg0, _), (g1, dg1, _) = (c.quad_nodes() for c in curves)
+        assert curves[1].center == (1.5, -2.0)
+        assert np.array_equal(g1, g0 + [1.5, -2.0]) and np.array_equal(dg1, dg0)
+        assert d[1] == pytest.approx(d[0], abs=1e-9) and d[0] == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("spec", [
         {"kind": "builtin"}, {"kind": "sle"}, {"kind": "builtin", "name": "nope"},

@@ -1262,6 +1262,39 @@ def test_criterion_8_gmres_iterations(monkeypatch):
     assert totals == [20, 51]
 
 
+def test_criterion_8_matvecs_and_back_solves(monkeypatch):
+    """The linear algebra of the uniform criterion-8 studies, pinned exactly:
+    184 CSR matvecs and 27 LU back-solves over every level of the MA study,
+    455 and 61 over the SLE study (GMRES's products and the cycles' sweeps;
+    the chord steps, the coarse solves and each factorization's own solve)."""
+    counts = {"matvec": 0, "back-solve": 0}
+    matmul, splu = sp.csr_matrix.__matmul__, solver.spla.splu
+
+    def counting_matmul(J, x):
+        counts["matvec"] += 1
+        return matmul(J, x)
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, b):
+            counts["back-solve"] += 1
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(solver.spla, "splu", lambda *a, **k: CountingLU(splu(*a, **k)))
+    grids = [AnnulusGrid(1.0, 8.0, 33, 64, "uniform")]
+    grids += [grids[0].refine(), grids[0].refine().refine()]
+    totals = []
+    for spec, P in ((MA2, builtin("ma-radial", {"c": 1.0})),
+                    (SLE2, oracle_sle(LaurentCoeffs(a1=0.1, am1=0.5), math.pi / 4))):
+        counts.update({"matvec": 0, "back-solve": 0})
+        convergence_study(spec, P, grids)
+        totals.append(dict(counts))
+    assert totals == [{"matvec": 184, "back-solve": 27}, {"matvec": 455, "back-solve": 61}]
+
+
 def test_criterion_8_ma_study_working_set():
     """The traced peak of the criterion-8 MA study stays under 10 MiB (9.2
     MiB measured): no dense chain-rule table (5.2 MB at 129x256), no
