@@ -8,8 +8,8 @@ from .errors import (BadParams, ConfigError, DidNotConverge, IllConditioned,
                      SingularJacobian, SingularRotation, StripViolation,
                      UnknownName, WrongDimension)
 from .core import (AnnulusField, AnnulusGrid, AsymptoticProfile, EquationSpec,
-                   PotentialFn, SymMat, phase)
-from .equations import residual
+                   PotentialFn, SymMat)
+from .equations import phase, residual
 from .transforms import (legendre, legendre_lewy, rotate_hessian,
                          rotate_potential, unrotate_hessian, unrotate_potential)
 from .oracle2d import (LaurentCoeffs, builtin, expected_profile,

@@ -164,8 +164,9 @@ def fit_profile(P: PotentialFn, spec: EquationSpec, shells: ShellSpec,
 @dataclass(frozen=True, eq=False)  # S is an array: a curve is equal only to itself
 class BoundaryCurve:
     """The ellipse center + R S (cos t, sin t), t in [0, 2pi), for a symmetric
-    positive definite 2x2 S: positively oriented, and refused as BadParams
-    unless its interior holds the origin, the hole that the integrals enclose."""
+    positive definite 2x2 S: positively oriented, refused as WrongDimension
+    unless S is 2x2 and center two numbers, and as BadParams unless its
+    interior holds the origin, the hole that the integrals enclose."""
 
     R: float
     S: np.ndarray
@@ -175,6 +176,10 @@ class BoundaryCurve:
     def __post_init__(self):
         if not 16 <= self.order <= MAX_QUAD_ORDER:  # 16: experiment.json's minimum
             raise BadParams(f"quadrature order must be in [16, {MAX_QUAD_ORDER}], got {self.order}")
+        if np.shape(self.S) != (2, 2) or np.shape(self.center) != (2,):
+            raise WrongDimension(f"a boundary curve is 2D: S must be 2x2 and center two "
+                                 f"numbers, got shapes {np.shape(self.S)} and "
+                                 f"{np.shape(self.center)}")
         # the origin is center + R S u at |u| = |S^-1 center| / |R|, inside iff |u| < 1; nan fails
         if not np.linalg.norm(np.linalg.solve(self.S, self.center)) < abs(self.R):
             raise BadParams(f"the curve of radius {self.R:g} about {list(self.center)} "
@@ -201,16 +206,13 @@ class BoundaryCurve:
         return (self.center + self.R * matvecs(self.S, U), self.R * matvecs(self.S, T),
                 2 * math.pi / self.order)
 
-    def enclosed_area(self) -> float:
-        g, dg, h = self.quad_nodes()
-        return float(np.sum(0.5 * (g[:, 0] * dg[:, 1] - g[:, 1] * dg[:, 0]))) * h
 
-
-def _curve_integral(curve: BoundaryCurve, integrand) -> float:
+def _curve_integral(nodes, integrand) -> float:
     """Composite trapezoid of integrand(X, nu) * |gamma'| over the closed
-    curve, with the integrand taking all nodes X and unit normals nu as
-    (K, 2) batches; spectrally accurate for smooth periodic data."""
-    g, dg, h = curve.quad_nodes()
+    curve of `nodes`, a `quad_nodes()` triple, with the integrand taking
+    all nodes X and unit normals nu as (K, 2) batches; spectrally accurate
+    for smooth periodic data."""
+    g, dg, h = nodes
     speed = np.hypot(dg[:, 0], dg[:, 1])
     nu = np.stack([dg[:, 1], -dg[:, 0]], axis=1) / speed[:, None]
     return float(np.sum(integrand(g, nu) * speed)) * h
@@ -237,7 +239,9 @@ def boundary_d(spec: EquationSpec, P: PotentialFn, curve: BoundaryCurve) -> floa
         return (lw * rowdot(g, nu)
                 + cw * g[:, 0] * (H[:, 1, 1] * nu[:, 0] - H[:, 0, 1] * nu[:, 1]))
 
-    return (_curve_integral(curve, integrand) - aw * curve.enclosed_area()) / (2 * math.pi)
+    nodes = g, dg, h = curve.quad_nodes()
+    area = float(np.sum(0.5 * (g[:, 0] * dg[:, 1] - g[:, 1] * dg[:, 0]))) * h
+    return (_curve_integral(nodes, integrand) - aw * area) / (2 * math.pi)
 
 
 def flux_identity(spec: EquationSpec, A: SymMat, d: float, R: float) -> float:
@@ -253,7 +257,6 @@ def flux_identity(spec: EquationSpec, A: SymMat, d: float, R: float) -> float:
     L = log_kernel(spec, A)
     lw, cw, _ = _row(spec, "div_form")(spec)
     Am, Lm = A.m, L.m
-    curve = BoundaryCurve.ellipse_of_kernel(L, R)
 
     def integrand(X, nu):
         Lx = matvecs(Lm, X)
@@ -266,4 +269,4 @@ def flux_identity(spec: EquationSpec, A: SymMat, d: float, R: float) -> float:
                 + cw * (Q1 * (HGamma11 * nu[:, 0] - HGamma01 * nu[:, 1])
                         + dGamma[:, 0] * (Am[1, 1] * nu[:, 0] - Am[0, 1] * nu[:, 1])))
 
-    return _curve_integral(curve, integrand)
+    return _curve_integral(BoundaryCurve.ellipse_of_kernel(L, R).quad_nodes(), integrand)

@@ -69,18 +69,6 @@ def parse_equation(kind: str, dim: int, theta=None, delta=None) -> EquationSpec:
         raise ConfigError(str(e)) from e
 
 
-def _equation_for(args, P: PotentialFn) -> EquationSpec:
-    """The equation of the command line, in the solution's dimension."""
-    spec = parse_equation(args.equation, args.dim or P.dim, args.theta, args.delta)
-    _check_dim(spec, P)
-    return spec
-
-
-def _check_dim(spec: EquationSpec, P: PotentialFn):
-    if spec.dim != P.dim:
-        raise WrongDimension(f"the equation is {spec.dim}D but the solution is {P.dim}D")
-
-
 def _check_object(value, what: str):
     """Checked before the schema, whose message would not say which value must be an object."""
     if not isinstance(value, dict):
@@ -165,7 +153,7 @@ def cmd_residual(args) -> int:
     if args.seed < 0:
         raise BadParams(f"--seed must be non-negative, got {args.seed}")
     P = parse_solution(args.solution, args.params)
-    spec = _equation_for(args, P)
+    spec = parse_equation(args.equation, P.dim, args.theta, args.delta)
     pts = _exterior_points(P, args.points, args.seed)
     res = residual_many(spec, P.hessians(pts))
     worst = float(np.max(np.abs(res)))
@@ -207,7 +195,7 @@ def _samples_csv(P: PotentialFn, shells, seed: int) -> str:
 
 def cmd_fit(args) -> int:
     P = parse_solution(args.solution, args.params)
-    spec = _equation_for(args, P)
+    spec = parse_equation(args.equation, P.dim, args.theta, args.delta)
     shells = asymptotics.ShellSpec(_comma_list(args.shells, "--shells"), args.points_per_shell)
     out = _out_path(_out_dir(args.outputs), args.out) if args.out else None
     _dump_json(asymptotics.fit_profile(P, spec, shells, seed=args.seed).to_dict(), out)
@@ -225,7 +213,7 @@ def _curve_from_config(cfg: dict, kernel: SymMat):
 
 def cmd_boundary_d(args) -> int:
     P = parse_solution(args.solution, args.params)
-    spec = _equation_for(args, P)
+    spec = parse_equation(args.equation, P.dim, args.theta, args.delta)
     curve = asymptotics.BoundaryCurve.circle(args.radius, order=args.order)
     d = asymptotics.boundary_d(spec, P, curve)
     print(f"d = {d:.12g}")
@@ -234,7 +222,7 @@ def cmd_boundary_d(args) -> int:
 
 def cmd_solve(args) -> int:
     P = parse_solution(args.solution, args.params)
-    spec = _equation_for(args, P)
+    spec = parse_equation(args.equation, P.dim, args.theta, args.delta)
     r_in, r_out, n_r, n_t = _comma_list(args.grid, "--grid", (float, float, int, int))
     grid = AnnulusGrid(r_in, r_out, n_r, n_t, args.spacing)
     out_dir = _out_dir(args.outputs)
@@ -269,7 +257,8 @@ def cmd_experiment(args) -> int:
     eq = cfg["equation"]
     spec = parse_equation(eq["kind"], eq["dim"], eq.get("theta"), eq.get("delta"))
     P = solution_from_spec(cfg["solution"])
-    _check_dim(spec, P)
+    if spec.dim != P.dim:
+        raise WrongDimension(f"the equation is {spec.dim}D but the solution is {P.dim}D")
     seed = int(cfg.get("seed", 0))
     shells = asymptotics.ShellSpec(tuple(cfg["shells"]["radii"]),
                                    int(cfg["shells"].get("pointsPerShell", 64)))
@@ -325,33 +314,36 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="exterior-asymptotics laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, equation=True):
+    def common(sp, seed=False, outputs=False, equation=True):
+        """--solution and --params, and each shared option the handler reads;
+        the equation takes the solution's dimension."""
         sp.add_argument("--solution", required=True,
                         help="'builtin:NAME' or path to an oracle spec JSON")
         sp.add_argument("--params", help="JSON params for a builtin solution")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--outputs", help="output directory (LAB_OUTPUT_DIR overrides)")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        if outputs:
+            sp.add_argument("--outputs", help="output directory (LAB_OUTPUT_DIR overrides)")
         if equation:
             sp.add_argument("--equation", required=True,
                             choices=["sle", "ma", "sigma2", "ihh"])
             sp.add_argument("--theta", type=float)
             sp.add_argument("--delta", type=float)
-            sp.add_argument("--dim", type=int)
 
     sp = sub.add_parser("residual", help="max |residual| over exterior samples")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--points", type=int, default=1000)
     sp.set_defaults(func=cmd_residual)
 
     sp = sub.add_parser("oracle", help="dump oracle samples to CSV")
-    common(sp, equation=False)
+    common(sp, seed=True, outputs=True, equation=False)
     sp.add_argument("--radii", default="10,20,40")
     sp.add_argument("--points-per-shell", type=int, default=64)
     sp.add_argument("--out", default="samples.csv")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("fit", help="fit an asymptotic profile")
-    common(sp)
+    common(sp, seed=True, outputs=True)
     sp.add_argument("--shells", default="50,100,200")
     sp.add_argument("--points-per-shell", type=int, default=64)
     sp.add_argument("--out", help="profile JSON path (default: stdout)")
@@ -364,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_boundary_d)
 
     sp = sub.add_parser("solve", help="Newton solve on a polar annulus")
-    common(sp)
+    common(sp, outputs=True)
     sp.add_argument("--grid", default="1,8,65,128",
                     help="rInner,rOuter,nR,nTheta")
     sp.add_argument("--spacing", choices=["uniform", "logarithmic"],

@@ -71,12 +71,6 @@ class SymMat:
         return SymMat(np.diag(np.asarray(entries, dtype=float)))
 
 
-def phase(M: SymMat) -> float:
-    """Sum of arctan of the eigenvalues, the Lagrangian angle of M."""
-    w = np.linalg.eigvalsh(M.m)
-    return float(np.sum(np.arctan(w)))
-
-
 @dataclass(frozen=True)
 class EquationSpec:
     """Which operator: SLE (needs theta), MA, SIGMA2 (needs delta, dim >= 3), IHH."""

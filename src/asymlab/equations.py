@@ -173,6 +173,11 @@ OPERATORS = {
 }
 
 
+def phase(M: SymMat) -> float:
+    """Sum of arctan of the eigenvalues, the Lagrangian angle of M."""
+    return float(_phase(M.m))
+
+
 def residual(spec: EquationSpec, M: SymMat) -> float:
     return float(OPERATORS[spec.kind].residual(spec, M.m))
 

@@ -21,7 +21,7 @@ from asymlab import (
 )
 from asymlab.asymptotics import EXACT_SLOPE, MAX_QUAD_ORDER, log_kernel, shell_points
 from asymlab.core import matvecs
-from asymlab.errors import BadParams, NoDecay, NotAdmissible
+from asymlab.errors import BadParams, NoDecay, NotAdmissible, WrongDimension
 from asymlab.oracle2d import builtin
 
 SLE2 = EquationSpec("SLE", 2, theta=math.pi / 2)
@@ -360,12 +360,25 @@ class TestBoundaryCurve:
         d = boundary_d(MA2, P, BoundaryCurve.circle(3.0, center=(0.5, -0.25)))
         assert d == pytest.approx(0.5, abs=1e-9)
 
+    # u = |x|^2 / 2 solves MA exactly (d = 0), and its flux u_1 (u_22, -u_12).nu
+    # = x1 nu1 integrates to the enclosed area: d is 0 only if boundary_d's
+    # area term is that area
+    UNIT_QUADRATIC = {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0], "c": 0.0}
+
     def test_circle_area(self):
-        assert BoundaryCurve.circle(2.0).enclosed_area() == pytest.approx(4 * math.pi, abs=1e-9)
+        P = builtin("quadratic", self.UNIT_QUADRATIC)
+        assert boundary_d(MA2, P, BoundaryCurve.circle(2.0)) == pytest.approx(0.0, abs=1e-9)
 
     def test_ellipse_of_kernel_area(self):
-        # {x : x'Lx <= R^2} has area pi R^2 / sqrt(det L)
-        L = SymMat([[2.0, 0.5], [0.5, 1.0]])
-        R = 3.0
-        area = BoundaryCurve.ellipse_of_kernel(L, R).enclosed_area()
-        assert area == pytest.approx(math.pi * R * R / math.sqrt(np.linalg.det(L.m)), abs=1e-9)
+        P = builtin("quadratic", self.UNIT_QUADRATIC)
+        curve = BoundaryCurve.ellipse_of_kernel(SymMat([[2.0, 0.5], [0.5, 1.0]]), 3.0)
+        assert boundary_d(MA2, P, curve) == pytest.approx(0.0, abs=1e-9)
+
+    def test_curve_off_the_plane_is_wrong_dimension(self):
+        """A 3x3 S, from a 3D kernel, or a center of three numbers is refused
+        before the enclosure check reads them."""
+        for make in (lambda: BoundaryCurve(1.0, np.eye(3)),
+                     lambda: BoundaryCurve.ellipse_of_kernel(SymMat.identity(3), 10.0),
+                     lambda: BoundaryCurve.circle(2.0, center=(0.0, 0.0, 0.0))):
+            with pytest.raises(WrongDimension, match="a boundary curve is 2D"):
+                make()

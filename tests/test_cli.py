@@ -77,15 +77,6 @@ class TestResidualCommand:
         err = json.loads(r.stderr)["error"]
         assert err["kind"] == "BadParams" and "--seed" in err["message"]
 
-    @pytest.mark.parametrize("solution,dim", [("builtin:ma-radial", "3"),
-                                              ("builtin:warren3d", "2")])
-    def test_dimension_mismatch_is_wrong_dimension(self, solution, dim):
-        r = run(["residual", "--solution", solution, "--equation", "ma",
-                 "--dim", dim, "--points", "10"])
-        assert r.returncode == 1
-        assert json.loads(r.stderr)["error"]["kind"] == "WrongDimension"
-        assert "max |residual|" not in r.stdout
-
 
 class TestFitCommand:
     def test_profile_to_stdout(self):
@@ -122,13 +113,6 @@ class TestFitCommand:
                  '{"A": [[1, 0], [0, 1]], "b": [0, 0], "c": 0}', "--equation", "ma"])
         assert r.returncode == 0, r.stderr
         assert _strict_json(r.stdout)["decaySlope"] is None
-
-    def test_dimension_mismatch_is_wrong_dimension(self):
-        r = run(["fit", "--solution", "builtin:ma-radial", "--params", '{"c": 1.0}',
-                 "--equation", "ma", "--dim", "3"])
-        assert r.returncode == 1
-        assert json.loads(r.stderr)["error"]["kind"] == "WrongDimension"
-        assert r.stdout == ""
 
 
 class TestBoundaryDCommand:
@@ -365,16 +349,6 @@ class TestSolveCommand:
         assert json.loads(r.stderr)["error"] == {"kind": "WrongDimension",
                                                  "message": "annulus solver is 2D only"}
 
-    @pytest.mark.parametrize("command", [["solve", "--grid", "1,8,17,32"],
-                                         ["boundary-d", "--radius", "3"]])
-    def test_dim_flag_against_the_solution_is_wrong_dimension(self, tmp_path, command):
-        r = run([*command, "--solution", "builtin:ma-radial", "--equation", "ma",
-                 "--dim", "3", "--outputs", str(tmp_path)])
-        assert r.returncode == 1
-        assert json.loads(r.stderr)["error"] == {
-            "kind": "WrongDimension", "message": "the equation is 3D but the solution is 2D"}
-        assert not (tmp_path / "field.csv").exists()
-
     def test_inner_ring_inside_the_hole_is_bad_params(self, tmp_path):
         """This IHH oracle's certified domain radius is 2, the grid's inner one 1."""
         r = run(["solve", "--solution", "builtin:ihh-oracle", "--params",
@@ -420,7 +394,8 @@ class TestMalformedArguments:
         (["fit", "--equation", "ma", "--shells", "50,inf"], "BadParams"),
     ], ids=lambda v: " ".join(v[-2:]) if isinstance(v, list) else v)
     def test_named_config_error(self, tmp_path, args, kind):
-        r = run(args + ["--solution", "builtin:ma-radial", "--outputs", str(tmp_path)])
+        outputs = [] if args[0] == "boundary-d" else ["--outputs", str(tmp_path)]
+        r = run(args + ["--solution", "builtin:ma-radial", *outputs])
         assert r.returncode == 2
         assert r.stderr.count("\n") == 1
         assert json.loads(r.stderr)["error"]["kind"] == kind
@@ -433,7 +408,8 @@ class TestMalformedArguments:
     def test_refused_allocation_is_bad_params(self, tmp_path, args):
         """A size that numpy refuses to allocate (7 PiB, refused at once) is
         BadParams carrying numpy's message, not a MemoryError traceback."""
-        r = run(args + ["--solution", "builtin:ma-radial", "--outputs", str(tmp_path)])
+        outputs = [] if args[0] == "residual" else ["--outputs", str(tmp_path)]
+        r = run(args + ["--solution", "builtin:ma-radial", *outputs])
         assert r.returncode == 2
         assert r.stderr.count("\n") == 1
         err = json.loads(r.stderr)["error"]
@@ -657,9 +633,9 @@ class TestRefusedWhereTheyEnter:
     @pytest.mark.parametrize("command", [["oracle"], ["residual", "--equation", "ma"]])
     def test_log_radial_dim_is_the_integer_2_or_3(self, tmp_path, capsys, fresh_validators,
                                                  command, dim):
+        outputs = ["--outputs", str(tmp_path)] if command == ["oracle"] else []
         rc, err = _main(command + ["--solution", "builtin:log-radial", "--params",
-                                   json.dumps({"dim": dim}), "--outputs", str(tmp_path)],
-                        capsys)
+                                   json.dumps({"dim": dim}), *outputs], capsys)
         assert rc == 2
         assert err == {"kind": "BadParams",
                        "message": f"log-radial dim must be the integer 2 or 3, got {dim!r}"}
@@ -711,6 +687,21 @@ class TestRefusedWhereTheyEnter:
         assert curves[1].center == (1.5, -2.0)
         assert np.array_equal(g1, g0 + [1.5, -2.0]) and np.array_equal(dg1, dg0)
         assert d[1] == pytest.approx(d[0], abs=1e-9) and d[0] == pytest.approx(0.5, abs=1e-9)
+
+    def test_3d_kernel_ellipse_is_wrong_dimension(self, tmp_path, capsys, fresh_validators):
+        """A 3D solution's kernel is 3x3, and its ellipse no boundary curve:
+        WrongDimension with no summary, where numpy's ValueError escaped."""
+        cfg = {"equation": {"kind": "ma", "dim": 3},
+               "solution": {"kind": "builtin", "name": "log-radial"},
+               "shells": {"radii": [50, 100, 200]},
+               "curve": {"type": "kernel-ellipse", "radius": 10.0},
+               "outputs": str(tmp_path / "out")}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc, err = _main(["experiment", "--config", str(cfg_path)], capsys)
+        assert (rc, err["kind"]) == (1, "WrongDimension")
+        assert "a boundary curve is 2D" in err["message"]
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     @pytest.mark.parametrize("spec", [
         {"kind": "builtin"}, {"kind": "sle"}, {"kind": "builtin", "name": "nope"},
@@ -861,6 +852,29 @@ class TestOutputPaths:
         err = json.loads(captured.err)["error"]
         assert err["kind"] == "ConfigError" and str(bad) in err["message"]
         assert calls == []
+
+
+@pytest.mark.parametrize("option", [
+    ["solve", "--seed", "1"], ["boundary-d", "--seed", "1"],
+    ["residual", "--outputs", "D"], ["boundary-d", "--outputs", "D"],
+] + [[command, "--dim", "2"] for command in ("residual", "fit", "boundary-d", "solve")],
+    ids=" ".join)
+def test_an_option_the_handler_does_not_read_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                              option):
+    """Each subcommand declares only the options its handler reads, and the
+    equation takes the solution's dimension, so --dim is no option: any
+    other is argparse's usage error, exit 2, before anything is run or
+    written."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LAB_OUTPUT_DIR", raising=False)
+    command, *rest = option
+    grid = ["--grid", "1,8,9,16"] if command == "solve" else []
+    rc = cli.main([command, "--solution", "builtin:ma-radial", "--equation", "ma", *grid, *rest])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("usage: lab ")
+    assert captured.err.endswith(f"\nlab: error: unrecognized arguments: {' '.join(rest)}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("cls", [c for c in vars(errors).values()
