@@ -224,15 +224,16 @@ def boundary_d(spec: EquationSpec, P: PotentialFn, curve: BoundaryCurve) -> floa
     the equation's algebraic form, the integrand lw u_nu + cw u_1 (u_22, -u_12).nu
     is the flux whose divergence is lw tr D^2u + cw det D^2u. A node inside
     the domain radius rho raises BadParams before P is evaluated; a Hessian
-    off the equation's solution branch at a node raises NotAdmissible."""
+    outside the admissible set the solver tests at a node raises NotAdmissible."""
     if spec.dim != 2 or P.dim != 2:
         raise WrongDimension("boundary_d is 2D only")
     lw, cw, aw = _row(spec, "div_form")(spec)
+    op = OPERATORS[spec.kind]
 
     def integrand(X, nu):
         P.outside_rho(X, "curve node")
         g, H = P.grads(X), P.hessians(X)
-        bad = np.flatnonzero(~OPERATORS[spec.kind].in_branch(spec, H))
+        bad = np.flatnonzero(~op.admissible(spec, H, op.residual(spec, H)))
         if bad.size:
             raise NotAdmissible(f"D^2u at curve node {X[bad[0]].tolist()} is not "
                                 f"admissible for {spec.kind}")

@@ -178,13 +178,11 @@ def _write_text(text: str, path: str):
 
 def _samples_csv(P: PotentialFn, shells, seed: int) -> str:
     """The text of samples.csv: one row per shell point of the seed, with the
-    potential's value, gradient and Hessian there."""
-    if P.dim == 2:
-        header = "x1,x2,u,du1,du2,h11,h12,h22"
-        entries = [(0, 0), (0, 1), (1, 1)]
-    else:
-        header = "x1,x2,x3,u,du1,du2,du3,h11,h12,h22,h13,h23,h33"
-        entries = [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)]
+    potential's value, gradient and Hessian's upper triangle, column by column."""
+    entries = [(i, j) for j in range(P.dim) for i in range(j + 1)]
+    axes = range(1, P.dim + 1)
+    header = ",".join([f"x{k}" for k in axes] + ["u"] + [f"du{k}" for k in axes]
+                      + [f"h{i + 1}{j + 1}" for i, j in entries])
     X = P.outside_rho(shells.points(P.dim, seed=seed), "shell point")
     H = P.hessians(X)
     table = np.column_stack([X, P.values(X), P.grads(X)]
@@ -333,27 +331,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("residual", help="max |residual| over exterior samples")
     common(sp, seed=True)
     sp.add_argument("--points", type=int, default=1000)
-    sp.set_defaults(func=cmd_residual)
+    sp.set_defaults(func=cmd_residual, parser=sp)
 
     sp = sub.add_parser("oracle", help="dump oracle samples to CSV")
     common(sp, seed=True, outputs=True, equation=False)
     sp.add_argument("--radii", default="10,20,40")
     sp.add_argument("--points-per-shell", type=int, default=64)
     sp.add_argument("--out", default="samples.csv")
-    sp.set_defaults(func=cmd_oracle)
+    sp.set_defaults(func=cmd_oracle, parser=sp)
 
     sp = sub.add_parser("fit", help="fit an asymptotic profile")
     common(sp, seed=True, outputs=True)
     sp.add_argument("--shells", default="50,100,200")
     sp.add_argument("--points-per-shell", type=int, default=64)
     sp.add_argument("--out", help="profile JSON path (default: stdout)")
-    sp.set_defaults(func=cmd_fit)
+    sp.set_defaults(func=cmd_fit, parser=sp)
 
     sp = sub.add_parser("boundary-d", help="log coefficient via boundary integral")
     common(sp)
     sp.add_argument("--radius", type=float, default=1.0)
     sp.add_argument("--order", type=int, default=asymptotics.DEFAULT_QUAD_ORDER)
-    sp.set_defaults(func=cmd_boundary_d)
+    sp.set_defaults(func=cmd_boundary_d, parser=sp)
 
     sp = sub.add_parser("solve", help="Newton solve on a polar annulus")
     common(sp, outputs=True)
@@ -363,18 +361,20 @@ def build_parser() -> argparse.ArgumentParser:
                     default="logarithmic")
     sp.add_argument("--out", default="field.csv")
     sp.add_argument("--report", default="report.json")
-    sp.set_defaults(func=cmd_solve)
+    sp.set_defaults(func=cmd_solve, parser=sp)
 
     sp = sub.add_parser("experiment", help="oracle -> fit -> boundary -> solve pipeline")
     sp.add_argument("--config", required=True)
-    sp.set_defaults(func=cmd_experiment)
+    sp.set_defaults(func=cmd_experiment, parser=sp)
     return p
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:  # argparse leaves them to this parser, whose usage names no subcommand
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:

@@ -121,37 +121,25 @@ def _ihh_residual(spec: EquationSpec, H: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """F(M), dF/dM (2D only, None for SIGMA2) and the admissible set on
-    stacked Hessians: the first two as fn(spec, H), the set as
-    fn(spec, H, res) given res = F(H), which only SLE reads (the MA, SIGMA2
-    and IHH rows take res None where it is not at hand). `branch` is the
-    solution branch as fn(spec, H) where it is wider than the admissible
-    set (SLE: the phase window, without the supercritical condition the
-    solver needs); None means the admissible set. The 2D kinds also give
-    the kernel L(A) of the log term (d/2) log(x'Lx) as fn(spec, A), and the
-    weights (lw, cw, aw) of the algebraic form lw tr M + cw det M - aw = 0
-    of the equation as fn(spec)."""
+    """F(M), dF/dM (2D only, None for SIGMA2) and the admissible set, the
+    solution branch, on stacked Hessians: the first two as fn(spec, H), the
+    set as fn(spec, H, res) given res = F(H), which only SLE reads. The 2D
+    kinds also give the kernel L(A) of the log term (d/2) log(x'Lx) as
+    fn(spec, A), and the weights (lw, cw, aw) of the algebraic form
+    lw tr M + cw det M - aw = 0 of the equation as fn(spec)."""
 
     residual: Callable
     gradient: Callable | None
     admissible: Callable
-    branch: Callable | None = None
     log_kernel: Callable | None = None
     div_form: Callable | None = None
 
-    def in_branch(self, spec, H) -> np.ndarray:
-        if self.branch is None:
-            return self.admissible(spec, H, None)
-        return self.branch(spec, H)
-
 
 OPERATORS = {
-    # the branch kept is the supercritical one, phase in (Theta - pi/2, Theta + pi/2),
-    # where res = phase - Theta
+    # the branch kept is phase in (Theta - pi/2, Theta + pi/2), where res = phase - Theta
     "SLE": Operator(lambda spec, H: _phase(H) - spec.theta,
                     lambda spec, H: _sle_gradient_2x2(H),
-                    lambda spec, H, res: spec.supercritical & (np.abs(res) < math.pi / 2),
-                    branch=lambda spec, H: np.abs(_phase(H) - spec.theta) < math.pi / 2,
+                    lambda spec, H, res: np.abs(res) < math.pi / 2,
                     log_kernel=lambda spec, A: np.eye(A.shape[-1]) + A @ A,
                     div_form=lambda spec: (math.cos(spec.theta), math.sin(spec.theta),
                                            math.sin(spec.theta))),

@@ -480,6 +480,9 @@ def _nested(spec: EquationSpec, P: PotentialFn, grids: list[AnnulusGrid]) -> lis
     if not grids or any(g != f.refine() for f, g in zip(grids, grids[1:])):
         raise BadParams("a study takes a non-empty list of grids, each the refinement "
                         "of the one before")
+    if spec.kind == "SLE" and not spec.supercritical:
+        raise NotAdmissible(f"SLE at Theta = {spec.theta} is not supercritical: the "
+                            "solver needs |Theta| > (dim - 2) pi/2")
     rings = boundary_data_from(P, grids[-1])  # the last grid's rings hold every level's nodes
     if not np.isfinite(rings).all():
         raise BadParams("boundary data must be finite")

@@ -21,7 +21,8 @@ from asymlab import (
 )
 from asymlab.asymptotics import EXACT_SLOPE, MAX_QUAD_ORDER, log_kernel, shell_points
 from asymlab.core import matvecs
-from asymlab.errors import BadParams, NoDecay, NotAdmissible, WrongDimension
+from asymlab.errors import (BadParams, IllConditioned, NoDecay, NonPositiveValue,
+                            NotAdmissible, SingularHessian, WrongDimension)
 from asymlab.oracle2d import builtin
 
 SLE2 = EquationSpec("SLE", 2, theta=math.pi / 2)
@@ -116,6 +117,15 @@ class TestDecayExponent:
         assert decay_exponent(list(zip(r, c * r ** p))) == pytest.approx(p, abs=1e-9)
 
 
+    @pytest.mark.parametrize("samples, error", [
+        ([(1.0, 1.0), (2.0, 0.5)], BadParams),
+        ([(1.0, 1.0), (2.0, 0.0), (3.0, 0.1)], NonPositiveValue),
+    ], ids=["two-radii", "zero-value"])
+    def test_refusals(self, samples, error):
+        with pytest.raises(error):
+            decay_exponent(samples)
+
+
 class TestLogKernel:
     def test_per_equation(self):
         A = SymMat([[1.5, 0.0], [0.0, 2.0 / 3.0]])
@@ -163,6 +173,11 @@ class TestFitProfile:
         # singular and the log column is not finite (the SVD used to fail)
         with pytest.raises(NotAdmissible, match="not positive definite: eigenvalues"):
             fit_profile(builtin("log-radial", {"dim": 2}), MA2, ShellSpec((50.0, 100.0, 200.0)))
+
+    def test_shells_a_relative_1e_9_apart_are_ill_conditioned(self):
+        P = builtin("quadratic", {"A": [[1.0, 0.0], [0.0, 1.0]]})
+        with pytest.raises(IllConditioned, match="exceeds 1e12"):
+            fit_profile(P, MA2, ShellSpec((1e6, 1e6 * (1 + 1e-9))))
 
     def test_profile_to_dict_keys(self):
         P = builtin("quadratic", {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0], "c": 0.0})
@@ -223,6 +238,20 @@ class TestBoundaryD:
         Theta = 0.9 pi, outside that SLE branch; no d is reported for it."""
         with pytest.raises(NotAdmissible, match="curve node"):
             boundary_d(spec, builtin("log-radial", {"dim": 2}), BoundaryCurve.circle(2.0))
+
+    def test_ihh_singular_hessian_at_a_node_is_named(self):
+        """The admissibility test reads F(D^2u), as the solver's does, so a
+        singular Hessian on the curve is named by IHH's residual, before the
+        test that would call it not admissible."""
+        P = builtin("quadratic", {"A": [[1.0, 0.0], [0.0, 0.0]]})
+        with pytest.raises(SingularHessian, match="nonzero eigenvalues"):
+            boundary_d(IHH2, P, BoundaryCurve.circle(2.0))
+
+    def test_3d_equation_is_wrong_dimension(self):
+        with pytest.raises(WrongDimension, match="boundary_d is 2D only"):
+            boundary_d(EquationSpec("MA", 3), builtin("ma-radial"), BoundaryCurve.circle(2.0))
+        with pytest.raises(WrongDimension, match="flux identity is 2D only"):
+            flux_identity(EquationSpec("MA", 3), SymMat.identity(3), 0.5, 2.0)
 
     def test_curve_inside_the_domain_radius_is_bad_params(self):
         """An SLE oracle of rho = 2: a circle of radius 1.5 is refused before
@@ -287,6 +316,10 @@ class TestBoundaryCurve:
     def test_circle_radius_finite_and_positive(self, radius):
         with pytest.raises(BadParams, match="radius"):
             BoundaryCurve.circle(radius)
+
+    def test_kernel_not_positive_definite(self):
+        with pytest.raises(BadParams, match="kernel must be positive definite"):
+            BoundaryCurve.ellipse_of_kernel(SymMat.diag(1.0, -1.0), 2.0)
 
     # the closed forms a circle and a kernel ellipse were built from before
     # BoundaryCurve became one (R, S, center) ellipse: the reference below

@@ -349,6 +349,18 @@ class TestSolveCommand:
         assert json.loads(r.stderr)["error"] == {"kind": "WrongDimension",
                                                  "message": "annulus solver is 2D only"}
 
+    def test_critical_sle_is_refused_once(self, tmp_path):
+        """2D SLE at Theta = 0 is not supercritical: one JSON line naming
+        Theta, exit 1, and no field written."""
+        r = run(["solve", "--solution", "builtin:sin-exp", "--equation", "sle",
+                 "--theta", "0", "--grid", "1,8,17,32", "--outputs", str(tmp_path)])
+        assert r.returncode == 1
+        assert r.stderr.count("\n") == 1
+        err = json.loads(r.stderr)["error"]
+        assert err["kind"] == "NotAdmissible"
+        assert "Theta = 0.0 is not supercritical" in err["message"]
+        assert not (tmp_path / "field.csv").exists()
+
     def test_inner_ring_inside_the_hole_is_bad_params(self, tmp_path):
         """This IHH oracle's certified domain radius is 2, the grid's inner one 1."""
         r = run(["solve", "--solution", "builtin:ihh-oracle", "--params",
@@ -863,8 +875,8 @@ def test_an_option_the_handler_does_not_read_is_a_usage_error(tmp_path, capsys, 
                                                               option):
     """Each subcommand declares only the options its handler reads, and the
     equation takes the solution's dimension, so --dim is no option: any
-    other is argparse's usage error, exit 2, before anything is run or
-    written."""
+    other is argparse's usage error of that subcommand, exit 2, before
+    anything is run or written."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("LAB_OUTPUT_DIR", raising=False)
     command, *rest = option
@@ -872,8 +884,9 @@ def test_an_option_the_handler_does_not_read_is_a_usage_error(tmp_path, capsys, 
     rc = cli.main([command, "--solution", "builtin:ma-radial", "--equation", "ma", *grid, *rest])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err.startswith("usage: lab ")
-    assert captured.err.endswith(f"\nlab: error: unrecognized arguments: {' '.join(rest)}\n")
+    assert captured.err.startswith(f"usage: lab {command} ")
+    assert captured.err.endswith(
+        f"\nlab {command}: error: unrecognized arguments: {' '.join(rest)}\n")
     assert list(tmp_path.iterdir()) == []
 
 

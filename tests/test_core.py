@@ -121,6 +121,17 @@ class TestEquationSpec:
         assert EquationSpec("SLE", 2, theta=0.1).supercritical
         assert not EquationSpec("SLE", 3, theta=0.5).supercritical
         assert EquationSpec("SLE", 3, theta=math.pi / 2 + 0.2).supercritical
+        assert not EquationSpec("MA", 2).supercritical
+
+    @pytest.mark.parametrize("kind, dim, params, error, match", [
+        ("MA", 4, {}, WrongDimension, "dim must be 2 or 3, got 4"),
+        ("SLE", 2, {"theta": math.pi}, BadParams, r"\|theta\| must be < dim\*pi/2"),
+        ("MA", 2, {"theta": 0.1}, BadParams, "theta only applies to SLE"),
+        ("MA", 2, {"delta": 0.1}, BadParams, "delta only applies to SIGMA2"),
+    ], ids=["MA4", "SLE-theta-pi", "MA-theta", "MA-delta"])
+    def test_refusals(self, kind, dim, params, error, match):
+        with pytest.raises(error, match=match):
+            EquationSpec(kind, dim, **params)
 
     def test_unknown_kind(self):
         with pytest.raises(BadParams):
@@ -166,6 +177,8 @@ class TestAnnulusGrid:
             AnnulusGrid(2.0, 1.0, 9, 32)
         with pytest.raises(BadParams):
             AnnulusGrid(1.0, 8.0, 9, 32, "chebyshev")
+        with pytest.raises(BadParams, match="n_theta must be even"):
+            AnnulusGrid(1.0, 8.0, 9, 17)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("which", ["inner", "outer"])
@@ -196,6 +209,10 @@ class TestAnnulusGrid:
 
 
 class TestAnnulusField:
+    def test_values_shape_is_the_grid_shape(self):
+        with pytest.raises(BadParams, match=r"values shape \(9, 15\) != grid shape \(9, 16\)"):
+            AnnulusField(AnnulusGrid(1.0, 8.0, 9, 16), np.zeros((9, 15)))
+
     def test_boundary_rows_pinned(self):
         g = AnnulusGrid(1.0, 4.0, 5, 12)
         P = builtin("quadratic", {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0], "c": 0.0})

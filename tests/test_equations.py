@@ -111,10 +111,11 @@ def test_sigma2_has_no_2d_rows():
 
 class TestAdmissibility:
     def test_sle_follows_supercritical_flag(self):
+        """A supercritical spec admits M at its own phase. The refusal of a
+        spec that is not supercritical is the solver's, once per equation
+        (tests/test_solver.py, `test_critical_sle_is_refused_before_sampling`)."""
         M = SymMat.diag(5.0, -0.1)
         assert admissible(EquationSpec("SLE", 2, theta=phase(M)), M)
-        sub = EquationSpec("SLE", 3, theta=0.3)
-        assert not admissible(sub, SymMat.diag(1.0, 1.0, -1.5))
 
     def test_sle_phase_window(self):
         """Supercritical SLE admits M only with phase(M) in
@@ -125,13 +126,13 @@ class TestAdmissibility:
         assert not admissible(spec, SymMat.diag(-3.0, 3.0))  # phase 0, on the edge
 
     def test_sle_branch_ignores_supercritical_flag(self):
-        """At the critical phase Theta = 0 in 2D no Hessian is admissible to
-        the solver, but a harmonic one is on the solution branch."""
+        """At the critical phase Theta = 0 in 2D, and at a subcritical one in
+        3D, the admissible set is still the phase window: a harmonic Hessian
+        is on the solution branch, one of phase 2 arctan 5 > pi/2 is not."""
         spec = EquationSpec("SLE", 2, theta=0.0)
-        H = SymMat.diag(-3.0, 3.0).m[None]
-        assert not admissible(spec, SymMat.diag(-3.0, 3.0))
-        assert OPERATORS["SLE"].in_branch(spec, H)[0]
-        assert not OPERATORS["SLE"].in_branch(spec, SymMat.diag(5.0, 5.0).m[None])[0]
+        assert admissible(spec, SymMat.diag(-3.0, 3.0))
+        assert not admissible(spec, SymMat.diag(5.0, 5.0))
+        assert admissible(EquationSpec("SLE", 3, theta=0.3), SymMat.diag(1.0, 1.0, -1.5))
 
     def test_ma_positive_definite(self):
         spec = EquationSpec("MA", 2)
@@ -230,7 +231,7 @@ def _stacked_phase(H):
 
 def _stacked_sle_admissible(spec, H):
     """SLE admissibility from the phase of the stacked eigenvalues."""
-    return spec.supercritical & (np.abs(_stacked_phase(H) - spec.theta) < math.pi / 2)
+    return np.abs(_stacked_phase(H) - spec.theta) < math.pi / 2
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -156,6 +156,11 @@ class TestBuiltins:
         with pytest.raises(BadParams, match=match):
             builtin("quadratic", params)
 
+    @pytest.mark.parametrize("a1", [0.45, [0.0, -0.45]])
+    def test_ihh_oracle_needs_a1_below_0_45(self, a1):
+        with pytest.raises(BadParams, match=r"\|a1\| < 0\.45"):
+            builtin("ihh-oracle", {"a1": a1})
+
     def test_unknown_params_rejected(self):
         with pytest.raises(BadParams):
             builtin("ma-radial", {"c": 1.0, "shape": 3})

@@ -341,6 +341,23 @@ class TestFailureNames:
         rep = solve_annulus(IHH2, P, AnnulusGrid(1.0 - 1e-13, 8.0, 17, 32))
         assert rep.converged
 
+    def test_critical_sle_is_refused_before_sampling(self):
+        """2D SLE at Theta = 0 is Laplace's equation, outside the paper's
+        supercritical range |Theta| > (n - 2) pi/2: the solver refuses the
+        equation by name, with its Theta, before it samples the boundary
+        data (once, where it failed every level's start node by node)."""
+        def fail(X):
+            raise AssertionError("evaluated")
+
+        P = dataclasses.replace(builtin("sin-exp"), values_fn=fail, grads_fn=fail,
+                                hessians_fn=fail)
+        spec = EquationSpec("SLE", 2, theta=0.0)
+        with pytest.raises(NotAdmissible, match=r"Theta = 0\.0 is not supercritical"):
+            solve_annulus(spec, P, AnnulusGrid(1.0, 8.0, 17, 32))
+        with pytest.raises(NotAdmissible, match="supercritical"):
+            convergence_study(spec, P, [AnnulusGrid(1.0, 8.0, 17, 32, "uniform"),
+                                        AnnulusGrid(1.0, 8.0, 33, 64, "uniform")])
+
     def test_three_dimensional_potential_is_wrong_dimension(self):
         grid = AnnulusGrid(1.0, 2.0, 9, 16)
         with pytest.raises(WrongDimension, match="annulus solver is 2D only"):
