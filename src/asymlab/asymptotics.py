@@ -71,17 +71,11 @@ def hessian_limit(P: PotentialFn, shells: ShellSpec) -> tuple[SymMat, float]:
     """Far-field Hessian A (outermost-shell mean) and the decay slope of
     the per-shell max of ||D^2 P - A||.
 
-    Raises BadParams for a shell inside the domain radius rho before P is
-    evaluated, NotAdmissible naming the first Hessian that is not finite,
-    and NoDecay when the outermost residual exceeds the innermost one: the
-    Hessian is not settling (e.g. critical-phase counterexamples).
+    Raises NoDecay when the outermost residual exceeds the innermost one:
+    the Hessian is not settling (e.g. critical-phase counterexamples).
     """
-    hessians = P.hessians(P.outside_rho(shells.points(P.dim), "shell point")).reshape(
+    hessians = P.hessians(shells.points(P.dim)).reshape(
         len(shells.radii), shells.points_per_shell, P.dim, P.dim)
-    bad = np.argwhere(~np.isfinite(hessians).all(axis=(2, 3)))
-    if bad.size:  # overflowed: name it, not the log kernel it would spoil
-        raise NotAdmissible(f"Hessian {hessians[tuple(bad[0])].tolist()} on the shell of "
-                            f"radius {shells.radii[bad[0][0]]:g} is not finite")
     A = hessians[-1].mean(axis=0)
     A = 0.5 * (A + A.T)
     res = np.linalg.norm(hessians - A, axis=(2, 3)).max(axis=1)
@@ -129,8 +123,9 @@ def fit_profile(P: PotentialFn, spec: EquationSpec, shells: ShellSpec,
                 seed: int | None = None) -> AsymptoticProfile:
     """Two-stage fit: A from the Hessian limit, then linear least squares for
     (b, c, d) against {x1, x2, 1, log(x'Lx)/2} over all shell samples.
-    The log column is dropped for dim 3 (no log term in the expansion); a
-    shell inside the domain radius rho is BadParams from `hessian_limit`."""
+    The log column is dropped for dim 3 (no log term in the expansion)."""
+    if spec.dim != P.dim:
+        raise WrongDimension(f"the equation is {spec.dim}D but the solution is {P.dim}D")
     A, _ = hessian_limit(P, shells)
     with_log = P.dim == 2
     L = log_kernel(spec, A) if with_log else SymMat.identity(P.dim)
@@ -222,8 +217,7 @@ def boundary_d(spec: EquationSpec, P: PotentialFn, curve: BoundaryCurve) -> floa
     """The log coefficient as a boundary integral over a curve enclosing the
     hole, d = (integral - aw * area) / 2pi. With the weights (lw, cw, aw) of
     the equation's algebraic form, the integrand lw u_nu + cw u_1 (u_22, -u_12).nu
-    is the flux whose divergence is lw tr D^2u + cw det D^2u. A node inside
-    the domain radius rho raises BadParams before P is evaluated; a Hessian
+    is the flux whose divergence is lw tr D^2u + cw det D^2u. A Hessian
     outside the admissible set the solver tests at a node raises NotAdmissible."""
     if spec.dim != 2 or P.dim != 2:
         raise WrongDimension("boundary_d is 2D only")
@@ -231,7 +225,6 @@ def boundary_d(spec: EquationSpec, P: PotentialFn, curve: BoundaryCurve) -> floa
     op = OPERATORS[spec.kind]
 
     def integrand(X, nu):
-        P.outside_rho(X, "curve node")
         g, H = P.grads(X), P.hessians(X)
         bad = np.flatnonzero(~op.admissible(spec, H, op.residual(spec, H)))
         if bad.size:

@@ -183,7 +183,7 @@ def _samples_csv(P: PotentialFn, shells, seed: int) -> str:
     axes = range(1, P.dim + 1)
     header = ",".join([f"x{k}" for k in axes] + ["u"] + [f"du{k}" for k in axes]
                       + [f"h{i + 1}{j + 1}" for i, j in entries])
-    X = P.outside_rho(shells.points(P.dim, seed=seed), "shell point")
+    X = shells.points(P.dim, seed=seed)
     H = P.hessians(X)
     table = np.column_stack([X, P.values(X), P.grads(X)]
                             + [H[:, i, j] for i, j in entries])

@@ -8,7 +8,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import BadParams, WrongDimension
+from .errors import BadParams, NotAdmissible, WrongDimension
 
 
 _LOWER = {n: np.tril_indices(n, -1) for n in (2, 3)}
@@ -115,8 +115,12 @@ class PotentialFn:
 
     The callbacks map points X (N, dim) to values (N,), gradients (N, dim)
     and exactly symmetric Hessians (N, dim, dim); row k of each result
-    depends on row k of X alone, bit for bit. `values/grads/hessians` check
-    X first; `value/grad/hess` evaluate one point (dim,) as a one-row batch.
+    depends on row k of X alone, bit for bit. They are the unchecked path.
+    `values/grads/hessians` are the checked one: BadParams for a point that
+    is not finite or lies inside rho (points on |x| = rho round to just
+    below it: the slack), NotAdmissible for a result that is not finite,
+    each naming the first such row; `value/grad/hess` evaluate one point
+    (dim,) as a one-row batch.
     """
 
     dim: int
@@ -125,31 +129,31 @@ class PotentialFn:
     grads_fn: Callable[[np.ndarray], np.ndarray]
     hessians_fn: Callable[[np.ndarray], np.ndarray]
 
-    def _points(self, X) -> np.ndarray:
+    def _checked(self, fn, X, quantity: str) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise WrongDimension(f"expected points of shape (N, {self.dim}), got {X.shape}")
         if not np.isfinite(X).all():
             raise BadParams("evaluation points must be finite")
-        return X
-
-    def outside_rho(self, X: np.ndarray, what: str) -> np.ndarray:
-        """X (N, dim), checked before the potential is evaluated there: BadParams names
-        its first point inside rho (points on |x| = rho round to just below it: the slack)."""
-        inside = np.flatnonzero(np.linalg.norm(X, axis=1) < self.rho * (1 - 1e-12))
+        inside = np.flatnonzero(rowdot(X, X) < (self.rho * (1 - 1e-12)) ** 2)
         if inside.size:
-            raise BadParams(f"{what} {X[inside[0]].tolist()} lies inside the "
+            raise BadParams(f"point {X[inside[0]].tolist()} lies inside the "
                             f"solution's domain radius rho = {self.rho}")
-        return X
+        out = fn(X)
+        if not np.isfinite(out).all():  # the whole array first: the rows only on failure
+            k = np.flatnonzero(~np.isfinite(out.reshape(len(X), -1)).all(axis=1))[0]
+            raise NotAdmissible(f"{quantity} {out[k].tolist()} at point {X[k].tolist()} "
+                                "is not finite")
+        return out
 
     def values(self, X) -> np.ndarray:
-        return self.values_fn(self._points(X))
+        return self._checked(self.values_fn, X, "value")
 
     def grads(self, X) -> np.ndarray:
-        return self.grads_fn(self._points(X))
+        return self._checked(self.grads_fn, X, "gradient")
 
     def hessians(self, X) -> np.ndarray:
-        return self.hessians_fn(self._points(X))
+        return self._checked(self.hessians_fn, X, "Hessian")
 
     def value(self, x) -> float:
         return float(self.values(np.reshape(x, (1, -1)))[0])

@@ -484,8 +484,6 @@ def _nested(spec: EquationSpec, P: PotentialFn, grids: list[AnnulusGrid]) -> lis
         raise NotAdmissible(f"SLE at Theta = {spec.theta} is not supercritical: the "
                             "solver needs |Theta| > (dim - 2) pi/2")
     rings = boundary_data_from(P, grids[-1])  # the last grid's rings hold every level's nodes
-    if not np.isfinite(rings).all():
-        raise BadParams("boundary data must be finite")
     chain = _coarsenings(grids[0])
     levels = chain + grids
     reports, handoff, prev = [], [], None
@@ -515,11 +513,10 @@ def _nested(spec: EquationSpec, P: PotentialFn, grids: list[AnnulusGrid]) -> lis
 
 
 def boundary_data_from(P: PotentialFn, grid: AnnulusGrid):
-    """Sample a potential on the two Dirichlet rows, whose nodes are first
-    checked against its domain radius rho (the inner ring's come first)."""
+    """Sample a potential on the two Dirichlet rows (the inner ring's nodes first)."""
     x, y = grid.nodes_xy()
     rings = np.stack([x[[0, -1]].ravel(), y[[0, -1]].ravel()], axis=1)
-    return tuple(P.values(P.outside_rho(rings, "inner ring node")).reshape(2, grid.n_theta))
+    return tuple(P.values(rings).reshape(2, grid.n_theta))
 
 
 def convergence_study(spec: EquationSpec, oracle: PotentialFn,

@@ -179,13 +179,15 @@ def _sampled_spectra(P: PotentialFn, seed: int) -> np.ndarray:
     return eigvals(P.hessians(X))
 
 
-def _check_hessian_bound(P: PotentialFn, lower: float):
-    """Sampled eigenvalue lower bound on a few shells of P's domain."""
+def _check_hessian_bound(P: PotentialFn, lower: float, error=NotAdmissible, what: str = ""):
+    """Sampled eigenvalue lower bound on a few shells of P's domain: `error`,
+    its message led by `what`, for a sample at or below it. A sampled Hessian
+    that is not finite is P's own NotAdmissible, whatever `error` is."""
     w = _sampled_spectra(P, 7)[:, 0]
     bad = np.flatnonzero(w <= lower)
     if bad.size:
-        raise NotAdmissible(
-            f"sampled Hessian eigenvalue {w[bad[0]]:.6g} <= required bound {lower:.6g}")
+        raise error(f"{what}sampled Hessian eigenvalue {w[bad[0]]:.6g} <= required "
+                    f"bound {lower:.6g}")
 
 
 def _graph_preimage(P: PotentialFn, a: float, b: float, what: str, guess=None):
@@ -269,10 +271,7 @@ def unrotate_potential(Pt: PotentialFn, vartheta: float) -> PotentialFn:
 
 def legendre(P: PotentialFn) -> PotentialFn:
     """Convex conjugate: ubar(y) = x.y - u(x) at x = (Du)^-1(y)."""
-    try:
-        _check_hessian_bound(P, 0.0)
-    except NotAdmissible as e:
-        raise NotConvex(str(e)) from e
+    _check_hessian_bound(P, 0.0, NotConvex)
     return _graph_map(P, 0.0, 1.0, 1.0, 0.0, 0.0, "legendre point inversion")
 
 
@@ -285,11 +284,7 @@ def legendre_lewy(P: PotentialFn, spec: EquationSpec) -> PotentialFn:
     if spec.kind != "SIGMA2":
         raise BadParams("legendre_lewy applies to SIGMA2 specs")
     K = sigma2_margin(spec.dim)
-    try:
-        _check_hessian_bound(P, spec.delta - K)
-    except NotAdmissible as e:
-        raise NotAdmissible(
-            f"D^2 u > (delta - K) I fails on samples: {e}") from e
+    _check_hessian_bound(P, spec.delta - K, what="D^2 u > (delta - K) I fails on samples: ")
     # y = Dw(x) = K x + Du(x), with D^2 w > delta I
     return _graph_map(P, K, 1.0, -1.0, 0.0, 0.0, "legendre_lewy point inversion",
                       lambda Y: Y / (1.0 + K))

@@ -101,10 +101,10 @@ class TestHessianLimit:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_hessian_is_named(self):
         """At r = 1e300 ma-radial's Hessian overflows to nan: the error names
-        it and its shell, not the log kernel L it would spoil."""
+        it and its point, not the log kernel L it would spoil."""
         P = builtin("ma-radial")
         with pytest.raises(NotAdmissible, match=r"Hessian \[\[nan, nan\], \[nan, nan\]\] "
-                           r"on the shell of radius 1e\+300 is not finite"):
+                           r"at point \[1e\+300, 0\.0\] is not finite"):
             hessian_limit(P, ShellSpec((1e300, 2e300)))
         assert hessian_limit(P, ShellSpec((1e150, 2e150)))[0].m[0, 0] == 1.0
 
@@ -167,6 +167,20 @@ class TestFitProfile:
         samples = expansion_residual_samples(P, expected_profile(co, math.pi / 4),
                                              np.geomspace(50, 400, 6))
         assert decay_exponent(samples) == pytest.approx(-1.0, abs=0.15)
+
+    @pytest.mark.parametrize("name, params, spec", [
+        ("log-radial", {"dim": 3}, MA2),  # it returned d = 0.0
+        ("ma-radial", {}, EquationSpec("SLE", 3, theta=math.pi)),  # d = 0.5
+        ("ma-radial", {}, EquationSpec("SIGMA2", 3, delta=0.5)),  # BadParams, no 2D log_kernel
+    ], ids=["3D-solution", "3D-SLE", "SIGMA2"])
+    def test_equation_of_another_dimension_is_wrong_dimension(self, name, params, spec):
+        """The equation must have the solution's dimension, as in `boundary_d`
+        and the solver; the solution is not evaluated."""
+        P = builtin(name, params)
+        with pytest.raises(WrongDimension, match=f"^the equation is {spec.dim}D but the "
+                                                 f"solution is {P.dim}D$"):
+            fit_profile(dataclasses.replace(P, hessians_fn=None, values_fn=None), spec,
+                        ShellSpec((50.0, 100.0, 200.0)))
 
     def test_singular_log_kernel_is_not_admissible(self):
         # D^2 log r averages to 0 over a circle, so the MA kernel L = A is
@@ -264,7 +278,7 @@ class TestBoundaryD:
             raise AssertionError("evaluated")
 
         unevaluated = dataclasses.replace(P, values_fn=fail, grads_fn=fail, hessians_fn=fail)
-        with pytest.raises(BadParams, match=r"curve node \[1\.5, 0\.0\] lies inside the "
+        with pytest.raises(BadParams, match=r"^point \[1\.5, 0\.0\] lies inside the "
                                             r"solution's domain radius rho = 2\.0"):
             boundary_d(spec, unevaluated, BoundaryCurve.circle(1.5))
         assert boundary_d(spec, P, BoundaryCurve.circle(P.rho)) == pytest.approx(-0.4, abs=1e-6)

@@ -393,13 +393,19 @@ BATCHED = {"value": "values", "grad": "grads", "hess": "hessians"}
 
 
 def _fails_like_scalar(P, good, bad, method, error, match):
+    """`method` fails at `bad` alone and in a batch between two good rows; a
+    `*_fn` callback, the unchecked path, takes each point as a one-row batch."""
     X = np.array([good[0], bad, good[1]])
+    if method.endswith("_fn"):
+        one, many = (lambda x: getattr(P, method)(np.array([x]))), getattr(P, method)
+    else:
+        one, many = getattr(P, method), getattr(P, BATCHED[method])
     for x in good:
-        getattr(P, method)(x)
+        one(x)
     with pytest.raises(error, match=match):
-        getattr(P, method)(bad)
+        one(bad)
     with pytest.raises(error, match=match):
-        getattr(P, BATCHED[method])(X)
+        many(X)
 
 
 def test_legendre_inversion_diverges_on_one_row():
@@ -418,17 +424,22 @@ def test_rotate_inversion_diverges_on_one_row():
 
 
 def test_unrotate_inversion_diverges_on_one_row():
-    # (-0.5, 0) lies in the oracle's hole, where its gradient graph folds
+    # (-0.5, 0) lies in the oracle's hole (rho = 1), where its gradient graph
+    # folds: the unchecked path inverts there, the checked one refuses it
     P = oracle_sle(SLE_CO, math.pi / 4)
-    _fails_like_scalar(P, [[3.0, 0.0], [-1.0, -1.0]], [-0.5, 0.0], "value",
+    _fails_like_scalar(P, [[3.0, 0.0], [-1.0, -1.0]], [-0.5, 0.0], "values_fn",
                        InverseMapDiverged, "unrotate_potential point inversion")
+    _fails_like_scalar(P, [[3.0, 0.0], [-1.0, -1.0]], [-0.5, 0.0], "value",
+                       BadParams, r"point \[-0\.5, 0\.0\] lies inside")
 
 
 def test_unrotate_strip_violation_on_one_row():
-    # the preimage of (0.25, 0.25) has lambda_max > cot(vartheta) = 1
+    # the preimage of (0.25, 0.25), in the hole, has lambda_max > cot(vartheta) = 1
     P = oracle_sle(SLE_CO, math.pi / 4)
-    _fails_like_scalar(P, [[3.0, 0.0], [-1.0, -1.0]], [0.25, 0.25], "hess",
+    _fails_like_scalar(P, [[3.0, 0.0], [-1.0, -1.0]], [0.25, 0.25], "hessians_fn",
                        StripViolation, "cot")
+    _fails_like_scalar(P, [[3.0, 0.0], [-1.0, -1.0]], [0.25, 0.25], "hess",
+                       BadParams, r"point \[0\.25, 0\.25\] lies inside")
 
 
 def test_batched_hessian_maps_check_every_row():

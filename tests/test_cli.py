@@ -775,7 +775,7 @@ class TestRefusedWhereTheyEnter:
         rc, err = _main(["fit", "--solution", "builtin:ihh-oracle", "--params", '{"am1": 0.4}',
                          "--equation", "ihh", "--shells", "0.5,1,2"], capsys)
         assert rc == 2
-        assert err == {"kind": "BadParams", "message": "shell point [0.5, 0.0] lies inside "
+        assert err == {"kind": "BadParams", "message": "point [0.5, 0.0] lies inside "
                                                        "the solution's domain radius rho = 1.0"}
 
     def test_oracle_shell_inside_rho(self, tmp_path, capsys, monkeypatch, fresh_validators):
@@ -788,7 +788,7 @@ class TestRefusedWhereTheyEnter:
             _never_evaluated(mp)
             rc, err = _main(args + ["0.3,0.5,1"], capsys)
         assert rc == 2
-        assert err == {"kind": "BadParams", "message": "shell point [0.3, 0.0] lies inside "
+        assert err == {"kind": "BadParams", "message": "point [0.3, 0.0] lies inside "
                                                        "the solution's domain radius rho = 1.0"}
         assert not (tmp_path / "samples.csv").exists()
         assert _main(args + ["1,2"], capsys) == (0, None)
@@ -815,7 +815,8 @@ class TestRefusedWhereTheyEnter:
                          "--shells", "1e300,2e300"], capsys)
         assert rc == 1
         assert err["kind"] == "NotAdmissible"
-        assert err["message"].endswith("on the shell of radius 1e+300 is not finite")
+        assert err["message"] == ("Hessian [[nan, nan], [nan, nan]] at point [1e+300, 0.0] "
+                                  "is not finite")
 
 
 class TestOutputPaths:

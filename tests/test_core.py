@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,11 @@ from asymlab import (
     AnnulusGrid,
     BadParams,
     EquationSpec,
+    LaurentCoeffs,
+    NotAdmissible,
     SymMat,
     WrongDimension,
+    oracle_sle,
     phase,
 )
 from asymlab.core import matvecs, rowdot
@@ -259,3 +263,85 @@ def test_builtin_finite_difference_consistency(name, params, rng):
         H = P.hess(x).m
         scale = 1.0 + np.abs(H).max()
         assert np.abs(H - finite_difference_hessian(P, x)).max() / scale < 1e-5
+
+
+# every builtin, and an SLE oracle, by name; and the quantity each checked method names
+GUARDED = {
+    "sin-exp": builtin("sin-exp"),
+    "warren3d": builtin("warren3d"),
+    "log-radial": builtin("log-radial", {"dim": 3}),
+    "ma-radial": builtin("ma-radial", {"c": 1.0}),
+    "quadratic": builtin("quadratic", {"A": [[1.0, 0.2], [0.2, 0.5]], "b": [0.1, -0.3]}),
+    "ihh-oracle": builtin("ihh-oracle", {"a1": 0.3, "am1": 0.4}),  # rho = 2
+    "oracle-sle": oracle_sle(LaurentCoeffs(a1=0.2 + 0.1j, a0=0.3, am1=0.5, tail=(0.25,)),
+                             math.pi / 4),  # rho = 1
+}
+QUANTITY = {"values": "value", "grads": "gradient", "hessians": "Hessian"}
+
+
+def _poisoned(fn, x_bad, entry: int, v: float):
+    """fn with entry `entry` (mod the row size) of the row at x_bad set to v."""
+    def poisoned(X):
+        out = np.array(fn(X), dtype=float)
+        rows = out.reshape(len(X), -1)
+        rows[(X == x_bad).all(axis=1), entry % rows.shape[1]] = v
+        return out
+    return poisoned
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (BadParams, NotAdmissible) as e:
+        return type(e), str(e)
+
+
+class TestCheckedEvaluation:
+    """`values`, `grads` and `hessians` refuse a point inside rho as BadParams
+    and a result that is not finite as NotAdmissible, each naming its row;
+    otherwise they return the callback's result itself."""
+
+    @given(name=st.sampled_from(sorted(GUARDED)), method=st.sampled_from(sorted(QUANTITY)),
+           n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+           bad=st.sampled_from([None, "inside", math.nan, math.inf, -math.inf]),
+           where=st.integers(0, 12), entry=st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_a_batch_fails_as_its_bad_row_alone(self, name, method, n, seed, bad, where,
+                                               entry):
+        P = GUARDED[name]
+        assume(bad != "inside" or P.rho > 0)
+        rng = np.random.default_rng(seed)
+        D = rng.normal(size=(n + 1, P.dim))
+        lo = 1.01 * max(P.rho, 0.5)
+        r = lo * np.exp(rng.uniform(0.0, math.log(20.0), size=n + 1))
+        if bad == "inside":
+            r[-1] = P.rho * rng.uniform(0.0, 0.999)
+        X = r[:, None] * D / np.sqrt(rowdot(D, D))[:, None]
+        x_bad, X = X[-1], np.insert(X[:-1], min(where, n), X[-1], axis=0)
+        fn = f"{method}_fn"
+        if bad is None:
+            X = np.delete(X, min(where, n), axis=0)
+            assert getattr(P, method)(X).tobytes() == getattr(P, fn)(X).tobytes()
+            return
+        if bad != "inside":
+            P = dataclasses.replace(P, **{fn: _poisoned(getattr(P, fn), x_bad, entry, bad)})
+        else:
+            P = dataclasses.replace(P, **{fn: lambda X: pytest.fail("evaluated inside rho")})
+        error, message = _outcome(lambda: getattr(P, method)(X))
+        assert (error, message) == _outcome(lambda: getattr(P, method)(x_bad[None]))
+        if bad == "inside":
+            assert error is BadParams
+            assert message == (f"point {x_bad.tolist()} lies inside the solution's domain "
+                               f"radius rho = {P.rho}")
+        else:
+            assert error is NotAdmissible
+            assert message.startswith(QUANTITY[method] + " ")
+            assert message.endswith(f" at point {x_bad.tolist()} is not finite")
+
+    def test_a_point_on_rho_is_evaluated(self):
+        """A point on |x| = rho, which can round to just inside it, is evaluated."""
+        P = GUARDED["ihh-oracle"]
+        th = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+        X = P.rho * np.stack([np.cos(th), np.sin(th)], axis=1)
+        assert (rowdot(X, X) < P.rho ** 2).any()
+        assert P.values(X).tobytes() == P.values_fn(X).tobytes()

@@ -110,7 +110,7 @@ def test_sigma2_has_no_2d_rows():
 
 
 class TestAdmissibility:
-    def test_sle_follows_supercritical_flag(self):
+    def test_supercritical_sle_admits_m_at_its_own_phase(self):
         """A supercritical spec admits M at its own phase. The refusal of a
         spec that is not supercritical is the solver's, once per equation
         (tests/test_solver.py, `test_critical_sle_is_refused_before_sampling`)."""

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import types
 
@@ -292,7 +293,7 @@ class TestNewtonRecord:
 class TestFailureNames:
     @pytest.mark.parametrize("ring", [0, 1])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_boundary_data_is_bad_params(self, ring, bad):
+    def test_non_finite_boundary_data_is_not_admissible(self, ring, bad):
         """A potential that is non-finite at one node of one ring."""
         grid = AnnulusGrid(1.0, 8.0, 9, 16, "uniform")
         P = builtin("ma-radial", {"c": 1.0})
@@ -307,7 +308,8 @@ class TestFailureNames:
             v[hit] = bad
             return v
 
-        with pytest.raises(BadParams, match="boundary data must be finite"):
+        message = f"value {bad} at point {[float(node[0]), float(node[1])]} is not finite"
+        with pytest.raises(NotAdmissible, match=f"^{re.escape(message)}$"):
             solve_annulus(MA2, dataclasses.replace(P, values_fn=values), grid)
         assert hits == [1]
 
@@ -333,7 +335,7 @@ class TestFailureNames:
             solve_annulus(spec, P, AnnulusGrid(r_inner, 8.0, 17, 32, "uniform"))
 
     def test_inner_ring_on_rho_to_roundoff_solves(self):
-        """The refusal has `PotentialFn.outside_rho`'s slack, as `boundary_d`
+        """The refusal has the checked evaluation's slack, as `boundary_d`
         and the fit have: an inner radius 1e-13 under this IHH oracle's
         rho = 1 solves."""
         P = builtin("ihh-oracle", {"am1": 0.4})
@@ -382,6 +384,43 @@ class TestFailureNames:
         grid = AnnulusGrid(1.0, 8.0, 9, 16, "uniform")
         with pytest.raises(SingularJacobian):
             solve_annulus(MA2, builtin("ma-radial", {"c": 1.0}), grid)
+
+
+class TestInjectedFaults:
+    """The failure paths no real case reaches in Tier-1, each by one injected fault."""
+
+    def test_gmres_non_finite_basis(self):
+        """A preconditioner that returns nan makes the first Hessenberg column
+        non-finite: GMRES gives up after that one iteration, with no x."""
+        A = sp.csr_matrix(2.0 * np.eye(4))
+        nan = lambda v: np.full_like(v, math.nan)
+        assert solver._gmres(A, nan, np.ones(4), 1e-8) == (None, 1)
+
+    def test_non_finite_gmres_step_falls_back_to_lu(self, monkeypatch):
+        """A nan step from GMRES is a missed forcing term: the level factors
+        its own Jacobian and solves as its direct solve from the same start."""
+        monkeypatch.setattr(solver, "_gmres",
+                            lambda A, M, b, rtol: (np.full_like(b, math.nan), 3))
+        calls = _spy_levels(monkeypatch)
+        P, grid = builtin("ma-radial", {"c": 1.0}), AnnulusGrid(1.0, 8.0, 33, 64, "uniform")
+        rep = solve_annulus(MA2, P, grid)
+        _, (_, start, last) = calls
+        assert last is rep and rep.converged
+        assert rep.steps[0]["factored"] and rep.steps[0]["krylov"] == 3
+        direct = _direct(MA2, P, grid, start)
+        assert np.array_equal(rep.field.values, direct.field.values)
+        assert rep.residual_history == direct.residual_history
+
+    def test_damping_floor(self, monkeypatch):
+        """A line search whose every trial is rejected halves the step down to
+        DAMPING_FLOOR and names the iteration: 21 trials, from t = 1 to 2^-20."""
+        trials = []
+        monkeypatch.setattr(solver, "_trial", lambda *a: trials.append(a[4]) and None)
+        with pytest.raises(InadmissibleIterate, match="damping floor reached at iteration 1"):
+            solve_annulus(MA2, builtin("ma-radial", {"c": 1.0}),
+                          AnnulusGrid(1.0, 8.0, 9, 16, "uniform"))
+        assert len(trials) == 21
+        assert np.array_equal(trials[-1], 2.0 ** -20 * trials[0])
 
 
 def _on_nodes(grid, f):

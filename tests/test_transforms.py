@@ -19,8 +19,10 @@ from asymlab import (
     unrotate_hessian,
     unrotate_potential,
 )
+from asymlab import transforms
 from asymlab.equations import sigma2_margin
-from asymlab.errors import BadParams, NotAdmissible, NotConvex, StripViolation
+from asymlab.errors import (BadParams, InverseMapDiverged, NotAdmissible, NotConvex,
+                            StripViolation)
 from asymlab.oracle2d import builtin
 
 from conftest import random_symmetric
@@ -76,6 +78,21 @@ class TestSampledPreconditions:
         assert len(batches) == 1 and batches[0].shape == (63, 2)
         norms = np.sqrt((batches[0] ** 2).sum(axis=1))
         assert np.allclose(norms, np.repeat(radii, 21), rtol=1e-14)
+
+    @pytest.mark.parametrize("transform", [
+        lambda P: rotate_potential(P, math.pi / 4),
+        lambda P: unrotate_potential(P, math.pi / 4),
+        legendre,
+    ], ids=["rotate", "unrotate", "legendre"])
+    def test_non_finite_sample_is_not_admissible(self, transform):
+        """A sampled Hessian that is not finite is the potential's own
+        NotAdmissible: no bound is compared with nan, which compares False
+        and so passed, and legendre does not call it NotConvex."""
+        P = builtin("quadratic", {"A": [[0.5, 0.0], [0.0, 0.5]]})
+        P = dataclasses.replace(P, hessians_fn=lambda X: np.full((len(X), 2, 2), math.nan))
+        with pytest.raises(NotAdmissible, match=r"^Hessian \[\[nan, nan\], \[nan, nan\]\] at "
+                                                r"point \[.*\] is not finite$"):
+            transform(P)
 
 
 class TestHessianRotation:
@@ -235,6 +252,17 @@ class TestLegendre:
         for c in (0.5, 1.0, 4.0):
             Pb = legendre(builtin("ma-radial", {"c": c}))
             assert Pb.grad([math.sqrt(4.0 + c), 0.0]) == pytest.approx([2.0, 0.0])
+
+    def test_inversion_iteration_cap(self, monkeypatch):
+        """An inversion that needs more Newton iterations than NEWTON_MAX_ITER
+        allows names the cap."""
+        P = legendre(builtin("ma-radial", {"c": 1.0}))
+        monkeypatch.setattr(transforms, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(InverseMapDiverged, match="^legendre point inversion: no "
+                                                     "convergence in 1 iterations$"):
+            P.value([3.0, 0.0])
+        monkeypatch.undo()
+        assert P.grad([3.0, 0.0]) == pytest.approx([math.sqrt(8.0), 0.0])  # |Du| = 3 there
 
     def test_hessian_reciprocity(self, rng):
         P = builtin("ma-radial", {"c": 1.0})
