@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AsymptoticProfile, EquationSpec, PotentialFn, SymMat, matvecs, rowdot
+from .core import (AsymptoticProfile, EquationSpec, PotentialFn, SymMat, matvecs, rowdot,
+                   shell_points)
 from .equations import OPERATORS
 from .errors import (BadParams, IllConditioned, NoDecay, NonPositiveValue,
                      NotAdmissible, WrongDimension)
@@ -40,31 +41,11 @@ class ShellSpec:
         if self.points_per_shell < 32:
             raise BadParams("points_per_shell must be >= 32")
 
-    def points(self, dim: int, seed: int | None = None) -> np.ndarray:
+    def points(self, dim: int) -> np.ndarray:
         """Every shell's sample points, shell by shell, as one batch of shape
         (len(radii) * points_per_shell, dim)."""
-        return np.concatenate([shell_points(r, self.points_per_shell, dim, seed=seed)
+        return np.concatenate([shell_points(r, self.points_per_shell, dim)
                                for r in self.radii])
-
-
-def shell_points(radius: float, n: int, dim: int, seed: int | None = None) -> np.ndarray:
-    """Deterministic sample points on a sphere of given radius.
-
-    2D: equiangular; 3D: Fibonacci spiral.  A seed rotates the pattern so
-    repeated sweeps decorrelate, without losing determinism.
-    """
-    if dim == 2:
-        offset = 0.0
-        if seed is not None:
-            offset = (seed % 997) * (2 * math.pi / 997)
-        th = np.arange(n) * (2 * math.pi / n) + offset
-        return radius * np.stack([np.cos(th), np.sin(th)], axis=1)
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    k = np.arange(n)
-    zc = 1.0 - (2.0 * k + 1.0) / n
-    rc = np.sqrt(np.clip(1.0 - zc * zc, 0.0, None))
-    phi = k * golden + (0.0 if seed is None else (seed % 997) * 0.01)
-    return radius * np.stack([rc * np.cos(phi), rc * np.sin(phi), zc], axis=1)
 
 
 def hessian_limit(P: PotentialFn, shells: ShellSpec) -> tuple[SymMat, float]:
@@ -77,7 +58,6 @@ def hessian_limit(P: PotentialFn, shells: ShellSpec) -> tuple[SymMat, float]:
     hessians = P.hessians(shells.points(P.dim)).reshape(
         len(shells.radii), shells.points_per_shell, P.dim, P.dim)
     A = hessians[-1].mean(axis=0)
-    A = 0.5 * (A + A.T)
     res = np.linalg.norm(hessians - A, axis=(2, 3)).max(axis=1)
     floor = EXACT_FLOOR * (1.0 + np.abs(A).max())
     if res[-1] > max(res[0], floor):
@@ -115,12 +95,10 @@ def _row(spec: EquationSpec, name: str) -> Callable:
 
 def log_kernel(spec: EquationSpec, A: SymMat) -> SymMat:
     """The matrix L of the log term, from the equation's row of `OPERATORS`."""
-    L = _row(spec, "log_kernel")(spec, A.m)
-    return SymMat(0.5 * (L + L.T))
+    return SymMat(_row(spec, "log_kernel")(spec, A.m))
 
 
-def fit_profile(P: PotentialFn, spec: EquationSpec, shells: ShellSpec,
-                seed: int | None = None) -> AsymptoticProfile:
+def fit_profile(P: PotentialFn, spec: EquationSpec, shells: ShellSpec) -> AsymptoticProfile:
     """Two-stage fit: A from the Hessian limit, then linear least squares for
     (b, c, d) against {x1, x2, 1, log(x'Lx)/2} over all shell samples.
     The log column is dropped for dim 3 (no log term in the expansion)."""
@@ -133,7 +111,7 @@ def fit_profile(P: PotentialFn, spec: EquationSpec, shells: ShellSpec,
     if not w[0] > EXACT_FLOOR * w[-1]:  # nan too; else x'Lx can round to <= 0
         raise NotAdmissible(f"log kernel L is not positive definite: eigenvalues {w.tolist()}")
 
-    X = shells.points(P.dim, seed=seed)
+    X = shells.points(P.dim)
     columns = [X, np.ones((len(X), 1))]
     if with_log:
         columns.append(0.5 * np.log(rowdot(matvecs(L.m, X), X))[:, None])

@@ -107,9 +107,9 @@ def parse_solution(arg: str, params_json: str | None = None) -> PotentialFn:
     return solution_from_spec(spec)
 
 
-def _exterior_points(P: PotentialFn, n: int, seed: int):
-    """Quasi-random exterior sample points, scrambled by the seed."""
-    rng = np.random.default_rng(seed)
+def _exterior_points(P: PotentialFn, n: int):
+    """n exterior sample points, drawn by one fixed generator."""
+    rng = np.random.default_rng(0)
     lo = max(P.rho, 0.3) + 0.2
     hi = 4.0 * lo + 4.0
     radii = lo * (hi / lo) ** rng.random(n)
@@ -150,11 +150,9 @@ def _dump_json(obj, path: str | None):
 def cmd_residual(args) -> int:
     if args.points < 1:
         raise BadParams(f"--points must be at least 1, got {args.points}")
-    if args.seed < 0:
-        raise BadParams(f"--seed must be non-negative, got {args.seed}")
     P = parse_solution(args.solution, args.params)
     spec = parse_equation(args.equation, P.dim, args.theta, args.delta)
-    pts = _exterior_points(P, args.points, args.seed)
+    pts = _exterior_points(P, args.points)
     res = residual_many(spec, P.hessians(pts))
     worst = float(np.max(np.abs(res)))
     print(f"max |residual| = {worst:.6e} over {args.points} points")
@@ -165,7 +163,7 @@ def cmd_oracle(args) -> int:
     P = parse_solution(args.solution, args.params)
     shells = asymptotics.ShellSpec(_comma_list(args.radii, "--radii"), args.points_per_shell)
     out = _out_path(_out_dir(args.outputs), args.out)
-    _write_text(_samples_csv(P, shells, args.seed), out)
+    _write_text(_samples_csv(P, shells), out)
     print(f"wrote {out} (rho = {P.rho})")
     return EXIT_OK
 
@@ -176,14 +174,14 @@ def _write_text(text: str, path: str):
         f.write(text)
 
 
-def _samples_csv(P: PotentialFn, shells, seed: int) -> str:
-    """The text of samples.csv: one row per shell point of the seed, with the
+def _samples_csv(P: PotentialFn, shells) -> str:
+    """The text of samples.csv: one row per shell point, with the
     potential's value, gradient and Hessian's upper triangle, column by column."""
     entries = [(i, j) for j in range(P.dim) for i in range(j + 1)]
     axes = range(1, P.dim + 1)
     header = ",".join([f"x{k}" for k in axes] + ["u"] + [f"du{k}" for k in axes]
                       + [f"h{i + 1}{j + 1}" for i, j in entries])
-    X = shells.points(P.dim, seed=seed)
+    X = shells.points(P.dim)
     H = P.hessians(X)
     table = np.column_stack([X, P.values(X), P.grads(X)]
                             + [H[:, i, j] for i, j in entries])
@@ -196,7 +194,7 @@ def cmd_fit(args) -> int:
     spec = parse_equation(args.equation, P.dim, args.theta, args.delta)
     shells = asymptotics.ShellSpec(_comma_list(args.shells, "--shells"), args.points_per_shell)
     out = _out_path(_out_dir(args.outputs), args.out) if args.out else None
-    _dump_json(asymptotics.fit_profile(P, spec, shells, seed=args.seed).to_dict(), out)
+    _dump_json(asymptotics.fit_profile(P, spec, shells).to_dict(), out)
     return EXIT_OK
 
 
@@ -257,7 +255,6 @@ def cmd_experiment(args) -> int:
     P = solution_from_spec(cfg["solution"])
     if spec.dim != P.dim:
         raise WrongDimension(f"the equation is {spec.dim}D but the solution is {P.dim}D")
-    seed = int(cfg.get("seed", 0))
     shells = asymptotics.ShellSpec(tuple(cfg["shells"]["radii"]),
                                    int(cfg["shells"].get("pointsPerShell", 64)))
     expected_d = cfg.get("expectedD")
@@ -267,12 +264,12 @@ def cmd_experiment(args) -> int:
     field_path, samples_path, summary_path = (
         _out_path(out_dir, n) for n in ("field.csv", "samples.csv", "summary.json"))
 
-    summary = {"seed": seed, "checks": {}}
-    profile = asymptotics.fit_profile(P, spec, shells, seed=seed)
+    summary = {"checks": {}}
+    profile = asymptotics.fit_profile(P, spec, shells)
     summary["profile"] = profile.to_dict()
-    # now, while the potential's preimage memo holds the seed's shell points;
+    # now, while the potential's preimage memo holds the shell points;
     # written last, so that a failed solve leaves no samples.csv
-    samples = _samples_csv(P, shells, seed)
+    samples = _samples_csv(P, shells)
 
     if expected_d is not None:
         summary["expectedD"] = expected_d
@@ -312,14 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="exterior-asymptotics laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=False, outputs=False, equation=True):
+    def common(sp, outputs=False, equation=True):
         """--solution and --params, and each shared option the handler reads;
         the equation takes the solution's dimension."""
         sp.add_argument("--solution", required=True,
                         help="'builtin:NAME' or path to an oracle spec JSON")
         sp.add_argument("--params", help="JSON params for a builtin solution")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
         if outputs:
             sp.add_argument("--outputs", help="output directory (LAB_OUTPUT_DIR overrides)")
         if equation:
@@ -329,19 +324,19 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--delta", type=float)
 
     sp = sub.add_parser("residual", help="max |residual| over exterior samples")
-    common(sp, seed=True)
+    common(sp)
     sp.add_argument("--points", type=int, default=1000)
     sp.set_defaults(func=cmd_residual, parser=sp)
 
     sp = sub.add_parser("oracle", help="dump oracle samples to CSV")
-    common(sp, seed=True, outputs=True, equation=False)
+    common(sp, outputs=True, equation=False)
     sp.add_argument("--radii", default="10,20,40")
     sp.add_argument("--points-per-shell", type=int, default=64)
     sp.add_argument("--out", default="samples.csv")
     sp.set_defaults(func=cmd_oracle, parser=sp)
 
     sp = sub.add_parser("fit", help="fit an asymptotic profile")
-    common(sp, seed=True, outputs=True)
+    common(sp, outputs=True)
     sp.add_argument("--shells", default="50,100,200")
     sp.add_argument("--points-per-shell", type=int, default=64)
     sp.add_argument("--out", help="profile JSON path (default: stdout)")

@@ -165,6 +165,20 @@ class PotentialFn:
         return SymMat(self.hessians(np.reshape(x, (1, -1)))[0])
 
 
+def shell_points(radius: float, n: int, dim: int) -> np.ndarray:
+    """The one sample pattern on a sphere of given radius: in 2D, n
+    equiangular points from angle 0; in 3D, an n-point Fibonacci spiral."""
+    if dim == 2:
+        th = np.arange(n) * (2 * math.pi / n)
+        return radius * np.stack([np.cos(th), np.sin(th)], axis=1)
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    k = np.arange(n)
+    zc = 1.0 - (2.0 * k + 1.0) / n
+    rc = np.sqrt(np.clip(1.0 - zc * zc, 0.0, None))
+    phi = k * golden
+    return radius * np.stack([rc * np.cos(phi), rc * np.sin(phi), zc], axis=1)
+
+
 @dataclass(frozen=True)
 class AsymptoticProfile:
     """Fitted expansion u ~ x'Ax/2 + b'x + c + (d/2) log(x'Lx)."""

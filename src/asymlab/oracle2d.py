@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import log_kernel, shell_points
-from .core import AsymptoticProfile, EquationSpec, PotentialFn, SymMat, matvecs, rowdot
+from .asymptotics import log_kernel
+from .core import (AsymptoticProfile, EquationSpec, PotentialFn, SymMat, matvecs, rowdot,
+                   shell_points)
 from .equations import eigvals, sym_2x2
 from .errors import BadParams, InverseMapDiverged, StripViolation, UnknownName
 from .transforms import (_graph_map, _graph_preimage, _rotation_angle, _strip_check,

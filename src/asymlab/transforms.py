@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import EquationSpec, PotentialFn, SymMat, rowdot, sym_upper
+from .core import EquationSpec, PotentialFn, SymMat, rowdot, shell_points, sym_upper
 from .equations import eigvals, sigma2_margin, sym_2x2
 from .errors import (BadParams, InverseMapDiverged, NotAdmissible, NotConvex,
                      SingularRotation, StripViolation)
@@ -167,23 +167,20 @@ def _newton_invert(target, guess, fun, jac, what: str):
     raise InverseMapDiverged(f"{what}: no convergence in {NEWTON_MAX_ITER} iterations")
 
 
-def _sampled_spectra(P: PotentialFn, seed: int) -> np.ndarray:
-    """Hessian eigenvalues (ascending, one row per point) at 21 random points
+def _sampled_spectra(P: PotentialFn) -> np.ndarray:
+    """Hessian eigenvalues (ascending, one row per point) at 21 `shell_points`
     on each of three shells of P's domain: radii 1, 4 and 16 when rho < 1,
     so that a domain radius near 0 (1e-12 for the radial builtins) is not
     sampled where roundoff swamps the Hessian."""
-    rng = np.random.default_rng(seed)
     radii = P.rho * np.array([1.05, 2.0, 8.0]) if P.rho >= 1 else np.array([1.0, 4.0, 16.0])
-    D = rng.normal(size=(3 * 21, P.dim))
-    X = np.repeat(radii, 21)[:, None] * D / np.sqrt(rowdot(D, D))[:, None]
-    return eigvals(P.hessians(X))
+    return eigvals(P.hessians(np.concatenate([shell_points(r, 21, P.dim) for r in radii])))
 
 
 def _check_hessian_bound(P: PotentialFn, lower: float, error=NotAdmissible, what: str = ""):
     """Sampled eigenvalue lower bound on a few shells of P's domain: `error`,
     its message led by `what`, for a sample at or below it. A sampled Hessian
     that is not finite is P's own NotAdmissible, whatever `error` is."""
-    w = _sampled_spectra(P, 7)[:, 0]
+    w = _sampled_spectra(P)[:, 0]
     bad = np.flatnonzero(w <= lower)
     if bad.size:
         raise error(f"{what}sampled Hessian eigenvalue {w[bad[0]]:.6g} <= required "
@@ -264,7 +261,7 @@ def unrotate_potential(Pt: PotentialFn, vartheta: float) -> PotentialFn:
     strip bound); the additive constant is fixed by the defining formula.
     """
     c, s = _rotation_angle(vartheta)
-    _strip_check(c, s, "sampled lambda_max")(_sampled_spectra(Pt, 11))
+    _strip_check(c, s, "sampled lambda_max")(_sampled_spectra(Pt))
     return _graph_map(Pt, c, -s, s, c, Pt.rho * abs(s), "unrotate_potential point inversion",
                       check=_strip_check(c, s))
 

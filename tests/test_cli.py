@@ -70,13 +70,6 @@ class TestResidualCommand:
         assert r.returncode == 2
         assert json.loads(r.stderr)["error"]["kind"] == "BadParams"
 
-    def test_negative_seed_is_config_error(self):
-        r = run(["residual", "--solution", "builtin:ma-radial",
-                 "--equation", "ma", "--seed", "-1"])
-        assert r.returncode == 2
-        err = json.loads(r.stderr)["error"]
-        assert err["kind"] == "BadParams" and "--seed" in err["message"]
-
 
 class TestFitCommand:
     def test_profile_to_stdout(self):
@@ -206,7 +199,6 @@ class TestExperiment:
             "shells": {"radii": [50.0, 100.0, 200.0], "pointsPerShell": 64},
             "curve": {"type": "circle", "radius": 3.0},
             "expectedD": 0.5,
-            "seed": 3,
             "outputs": outputs,
         }
 
@@ -318,6 +310,19 @@ class TestExperiment:
         assert r.returncode == 1
         assert json.loads(r.stderr)["error"]["kind"] == "NotAdmissible"
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_a_seed_is_config_error(self, tmp_path, capsys, monkeypatch):
+        """Every shell has one sample pattern, so a config has no seed to set:
+        the key is the schema's ConfigError naming it, and nothing is written."""
+        monkeypatch.delenv("LAB_OUTPUT_DIR", raising=False)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(dict(self._config(str(tmp_path / "out")), seed=3)))
+        rc = cli.main(["experiment", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and captured.err.count("\n") == 1
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "ConfigError" and "'seed'" in err["message"]
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 class TestSolveCommand:
@@ -869,20 +874,23 @@ class TestOutputPaths:
 
 @pytest.mark.parametrize("option", [
     ["solve", "--seed", "1"], ["boundary-d", "--seed", "1"],
+    ["residual", "--seed", "1"], ["fit", "--seed", "1"], ["oracle", "--seed", "1"],
     ["residual", "--outputs", "D"], ["boundary-d", "--outputs", "D"],
 ] + [[command, "--dim", "2"] for command in ("residual", "fit", "boundary-d", "solve")],
     ids=" ".join)
 def test_an_option_the_handler_does_not_read_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                                               option):
-    """Each subcommand declares only the options its handler reads, and the
-    equation takes the solution's dimension, so --dim is no option: any
-    other is argparse's usage error of that subcommand, exit 2, before
-    anything is run or written."""
+    """Each subcommand declares only the options its handler reads, the
+    equation takes the solution's dimension, so --dim is no option, and every
+    shell has one sample pattern, so --seed is none either: any other is
+    argparse's usage error of that subcommand, exit 2, before anything is
+    run or written."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("LAB_OUTPUT_DIR", raising=False)
     command, *rest = option
     grid = ["--grid", "1,8,9,16"] if command == "solve" else []
-    rc = cli.main([command, "--solution", "builtin:ma-radial", "--equation", "ma", *grid, *rest])
+    equation = [] if command == "oracle" else ["--equation", "ma"]
+    rc = cli.main([command, "--solution", "builtin:ma-radial", *equation, *grid, *rest])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith(f"usage: lab {command} ")

@@ -20,6 +20,7 @@ from asymlab import (
     unrotate_potential,
 )
 from asymlab import transforms
+from asymlab.core import shell_points
 from asymlab.equations import sigma2_margin
 from asymlab.errors import (BadParams, InverseMapDiverged, NotAdmissible, NotConvex,
                             StripViolation)
@@ -67,8 +68,8 @@ class TestSampledPreconditions:
         legendre,
     ], ids=["rotate", "unrotate", "legendre"])
     def test_samples_21_points_on_three_shells(self, transform, rho, radii):
-        """One batch of 3 x 21 points, on the shells 1.05, 2 and 8 times rho,
-        or 1, 4 and 16 when rho < 1."""
+        """One batch of 3 x 21 `shell_points`, on the shells 1.05, 2 and 8
+        times rho, or 1, 4 and 16 when rho < 1."""
         batches = []
         P = builtin("quadratic", {"A": [[0.5, 0.0], [0.0, 0.5]]})
         hessians = P.hessians_fn
@@ -78,6 +79,7 @@ class TestSampledPreconditions:
         assert len(batches) == 1 and batches[0].shape == (63, 2)
         norms = np.sqrt((batches[0] ** 2).sum(axis=1))
         assert np.allclose(norms, np.repeat(radii, 21), rtol=1e-14)
+        assert np.array_equal(batches[0], np.concatenate([shell_points(r, 21, 2) for r in radii]))
 
     @pytest.mark.parametrize("transform", [
         lambda P: rotate_potential(P, math.pi / 4),
